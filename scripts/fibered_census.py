@@ -11,15 +11,7 @@ import argparse
 from collections import Counter
 from math import gcd
 
-from tbsl import (
-    Framing,
-    Region2,
-    TwoBridgeLink,
-    classify,
-    foliation_region,
-    lspace_region,
-    render_link,
-)
+from tbsl import Framing, Region2, TwoBridgeLink, analyse, render_link
 
 
 def unoriented_classes(max_p):
@@ -47,12 +39,12 @@ def main():
     quadrant_links = []
     partition_checked = 0
     for link in unoriented_classes(args.max_p):
-        cls = classify(link)
-        counts[cls.family.value] += 1
-        if cls.n is not None:
+        a = analyse(link)
+        counts[a.cls.family.value] += 1
+        if a.cls.n is not None:
             quadrant_links.append(render_link(link))
-        if cls.is_hyperbolic_fibered:
-            ls, fol = lspace_region(link), foliation_region(link)
+        if a.cls.is_hyperbolic_fibered:
+            ls, fol = a.lspace, a.foliation
             assert ls.union(fol).equals(plane) and ls.intersect(fol).is_empty()
             partition_checked += 1
 

@@ -4,7 +4,7 @@
 import argparse
 import pathlib
 
-from tbsl import classify, foliation_region, lspace_region, parse_link
+from tbsl import analyse, parse_link
 from tbsl.svgplot import region_svg
 
 
@@ -22,18 +22,12 @@ def main():
     outdir = pathlib.Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     for spec in args.links:
-        link = parse_link(spec)
-        cls = classify(link)
-        window = max(5, (cls.n or 0) + 2)
-        svg = region_svg(
-            lspace_region(link),
-            foliation_region(link),
-            window,
-            title=f"{link} [{cls.tag()}]",
-        )
-        path = outdir / f"{str(link).replace('(', '_').strip(')').replace(',', '_')}.svg"
+        a = analyse(parse_link(spec))
+        title = f"{a.link} [{a.cls.tag()}]"
+        svg = region_svg(a.lspace, a.foliation, a.window, title=title)
+        path = outdir / f"{str(a.link).replace('(', '_').strip(')').replace(',', '_')}.svg"
         path.write_text(svg)
-        print(f"{link} [{cls.tag()}] -> {path}")
+        print(f"{title} -> {path}")
 
 
 if __name__ == "__main__":

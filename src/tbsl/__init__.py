@@ -9,7 +9,6 @@ from .exactq import (
     INFINITY,
     CircleInterval,
     EvenExpansion,
-    Rat,
     Slope,
     as_rat,
     cf_eval,
@@ -18,7 +17,9 @@ from .exactq import (
     parse_interval,
 )
 from .foliation import (
+    LinkAnalysis,
     Verdict,
+    analyse,
     foliation_region,
     lemma_regions,
     ln_taut_witness_strips,
@@ -33,10 +34,6 @@ from .regions import (
     Region2,
     SlopeFamily,
     family_image,
-    region_complement,
-    region_covers,
-    region_intersect,
-    region_union,
 )
 from .surgery import (
     HomologyReport,
@@ -58,7 +55,6 @@ from .twobridge import (
     fibered_expansion,
     linking_number,
     ln_link,
-    mirror,
     parse_link,
     render_link,
     schubert_oriented_equal,

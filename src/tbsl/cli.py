@@ -19,15 +19,14 @@ from fractions import Fraction
 from . import foliation, lspace, surgery, twobridge
 from .errors import KnotNotLink, OutOfScope, UnsupportedSlope
 from .exactq import Slope, cf_eval, even_expand
-from .monodromy import sign_census, twist_word
 from .regions import Framing, Region2
 from .svgplot import region_svg
 
 log = logging.getLogger("tbsl")
 
 
-def _classification_dict(link: twobridge.TwoBridgeLink) -> dict:
-    cls = twobridge.classify(link)
+def _classification_dict(a: foliation.LinkAnalysis) -> dict:
+    link, cls = a.link, a.cls
     d = {
         "link": str(link),
         "p": link.p,
@@ -42,64 +41,51 @@ def _classification_dict(link: twobridge.TwoBridgeLink) -> dict:
         "sign_census": None,
     }
     if cls.fibered_expansion is not None:
-        e = cls.fibered_expansion
-        word = twist_word(e)
-        census = sign_census(word)
-        d["fibered_expansion"] = list(e.coeffs)
-        d["linking_number"] = twobridge.linking_number(e)
-        d["monodromy"] = str(word)
+        d["fibered_expansion"] = list(cls.fibered_expansion.coeffs)
+        d["linking_number"] = a.linking
+        d["monodromy"] = str(a.word)
         d["sign_census"] = {
-            "pos_rivers": census.pos_rivers,
-            "neg_rivers": census.neg_rivers,
-            "pos_bridges": census.pos_bridges,
-            "neg_bridges": census.neg_bridges,
+            "pos_rivers": a.census.pos_rivers,
+            "neg_rivers": a.census.neg_rivers,
+            "pos_bridges": a.census.pos_bridges,
+            "neg_bridges": a.census.neg_bridges,
         }
     return d
 
 
-def _linking_of(link: twobridge.TwoBridgeLink) -> int:
-    cls = twobridge.classify(link)
-    if cls.fibered_expansion is None:
-        raise OutOfScope(f"{link} is not fibered")
-    return twobridge.linking_number(cls.fibered_expansion)
+def _exact(parse, text: str, what: str):
+    """Command-line text read by ``parse`` (``Fraction`` or ``Slope.parse``).
+
+    Every slope and fraction the commands take passes through here, so a
+    zero denominator ends as a reported error rather than a traceback.
+    """
+    try:
+        return parse(text)
+    except ZeroDivisionError:
+        raise ValueError(f"{what} {text!r} has a zero denominator") from None
 
 
-def _two_component_diagram(link, s1, s2, framing: Framing) -> surgery.SurgeryDiagram:
-    lk = _linking_of(link)
-    return surgery.SurgeryDiagram(((0, lk), (lk, 0)), (s1, s2), framing)
+def _slopes(args) -> tuple[Slope, Slope]:
+    return _exact(Slope.parse, args.r1, "slope"), _exact(Slope.parse, args.r2, "slope")
 
 
-def _to_canonical_pair(link, s1: Slope, s2: Slope, framing: Framing):
-    d = _two_component_diagram(link, s1, s2, framing)
-    d = surgery.framing_convert(d, Framing.CANONICAL)
-    return d.slopes
+def _window(args, a: foliation.LinkAnalysis) -> int:
+    if args.window is None:
+        return a.window
+    if args.window < 1:
+        raise ValueError(f"--window must be a positive integer, got {args.window}")
+    return args.window
 
 
-def _region_pair(link, framing: Framing) -> tuple[Region2, Region2]:
-    ls = lspace.lspace_region(link)
-    fol = foliation.foliation_region(link)
-    if framing == Framing.SEIFERT:
-        lk = _linking_of(link)
-        ls = ls.shifted(lk, lk).with_framing(Framing.SEIFERT)
-        fol = fol.shifted(lk, lk).with_framing(Framing.SEIFERT)
-    return ls, fol
+_WITNESS = {
+    foliation.Verdict.L_SPACE: "lspace",
+    foliation.Verdict.NLS_WITH_TAUT_FOLIATION: "foliation",
+}
 
 
-def _regions_both_framings(link) -> dict:
-    out = {}
-    for framing in (Framing.CANONICAL, Framing.SEIFERT):
-        ls, fol = _region_pair(link, framing)
-        out[framing.value] = {
-            "lspace": ls.to_json_dict(),
-            "foliation": fol.to_json_dict(),
-        }
-    return out
-
-
-def _default_window(link) -> int:
-    cls = twobridge.classify(link)
-    n = cls.n or 0
-    return max(5, n + 2)
+def _verdict_entry(a: foliation.LinkAnalysis, s1: Slope, s2: Slope) -> dict:
+    v = a.verdict(s1, s2)
+    return {"slope": [str(s1), str(s2)], "verdict": v.value, "witness_region": _WITNESS.get(v)}
 
 
 # ---------------------------------------------------------------------------
@@ -107,10 +93,10 @@ def _default_window(link) -> int:
 
 
 def _cmd_classify(args) -> dict:
-    link = twobridge.parse_link(args.link)
+    a = foliation.analyse(twobridge.parse_link(args.link))
     return {
         "input": {"link": args.link},
-        "classification": _classification_dict(link),
+        "classification": _classification_dict(a),
     }
 
 
@@ -119,7 +105,7 @@ def _cmd_expand(args) -> dict:
     if text.startswith(("b(", "L(")):
         frac = twobridge.parse_link(text).fraction()
     else:
-        frac = Fraction(text)
+        frac = _exact(Fraction, text, "fraction")
     e = even_expand(frac)
     assert cf_eval(e.coeffs) == Slope(frac)
     return {
@@ -145,85 +131,63 @@ def _cmd_equal(args) -> dict:
 
 
 def _cmd_region(args) -> dict:
-    link = twobridge.parse_link(args.link)
+    a = foliation.analyse(twobridge.parse_link(args.link))
     framing = Framing(args.framing)
+    regions = {}
+    for f in (Framing.CANONICAL, Framing.SEIFERT):
+        ls, fol = a.regions(f)
+        regions[f.value] = {"lspace": ls.to_json_dict(), "foliation": fol.to_json_dict()}
     body = {
         "input": {"link": args.link, "framing": framing.value},
-        "classification": _classification_dict(link),
-        "regions": _regions_both_framings(link),
+        "classification": _classification_dict(a),
+        "regions": regions,
     }
     if args.svg:
-        ls, fol = _region_pair(link, framing)
-        window = args.window or _default_window(link)
-        svg = region_svg(ls, fol, window, title=f"{link} [{framing.value}]")
+        ls, fol = a.regions(framing)
+        svg = region_svg(ls, fol, _window(args, a), title=f"{a.link} [{framing.value}]")
         with open(args.svg, "w") as fh:
             fh.write(svg)
         body["svg_path"] = args.svg
     return body
 
 
-def _verdict_entry(regions, lk, s1: Slope, s2: Slope) -> dict:
-    ls_region, fol_region = regions
-    if s1.is_infinity or s2.is_infinity:
-        v, witness = foliation.Verdict.INFINITY_FILLING, None
-    elif not surgery.is_qhs(
-        surgery.SurgeryDiagram(((0, lk), (lk, 0)), (s1, s2), Framing.CANONICAL)
-    ):
-        v, witness = foliation.Verdict.NOT_QHS_TAUT_BY_BETTI, None
-    elif ls_region.contains((s1, s2)):
-        v, witness = foliation.Verdict.L_SPACE, "lspace"
-    else:
-        v, witness = foliation.Verdict.NLS_WITH_TAUT_FOLIATION, "foliation"
-    return {"slope": [str(s1), str(s2)], "verdict": v.value, "witness_region": witness}
-
-
 def _cmd_verdict(args) -> dict:
-    link = twobridge.parse_link(args.link)
+    a = foliation.analyse(twobridge.parse_link(args.link))
     framing = Framing(args.framing)
-    s1, s2 = Slope.parse(args.r1), Slope.parse(args.r2)
-    s1, s2 = _to_canonical_pair(link, s1, s2, framing)
-    regions = (lspace.lspace_region(link), foliation.foliation_region(link))
-    lk = abs(_linking_of(link))
+    s1, s2 = _slopes(args)
+    s1, s2 = surgery.framing_convert(a.diagram(s1, s2, framing), Framing.CANONICAL).slopes
     return {
         "input": {"link": args.link, "slope": [args.r1, args.r2], "framing": framing.value},
-        "classification": _classification_dict(link),
-        "verdicts": [_verdict_entry(regions, lk, s1, s2)],
+        "classification": _classification_dict(a),
+        "verdicts": [_verdict_entry(a, s1, s2)],
     }
 
 
 def _cmd_sweep(args) -> dict:
-    link = twobridge.parse_link(args.link)
-    window = args.window or _default_window(link)
-    step = Fraction(args.step)
+    a = foliation.analyse(twobridge.parse_link(args.link))
+    window = _window(args, a)
+    step = _exact(Fraction, args.step, "--step")
     if step <= 0:
         raise ValueError("--step must be positive")
-    # regions computed once; every grid point is a membership test only
-    regions = (lspace.lspace_region(link), foliation.foliation_region(link))
-    lk = abs(_linking_of(link))
     values = []
     v = Fraction(-window)
     while v <= window:
         values.append(v)
         v += step
-    verdicts = [
-        _verdict_entry(regions, lk, Slope(x), Slope(y))
-        for x in values
-        for y in values
-    ]
+    # the regions are computed once; every grid point is a membership test
+    verdicts = [_verdict_entry(a, Slope(x), Slope(y)) for x in values for y in values]
     return {
         "input": {"link": args.link, "window": window, "step": str(step)},
-        "classification": _classification_dict(link),
+        "classification": _classification_dict(a),
         "verdicts": verdicts,
     }
 
 
 def _cmd_homology(args) -> dict:
-    link = twobridge.parse_link(args.link)
+    a = foliation.analyse(twobridge.parse_link(args.link))
     framing = Framing(args.framing)
-    s1, s2 = Slope.parse(args.r1), Slope.parse(args.r2)
-    s1, s2 = _to_canonical_pair(link, s1, s2, framing)
-    lk = _linking_of(link)
-    d = surgery.SurgeryDiagram(((0, lk), (lk, 0)), (s1, s2), Framing.CANONICAL)
+    s1, s2 = _slopes(args)
+    d = surgery.framing_convert(a.diagram(s1, s2, framing), Framing.CANONICAL)
     report = surgery.presentation_matrix(d)
     body = report.to_json_dict()
     body["qhs"] = surgery.is_qhs(d)
@@ -234,12 +198,11 @@ def _cmd_homology(args) -> dict:
 
 
 def _cmd_framing(args) -> dict:
-    link = twobridge.parse_link(args.link)
+    a = foliation.analyse(twobridge.parse_link(args.link))
     src = Framing(args.framing)
     dst = Framing(args.to)
-    s1, s2 = Slope.parse(args.r1), Slope.parse(args.r2)
-    d = _two_component_diagram(link, s1, s2, src)
-    out = surgery.framing_convert(d, dst)
+    s1, s2 = _slopes(args)
+    out = surgery.framing_convert(a.diagram(s1, s2, src), dst)
     return {
         "input": {"link": args.link, "slope": [args.r1, args.r2]},
         "framing": {
@@ -265,9 +228,8 @@ def _cmd_verify_covers(args) -> dict:
         checks.append({"name": f"cover {witness.name}", "ok": ok})
     for n in range(2, args.max + 1):
         strips = foliation.ln_taut_witness_strips(n)
-        link = twobridge.ln_link(n)
-        fol = foliation.foliation_region(link)
-        quadrant = lspace.lspace_region(link)
+        a = foliation.analyse(twobridge.ln_link(n))
+        quadrant, fol = a.lspace, a.foliation
         ok = (
             strips.union(quadrant).equals(Region2.finite_plane(Framing.CANONICAL))
             and strips.intersect(quadrant).is_empty()
@@ -363,9 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true", help="emit a JSON report")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_, **kw):
-        p = sub.add_parser(name, help=help_)
-        return p
+    def add(name, help_):
+        return sub.add_parser(name, help=help_)
 
     p = add("classify", "classify a two-bridge link")
     p.add_argument("link", help='link spec: "b(p,q)", "L(a1,...,an)" or "p/q"')

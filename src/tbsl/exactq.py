@@ -30,8 +30,6 @@ from fractions import Fraction
 from functools import total_ordering
 from typing import Iterable, Iterator
 
-Rat = Fraction
-
 
 def as_rat(x) -> Fraction:
     """Coerce to an exact rational; floats are rejected, not approximated."""
@@ -161,10 +159,6 @@ class CircleInterval:
     @classmethod
     def full(cls) -> "CircleInterval":
         return cls(INFINITY, INFINITY, True, True, full_circle=True)
-
-    @property
-    def is_point(self) -> bool:
-        return not self.full_circle and self.lo == self.hi and self.lo_closed
 
     def contains(self, x) -> bool:
         x = Slope.of(x)

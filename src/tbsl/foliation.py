@@ -8,6 +8,9 @@ exceptional links, the quadrant that is exactly the L-space set; so the
 foliation region is defined as the complement of the L-space region, and
 the constructive covers are kept as independent witnesses
 (``cover_witnesses``, ``ln_taut_witness_strips``) that reproduce it.
+
+``analyse`` builds one :class:`LinkAnalysis` per link; its ``verdict`` is
+the package's only verdict predicate.
 """
 
 from __future__ import annotations
@@ -15,14 +18,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import OutOfScope
 from .exactq import INFINITY, CircleInterval, Slope
-from .lspace import lspace_region
-from .monodromy import SignCensus
+from .lspace import classified_lspace_region
+from .monodromy import MonodromyWord, SignCensus, sign_census, twist_word
 from .regions import Framing, Region2
 from .surgery import SurgeryDiagram, framing_convert, is_qhs, rolfsen_fill
-from .twobridge import LinkFamily, TwoBridgeLink, classify, linking_number
+from .twobridge import LinkClass, TwoBridgeLink, classify, linking_number
 
 
 def _iv(lo, hi) -> CircleInterval:
@@ -53,23 +57,6 @@ def lemma_regions(census: SignCensus) -> Region2:
     return Region2(Framing.SEIFERT, tuple(rects), restrict_to_finite=True)
 
 
-def foliation_region(link: TwoBridgeLink) -> Region2:
-    """Finite multislopes with coorientable taut foliations, canonical framing.
-
-    Equals the complement of the L-space region inside Q²: everything for
-    the generic families, the complement of the quadrant for the
-    exceptional links and their mirrors.
-    """
-    cls = classify(link)
-    if cls.family is LinkFamily.TORUS:
-        raise OutOfScope(
-            f"{link} is a torus link: out of scope (graph-manifold surgeries)"
-        )
-    if cls.family is LinkFamily.NON_FIBERED:
-        raise OutOfScope(f"{link} is not fibered")
-    return lspace_region(link).complement()
-
-
 class Verdict(Enum):
     NOT_QHS_TAUT_BY_BETTI = "NotQHS_TautByBetti"
     L_SPACE = "LSpace"
@@ -77,29 +64,94 @@ class Verdict(Enum):
     INFINITY_FILLING = "InfinityFilling"
 
 
-def verdict(link: TwoBridgeLink, slope: tuple) -> Verdict:
-    """Classify one surgery of a fibered hyperbolic link (canonical framing).
+@dataclass(frozen=True)
+class LinkAnalysis:
+    """A classified link and the facts the verdict engine reads about it.
 
-    Infinite fillings are reported as such (the results are the
-    three-sphere, lens spaces or S²×S¹); fillings with positive first Betti
-    number carry taut foliations for homological reasons; the rest split
-    into L-spaces and non-L-spaces with taut foliations.
+    :func:`analyse` computes the classification, the signed linking number,
+    the twist word and its sign census once.  The regions are computed on
+    first use and kept; reading them, or asking for a verdict, rejects torus
+    and non-fibered links.
     """
+
+    link: TwoBridgeLink
+    cls: LinkClass
+    linking: int | None = None
+    word: MonodromyWord | None = None
+    census: SignCensus | None = None
+
+    @cached_property
+    def lspace(self) -> Region2:
+        """Finite L-space multislopes, canonical framing."""
+        return classified_lspace_region(self.link, self.cls)
+
+    @cached_property
+    def foliation(self) -> Region2:
+        """Finite multislopes with coorientable taut foliations, canonical framing.
+
+        Equals the complement of the L-space region inside Q²: everything for
+        the generic families, the complement of the quadrant for the
+        exceptional links and their mirrors.
+        """
+        return self.lspace.complement()
+
+    @property
+    def window(self) -> int:
+        """Default half-width of a plotted or swept grid: shows the quadrant corner."""
+        return max(5, (self.cls.n or 0) + 2)
+
+    def regions(self, framing: Framing) -> tuple[Region2, Region2]:
+        """The L-space and foliation regions in the given framing."""
+        ls, fol = self.lspace, self.foliation
+        if framing is Framing.SEIFERT:
+            lk = self.linking
+            ls = ls.shifted(lk, lk).with_framing(Framing.SEIFERT)
+            fol = fol.shifted(lk, lk).with_framing(Framing.SEIFERT)
+        return ls, fol
+
+    def diagram(self, s1, s2, framing: Framing) -> SurgeryDiagram:
+        """The link as a two-component surgery diagram filled at (s1, s2)."""
+        if self.linking is None:
+            raise OutOfScope(f"{self.link} is not fibered")
+        lk = self.linking
+        return SurgeryDiagram(((0, lk), (lk, 0)), (s1, s2), framing)
+
+    def verdict(self, s1: Slope, s2: Slope) -> Verdict:
+        """Classify one surgery of a fibered hyperbolic link (canonical framing).
+
+        Infinite fillings are reported as such (the results are the
+        three-sphere, lens spaces or S²×S¹); fillings with positive first
+        Betti number carry taut foliations for homological reasons; the rest
+        split into L-spaces and non-L-spaces with taut foliations.
+        """
+        lspace = self.lspace  # rejects out-of-scope links before any slope is read
+        if s1.is_infinity or s2.is_infinity:
+            return Verdict.INFINITY_FILLING
+        if not is_qhs(self.diagram(s1, s2, Framing.CANONICAL)):
+            return Verdict.NOT_QHS_TAUT_BY_BETTI
+        if lspace.contains((s1, s2)):
+            return Verdict.L_SPACE
+        return Verdict.NLS_WITH_TAUT_FOLIATION
+
+
+def analyse(link: TwoBridgeLink) -> LinkAnalysis:
+    """Classify a link once and read its linking number and monodromy off it."""
     cls = classify(link)
-    if not cls.is_hyperbolic_fibered:
-        raise OutOfScope(f"{link} is not a fibered hyperbolic link")
-    s1, s2 = Slope.of(slope[0]), Slope.of(slope[1])
-    if s1.is_infinity or s2.is_infinity:
-        return Verdict.INFINITY_FILLING
-    lk = abs(linking_number(cls.fibered_expansion))
-    diagram = SurgeryDiagram(
-        ((0, lk), (lk, 0)), (s1, s2), Framing.CANONICAL
-    )
-    if not is_qhs(diagram):
-        return Verdict.NOT_QHS_TAUT_BY_BETTI
-    if lspace_region(link).contains((s1, s2)):
-        return Verdict.L_SPACE
-    return Verdict.NLS_WITH_TAUT_FOLIATION
+    e = cls.fibered_expansion
+    if e is None:
+        return LinkAnalysis(link, cls)
+    word = twist_word(e)
+    return LinkAnalysis(link, cls, linking_number(e), word, sign_census(word))
+
+
+def foliation_region(link: TwoBridgeLink) -> Region2:
+    """Finite multislopes with coorientable taut foliations, canonical framing."""
+    return analyse(link).foliation
+
+
+def verdict(link: TwoBridgeLink, slope: tuple) -> Verdict:
+    """Verdict for the canonical-framing multislope ``slope`` of ``link``."""
+    return analyse(link).verdict(Slope.of(slope[0]), Slope.of(slope[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +265,7 @@ _LN_SURFACE_BOXES: tuple[tuple[CircleInterval, CircleInterval, CircleInterval], 
 )
 
 
-def ln_taut_witness_strips(n: int, include_swap: bool = True) -> Region2:
+def ln_taut_witness_strips(n: int) -> Region2:
     """Canonical-framing strips witnessing foliations off the quadrant.
 
     Each strip is a realised Seifert-framing box of the companion link with
@@ -233,9 +285,7 @@ def ln_taut_witness_strips(n: int, include_swap: bool = True) -> Region2:
             raise AssertionError("filling slope left a realised box")
         rects.append((bx.shifted(c1), by.shifted(c2)))
     strips = Region2(Framing.CANONICAL, tuple(rects), restrict_to_finite=True)
-    if include_swap:
-        strips = strips.union(strips.swapped())
-    return strips
+    return strips.union(strips.swapped())
 
 
 @dataclass(frozen=True)

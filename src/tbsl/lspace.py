@@ -34,7 +34,7 @@ from .exactq import (
 )
 from .regions import Framing, Region2
 from .surgery import SurgeryDiagram, drilled_longitude, homological_longitude, rolfsen_fill
-from .twobridge import LinkFamily, TwoBridgeLink, classify, ln_link
+from .twobridge import LinkClass, LinkFamily, TwoBridgeLink, classify, ln_link
 
 
 def rr_propagate(known: Iterable, longitude) -> tuple[CircleInterval, ...]:
@@ -91,12 +91,17 @@ def rect_propagate(seed: tuple, lk: int) -> Region2:
 
 
 def lspace_region(link: TwoBridgeLink) -> Region2:
-    """Exact set of finite L-space multislopes, canonical framing.
+    """Exact set of finite L-space multislopes, canonical framing."""
+    return classified_lspace_region(link, classify(link))
+
+
+def classified_lspace_region(link: TwoBridgeLink, cls: LinkClass) -> Region2:
+    """``lspace_region`` of a link already classified as ``cls``.
 
     The quadrant [n, inf)² for the n-th exceptional link, its negation for
-    the mirror, empty for every other fibered hyperbolic link.
+    the mirror, empty for every other fibered hyperbolic link.  This is the
+    scope gate of the package: torus and non-fibered links are rejected.
     """
-    cls = classify(link)
     if cls.family is LinkFamily.TORUS:
         raise OutOfScope(
             f"{link} is a torus link: out of scope (surgeries are graph manifolds)"
@@ -124,7 +129,7 @@ def _ln_seed_diagram(third_slope: Slope | None) -> SurgeryDiagram:
     )
 
 
-def verify_ln_chain(n: int, extra_seed: tuple[int, int] = (5, -3)) -> bool:
+def verify_ln_chain(n: int) -> bool:
     """Mechanically replay the derivation of the L-space quadrant for index n.
 
     Steps: the drilled third component of the seed diagram has homological
@@ -149,7 +154,7 @@ def verify_ln_chain(n: int, extra_seed: tuple[int, int] = (5, -3)) -> bool:
     if abs(lk) != n - 1:
         return False
     # the coefficient map must be the same affine shift at any other seed
-    a, b = extra_seed
+    a, b = 5, -3
     other = _ln_seed_diagram(t).with_slope(0, Slope(a)).with_slope(1, Slope(b))
     if rolfsen_fill(other, 2).slopes != (Slope(a + n - 1), Slope(b + n - 1)):
         return False

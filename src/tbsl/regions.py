@@ -125,11 +125,6 @@ class Region2:
         return cls(framing, ((CircleInterval.full(), CircleInterval.full()),), True)
 
     @classmethod
-    def whole_plane(cls, framing: Framing) -> "Region2":
-        """The full slope torus, infinity coordinates included."""
-        return cls(framing, ((CircleInterval.full(), CircleInterval.full()),), False)
-
-    @classmethod
     def box(
         cls,
         ix: CircleInterval,
@@ -321,22 +316,6 @@ def _reassemble_region(
         for yiv in _reassemble_axis(yatoms, ymask):
             rects.append((xiv, yiv))
     return Region2(framing, tuple(rects), restrict)
-
-
-def region_union(a: Region2, b: Region2) -> Region2:
-    return a.union(b)
-
-
-def region_intersect(a: Region2, b: Region2) -> Region2:
-    return a.intersect(b)
-
-
-def region_complement(r: Region2) -> Region2:
-    return r.complement()
-
-
-def region_covers(r: Region2, target: Region2) -> bool:
-    return r.covers(target)
 
 
 # ---------------------------------------------------------------------------

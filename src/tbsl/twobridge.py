@@ -77,15 +77,11 @@ class TwoBridgeLink:
         return Fraction(self.p, self.q)
 
     def mirror(self) -> "TwoBridgeLink":
+        """The mirror image b(p, -q); an involution."""
         return TwoBridgeLink(self.p, -self.q)
 
     def __str__(self) -> str:
         return f"b({self.p},{self.q})"
-
-
-def mirror(link: TwoBridgeLink) -> TwoBridgeLink:
-    """The mirror image b(p, -q); an involution."""
-    return link.mirror()
 
 
 class SchubertRelation(Enum):
@@ -295,7 +291,9 @@ def parse_link(text: str) -> TwoBridgeLink:
         return TwoBridgeLink.from_fraction(value.value)
     try:
         frac = Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError:
+        raise ValueError(f"cannot parse link spec {text!r} (zero denominator)") from None
+    except ValueError as exc:
         raise ValueError(
             f"cannot parse link spec {text!r} (unexpected input at position "
             f"{_bad_position(text)})"

@@ -1,4 +1,5 @@
 import json
+import os
 
 import jsonschema
 import pytest
@@ -199,3 +200,23 @@ class TestVerifyCommands:
         code, out, _ = run(capsys, "verify-ln", "--max", "3")
         assert code == 0
         assert out.count("ok") == 3
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verdict", "b(8,5)", "1/0", "1"], "zero denominator"),
+        (["homology", "b(8,5)", "1/0", "1"], "zero denominator"),
+        (["framing", "b(8,5)", "1", "1/0"], "zero denominator"),
+        (["expand", "1/0"], "zero denominator"),
+        (["sweep", "b(8,5)", "--step", "1/0"], "zero denominator"),
+        (["classify", "1/0"], "zero denominator"),
+        (["sweep", "b(8,5)", "--window", "0"], "--window"),
+        (["region", "b(8,5)", "--svg", os.devnull, "--window", "-2"], "--window"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+)
+def test_bad_input_is_reported(capsys, argv, message):
+    code, report = run_json(capsys, *argv)
+    assert code == 1 and not report["ok"]
+    assert message in report["error"]

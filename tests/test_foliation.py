@@ -15,7 +15,6 @@ from tbsl import (
     ln_link,
     ln_taut_witness_strips,
     lspace_region,
-    mirror,
     verdict,
 )
 from tbsl.errors import OutOfScope
@@ -90,7 +89,7 @@ class TestFoliationRegion:
     def test_mirror_negates(self):
         for n in (1, 2, 7):
             L = ln_link(n)
-            assert foliation_region(mirror(L)).equals(foliation_region(L).negated())
+            assert foliation_region(L.mirror()).equals(foliation_region(L).negated())
 
     def test_out_of_scope(self):
         with pytest.raises(OutOfScope, match="torus"):

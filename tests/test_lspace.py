@@ -11,7 +11,6 @@ from tbsl import (
     Region2,
     Slope,
     lspace_region,
-    mirror,
     ln_link,
     rect_propagate,
     rr_propagate,
@@ -112,7 +111,7 @@ class TestLspaceRegion:
         assert not region.contains((INFINITY, 5))
 
     def test_mirror_quadrant(self):
-        region = lspace_region(mirror(ln_link(3)))
+        region = lspace_region(ln_link(3).mirror())
         assert region.contains((-3, -3))
         assert region.contains((-7, Fraction(-7, 2)))
         assert not region.contains((-3, -2))
@@ -134,7 +133,7 @@ class TestLspaceRegion:
     def test_mirror_negates_region(self):
         for n in range(1, 51):
             L = ln_link(n)
-            assert lspace_region(mirror(L)).equals(lspace_region(L).negated())
+            assert lspace_region(L.mirror()).equals(lspace_region(L).negated())
 
 
 def test_regions_disjoint_for_all_small_links(links_200):

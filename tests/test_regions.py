@@ -15,10 +15,6 @@ from tbsl import (
     SlopeFamily,
     family_image,
     parse_interval,
-    region_complement,
-    region_covers,
-    region_intersect,
-    region_union,
 )
 from tbsl.errors import FramingMismatch
 from tbsl.regions import BUILTIN_WEIGHT_FAMILIES
@@ -53,48 +49,48 @@ class TestRegionBasics:
 
     def test_framing_mismatch(self):
         with pytest.raises(FramingMismatch):
-            region_union(PLANE, Region2.finite_plane(Framing.CANONICAL))
+            PLANE.union(Region2.finite_plane(Framing.CANONICAL))
 
 
 class TestCoverIdentities:
     def test_mixed_river_union_is_plane(self):
         union = box("(inf,1)", "(inf,1)")
-        union = region_union(union, box("(-1,inf)", "(-1,inf)"))
-        union = region_union(union, box("(inf,1)", "(-1,inf)"))
-        union = region_union(union, box("(-1,inf)", "(inf,1)"))
+        union = union.union(box("(-1,inf)", "(-1,inf)"))
+        union = union.union(box("(inf,1)", "(-1,inf)"))
+        union = union.union(box("(-1,inf)", "(inf,1)"))
         assert union.equals(PLANE)
 
     def test_mixed_bridge_union_is_plane(self):
         union = box("(inf,1)", "(inf,1)")
-        union = region_union(union, box("(-1,inf)", "(-1,inf)"))
-        union = region_union(union, box("(0,inf)", "(inf,0)"))
-        union = region_union(union, box("(inf,0)", "(0,inf)"))
+        union = union.union(box("(-1,inf)", "(-1,inf)"))
+        union = union.union(box("(0,inf)", "(inf,0)"))
+        union = union.union(box("(inf,0)", "(0,inf)"))
         assert union.equals(PLANE)
 
     def test_complement_of_empty(self):
-        assert region_complement(Region2.empty(Framing.SEIFERT)).equals(PLANE)
+        assert Region2.empty(Framing.SEIFERT).complement().equals(PLANE)
 
     def test_quadrant_complement(self):
         quadrant = box("[3,inf]", "[3,inf]")
-        rest = region_complement(quadrant)
-        assert region_union(quadrant, rest).equals(PLANE)
-        assert region_intersect(quadrant, rest).is_empty()
+        rest = quadrant.complement()
+        assert quadrant.union(rest).equals(PLANE)
+        assert quadrant.intersect(rest).is_empty()
         assert rest.contains((Fraction(5, 2), 100))
         assert not rest.contains((3, 3))
 
 
 class TestCovers:
     def test_anything_covers_empty(self):
-        assert region_covers(box("(0,1)", "(0,1)"), Region2.empty(Framing.SEIFERT))
+        assert box("(0,1)", "(0,1)").covers(Region2.empty(Framing.SEIFERT))
 
     def test_quadrant_does_not_cover_plane(self):
-        assert not region_covers(box("[2,inf]", "[2,inf]"), PLANE)
+        assert not box("[2,inf]", "[2,inf]").covers(PLANE)
 
     def test_strict_containment(self):
         small = box("(0,1)", "(0,1)")
         large = box("(inf,1)", "(inf,1)")
-        assert region_covers(large, small)
-        assert not region_covers(small, large)
+        assert large.covers(small)
+        assert not small.covers(large)
 
 
 class TestSymmetries:
@@ -111,7 +107,7 @@ class TestSymmetries:
         assert r.shifted(2, -1).equals(box("(inf,3)", "(-1,inf)"))
 
     def test_json_roundtrip(self):
-        r = region_union(box("(inf,1)", "(0,2)"), box("[3,4]", "(inf,inf)"))
+        r = box("(inf,1)", "(0,2)").union(box("[3,4]", "(inf,inf)"))
         back = Region2.from_json_dict(r.to_json_dict())
         assert back.equals(r)
 
@@ -151,7 +147,7 @@ _PROBES = _probe_points()
 @settings(max_examples=60)
 @given(region_st(), region_st())
 def test_union_and_intersection_membership(a, b):
-    u, i = region_union(a, b), region_intersect(a, b)
+    u, i = a.union(b), a.intersect(b)
     for pt in _PROBES[:: 7]:
         assert u.contains(pt) == (a.contains(pt) or b.contains(pt))
         assert i.contains(pt) == (a.contains(pt) and b.contains(pt))
@@ -161,15 +157,15 @@ def test_union_and_intersection_membership(a, b):
 @given(region_st(), region_st())
 def test_de_morgan(a, b):
     b = Region2(a.framing, b.rects, a.restrict_to_finite)
-    lhs = region_complement(region_union(a, b))
-    rhs = region_intersect(region_complement(a), region_complement(b))
+    lhs = a.union(b).complement()
+    rhs = a.complement().intersect(b.complement())
     assert lhs.equals(rhs)
 
 
 @settings(max_examples=60)
 @given(region_st())
 def test_double_complement(a):
-    assert region_complement(region_complement(a)).equals(a)
+    assert a.complement().complement().equals(a)
 
 
 @settings(max_examples=60)
@@ -184,7 +180,7 @@ def test_canonical_preserves_membership(a):
 @given(region_st(), region_st())
 def test_covers_iff_union_is_identity(a, b):
     b = Region2(a.framing, b.rects, a.restrict_to_finite)
-    assert region_covers(a, b) == region_union(a, b).equals(a)
+    assert a.covers(b) == a.union(b).equals(a)
 
 
 class TestFamilyImage:

@@ -18,7 +18,6 @@ from tbsl import (
     fibered_expansion,
     linking_number,
     ln_link,
-    mirror,
     parse_link,
     render_link,
     schubert_oriented_equal,
@@ -140,20 +139,20 @@ def test_oriented_comparison_is_symmetric(triple):
 class TestMirror:
     def test_involution(self):
         L = TwoBridgeLink(8, 5)
-        assert mirror(mirror(L)) == L
+        assert L.mirror().mirror() == L
 
     def test_mirror_class(self):
-        assert schubert_unoriented_equal(mirror(TwoBridgeLink(8, 5)), TwoBridgeLink(8, 3))
+        assert schubert_unoriented_equal(TwoBridgeLink(8, 5).mirror(), TwoBridgeLink(8, 3))
 
     def test_mirror_negates_expansion(self):
         for L in [TwoBridgeLink(8, 5), TwoBridgeLink(30, -11), TwoBridgeLink(12, 5)]:
-            e, em = fibered_expansion(L), fibered_expansion(mirror(L))
+            e, em = fibered_expansion(L), fibered_expansion(L.mirror())
             assert em == e.negated()
 
     def test_ln_is_chiral(self):
         for n in range(1, 51):
             L = ln_link(n)
-            assert not schubert_unoriented_equal(L, mirror(L))
+            assert not schubert_unoriented_equal(L, L.mirror())
 
 
 class TestFiberedExpansion:
@@ -224,7 +223,7 @@ class TestClassify:
         assert cls.family is LinkFamily.FAMILY2_INTERIOR
 
     def test_ln_mirror(self):
-        cls = classify(mirror(ln_link(3)))
+        cls = classify(ln_link(3).mirror())
         assert cls.family is LinkFamily.LN_MIRROR and cls.n == 3 and cls.mirrored
 
     def test_non_fibered(self):
@@ -262,7 +261,7 @@ class TestLinkingNumber:
             e = fibered_expansion(L)
             if e is None:
                 continue
-            em = fibered_expansion(mirror(L))
+            em = fibered_expansion(L.mirror())
             assert abs(linking_number(e)) == abs(linking_number(em))
 
 
@@ -279,7 +278,7 @@ class TestDetectLn:
     def test_mirrors(self):
         for n in range(1, 51):
             assert detect_Ln(ln_link(n)) == (n, False)
-            assert detect_Ln(mirror(ln_link(n))) == (n, True)
+            assert detect_Ln(ln_link(n).mirror()) == (n, True)
 
     def test_agrees_with_classify(self, links_200):
         for L in links_200:
