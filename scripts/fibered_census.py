@@ -42,7 +42,7 @@ def main():
         a = analyse(link)
         counts[a.cls.family.value] += 1
         if a.cls.n is not None:
-            quadrant_links.append(render_link(link))
+            quadrant_links.append(render_link(link, a.cls))
         if a.cls.is_hyperbolic_fibered:
             ls, fol = a.lspace, a.foliation
             assert ls.union(fol).equals(plane) and ls.intersect(fol).is_empty()

@@ -54,7 +54,7 @@ def lemma_regions(census: SignCensus) -> Region2:
     if census.pos_bridges >= 1 and census.neg_bridges >= 1:
         rects.append((_iv(0, INFINITY), _iv(INFINITY, 0)))
         rects.append((_iv(INFINITY, 0), _iv(0, INFINITY)))
-    return Region2(Framing.SEIFERT, tuple(rects), restrict_to_finite=True)
+    return Region2(Framing.SEIFERT, tuple(rects))
 
 
 class Verdict(Enum):
@@ -159,7 +159,7 @@ def verdict(link: TwoBridgeLink, slope: tuple) -> Verdict:
 
 
 def _seifert_union(*rects) -> Region2:
-    return Region2(Framing.SEIFERT, tuple(rects), restrict_to_finite=True)
+    return Region2(Framing.SEIFERT, tuple(rects))
 
 
 def _family1_aux_diagram(a, b) -> SurgeryDiagram:
@@ -194,7 +194,6 @@ def family1_small_route_region() -> Region2:
             (_iv(INFINITY, 1).shifted(c1), _iv(0, INFINITY).shifted(c2)),
             (_iv(INFINITY, 1).shifted(c1), _iv(INFINITY, 1).shifted(c2)),
         ),
-        restrict_to_finite=True,
     )
     census_region = _seifert_union(
         (_iv(INFINITY, 1), _iv(INFINITY, 1)), (_iv(-1, INFINITY), _iv(-1, INFINITY))
@@ -284,7 +283,7 @@ def ln_taut_witness_strips(n: int) -> Region2:
         if not bthird.contains(third):
             raise AssertionError("filling slope left a realised box")
         rects.append((bx.shifted(c1), by.shifted(c2)))
-    strips = Region2(Framing.CANONICAL, tuple(rects), restrict_to_finite=True)
+    strips = Region2(Framing.CANONICAL, tuple(rects))
     return strips.union(strips.swapped())
 
 

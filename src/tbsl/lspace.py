@@ -71,6 +71,7 @@ def rect_propagate(seed: tuple, lk: int) -> Region2:
 
     Positive seeds give [r1, inf] × [r2, inf]; negative seeds the mirrored
     [inf, r1] × [inf, r2].  Requires r1·r2 > lk² with equal nonzero signs.
+    The arcs reach ``inf``; the region holds the finite multislopes on them.
     """
     r1, r2 = as_rat(seed[0]), as_rat(seed[1])
     if r1 * r2 <= lk * lk:
@@ -87,7 +88,7 @@ def rect_propagate(seed: tuple, lk: int) -> Region2:
         homological_longitude(lk, r2)
     ):
         raise AssertionError("quadrant arcs reached a homological longitude")
-    return Region2(Framing.CANONICAL, (rect,), restrict_to_finite=False)
+    return Region2(Framing.CANONICAL, (rect,))
 
 
 def lspace_region(link: TwoBridgeLink) -> Region2:
@@ -111,11 +112,11 @@ def classified_lspace_region(link: TwoBridgeLink, cls: LinkClass) -> Region2:
     if cls.family is LinkFamily.LN:
         n = cls.n
         rect = (CircleInterval.closed(n, INFINITY), CircleInterval.closed(n, INFINITY))
-        return Region2(Framing.CANONICAL, (rect,), restrict_to_finite=True)
+        return Region2(Framing.CANONICAL, (rect,))
     if cls.family is LinkFamily.LN_MIRROR:
         n = cls.n
         rect = (CircleInterval.closed(INFINITY, -n), CircleInterval.closed(INFINITY, -n))
-        return Region2(Framing.CANONICAL, (rect,), restrict_to_finite=True)
+        return Region2(Framing.CANONICAL, (rect,))
     return Region2.empty(Framing.CANONICAL)
 
 
@@ -159,4 +160,4 @@ def verify_ln_chain(n: int) -> bool:
     if rolfsen_fill(other, 2).slopes != (Slope(a + n - 1), Slope(b + n - 1)):
         return False
     region = rect_propagate((Fraction(n), Fraction(n)), abs(lk))
-    return region.restricted().equals(lspace_region(ln_link(n)))
+    return region.equals(lspace_region(ln_link(n)))

@@ -1,20 +1,22 @@
 """Exact region algebra on the multislope plane and weight-family images.
 
 A :class:`Region2` is a finite union of rectangles I × J of circle
-intervals, tagged with a framing.  All set operations are decided exactly
-by refining both operands over the grid of all interval endpoints (with
-``inf`` always a grid point): the grid cuts each axis into point atoms and
-open arcs, every interval involved is a union of atoms, and membership of
-an atom is decided by evaluating one exact rational representative.
-
-``restrict_to_finite`` intersects the denoted set with Q × Q, i.e. drops
-every point with an ``inf`` coordinate; complements are taken inside that
-universe when the flag is set.
+intervals, tagged with a framing, and denotes the *finite* multislopes in
+that union: every region is a subset of Q × Q, and ``inf`` fillings are
+decided elsewhere.  All set operations are decided exactly by refining both
+operands over the grid of all finite interval endpoints: the grid cuts each
+axis into a linear list of point atoms and open arcs, from the arc below
+the first endpoint to the arc above the last, every interval involved is a
+union of atoms, and membership of an atom is decided by evaluating one
+exact rational representative.  A region on the grid is one ``int`` mask of
+y-atoms per x-atom, so set operations are bitwise, and the normal form
+reads rectangles off runs of equal adjacent columns.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -32,72 +34,51 @@ class Framing(Enum):
 # atom decomposition of one axis
 
 
-@dataclass(frozen=True)
-class _Atom:
-    rep: Slope
-    point: bool
-    lo: Slope | None = None  # bounding grid points for arc atoms
-    hi: Slope | None = None
+def _axis_atoms(endpoints: tuple[Fraction, ...]) -> tuple[Slope, ...]:
+    """Representatives of the atoms of Q cut at a sorted tuple of finite endpoints.
 
-
-def _axis_atoms(endpoints: tuple[Fraction, ...]) -> tuple[_Atom, ...]:
-    """Cyclic atom list for a sorted tuple of finite endpoints.
-
-    Atom 0 is always the point at infinity; arcs between consecutive grid
-    points follow, interleaved with the endpoint atoms, in circular order.
+    The atoms form a linear list: open arcs at even indices, each bounded by
+    its neighbours (by ``inf`` at either end), and the endpoints themselves
+    at odd indices.
     """
-    atoms = [_Atom(INFINITY, True)]
     if not endpoints:
-        atoms.append(_Atom(Slope(Fraction(0)), False, INFINITY, INFINITY))
-        return tuple(atoms)
-    pts = [Slope(v) for v in endpoints]
-    atoms.append(_Atom(Slope(endpoints[0] - 1), False, INFINITY, pts[0]))
-    for i, s in enumerate(pts):
-        atoms.append(_Atom(s, True))
-        if i + 1 < len(pts):
-            mid = Slope((endpoints[i] + endpoints[i + 1]) / 2)
-            atoms.append(_Atom(mid, False, s, pts[i + 1]))
-        else:
-            atoms.append(_Atom(Slope(endpoints[i] + 1), False, s, INFINITY))
-    return tuple(atoms)
+        return (Slope(Fraction(0)),)
+    reps = [endpoints[0] - 1]
+    for a, b in zip(endpoints, endpoints[1:]):
+        reps += [a, (a + b) / 2]
+    reps += [endpoints[-1], endpoints[-1] + 1]
+    return tuple(map(Slope, reps))
 
 
-def _cyclic_runs(included: list[bool]) -> list[list[int]]:
-    """Maximal cyclic runs of True indices, in order of their start."""
-    n = len(included)
-    if not any(included):
-        return []
-    if all(included):
-        return [list(range(n))]
-    starts = [i for i in range(n) if included[i] and not included[(i - 1) % n]]
-    runs = []
-    for s in starts:
-        run = [s]
-        j = (s + 1) % n
-        while included[j]:
-            run.append(j)
-            j = (j + 1) % n
-        runs.append(run)
-    return runs
+def _mask(iv: CircleInterval, atoms: tuple[Slope, ...]) -> int:
+    return sum(1 << i for i, a in enumerate(atoms) if iv.contains(a))
 
 
-def _run_to_interval(atoms: tuple[_Atom, ...], run: list[int]) -> CircleInterval:
-    first, last = atoms[run[0]], atoms[run[-1]]
-    if first.point:
-        lo, lo_closed = first.rep, True
+def _bit_runs(mask: int):
+    """Maximal runs of set bits as (first, last) index pairs, lowest first."""
+    i = 0
+    while mask:
+        skip = (mask & -mask).bit_length() - 1
+        mask >>= skip
+        i += skip
+        ones = (mask ^ (mask + 1)).bit_length() - 1
+        yield i, i + ones - 1
+        mask >>= ones
+        i += ones
+
+
+def _run_to_interval(atoms: tuple[Slope, ...], first: int, last: int) -> CircleInterval:
+    """The interval made of the atoms ``first`` to ``last``."""
+    lo_closed, hi_closed = first % 2 == 1, last % 2 == 1
+    if lo_closed:
+        lo = atoms[first]
     else:
-        lo, lo_closed = first.lo, False
-    if last.point:
-        hi, hi_closed = last.rep, True
+        lo = atoms[first - 1] if first else INFINITY
+    if hi_closed:
+        hi = atoms[last]
     else:
-        hi, hi_closed = last.hi, False
+        hi = atoms[last + 1] if last + 1 < len(atoms) else INFINITY
     return CircleInterval(lo, hi, lo_closed, hi_closed)
-
-
-def _reassemble_axis(atoms: tuple[_Atom, ...], included: list[bool]) -> tuple[CircleInterval, ...]:
-    if all(included):
-        return (CircleInterval.full(),)
-    return tuple(_run_to_interval(atoms, run) for run in _cyclic_runs(included))
 
 
 # ---------------------------------------------------------------------------
@@ -106,37 +87,34 @@ def _reassemble_axis(atoms: tuple[_Atom, ...], included: list[bool]) -> tuple[Ci
 
 @dataclass(frozen=True)
 class Region2:
-    """Finite union of interval rectangles on the slope plane."""
+    """Finite union of interval rectangles, intersected with Q × Q."""
 
     framing: Framing
     rects: tuple[tuple[CircleInterval, CircleInterval], ...]
-    restrict_to_finite: bool = True
+
+    #: Every region is a set of finite multislopes; the JSON form keeps the
+    #: field, always ``true``.
+    restrict_to_finite = True
 
     def __post_init__(self):
         object.__setattr__(self, "rects", tuple((ix, iy) for ix, iy in self.rects))
 
     @classmethod
-    def empty(cls, framing: Framing, restrict_to_finite: bool = True) -> "Region2":
-        return cls(framing, (), restrict_to_finite)
+    def empty(cls, framing: Framing) -> "Region2":
+        return cls(framing, ())
 
     @classmethod
     def finite_plane(cls, framing: Framing) -> "Region2":
         """All of Q × Q."""
-        return cls(framing, ((CircleInterval.full(), CircleInterval.full()),), True)
+        return cls(framing, ((CircleInterval.full(), CircleInterval.full()),))
 
     @classmethod
-    def box(
-        cls,
-        ix: CircleInterval,
-        iy: CircleInterval,
-        framing: Framing,
-        restrict_to_finite: bool = True,
-    ) -> "Region2":
-        return cls(framing, ((ix, iy),), restrict_to_finite)
+    def box(cls, ix: CircleInterval, iy: CircleInterval, framing: Framing) -> "Region2":
+        return cls(framing, ((ix, iy),))
 
     def contains(self, point) -> bool:
         s1, s2 = (Slope.of(point[0]), Slope.of(point[1]))
-        if self.restrict_to_finite and (s1.is_infinity or s2.is_infinity):
+        if s1.is_infinity or s2.is_infinity:
             return False
         return any(ix.contains(s1) and iy.contains(s2) for ix, iy in self.rects)
 
@@ -144,178 +122,128 @@ class Region2:
 
     # -- grid machinery ----------------------------------------------------
 
-    def _endpoint_grid(self) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-        xs, ys = set(), set()
+    def _columns(self, xatoms: tuple[Slope, ...], yatoms: tuple[Slope, ...]) -> tuple[int, ...]:
+        """One mask of the y-atoms in the region per x-atom."""
+        cols = [0] * len(xatoms)
         for ix, iy in self.rects:
-            for s in (ix.lo, ix.hi):
-                if not s.is_infinity and not ix.full_circle:
-                    xs.add(s.value)
-            for s in (iy.lo, iy.hi):
-                if not s.is_infinity and not iy.full_circle:
-                    ys.add(s.value)
-        return tuple(sorted(xs)), tuple(sorted(ys))
-
-    def _cells(
-        self, xatoms: tuple[_Atom, ...], yatoms: tuple[_Atom, ...]
-    ) -> frozenset[tuple[int, int]]:
-        cells: set[tuple[int, int]] = set()
-        for ix, iy in self.rects:
-            xs = [i for i, a in enumerate(xatoms) if ix.contains(a.rep)]
-            ys = [j for j, a in enumerate(yatoms) if iy.contains(a.rep)]
-            cells.update(itertools.product(xs, ys))
-        if self.restrict_to_finite:
-            cells = {(i, j) for i, j in cells if i != 0 and j != 0}
-        return frozenset(cells)
+            ymask = _mask(iy, yatoms)
+            if ymask:
+                for i, a in enumerate(xatoms):
+                    if ix.contains(a):
+                        cols[i] |= ymask
+        return tuple(cols)
 
     def is_empty(self) -> bool:
-        xatoms, yatoms = _joint_atoms(self)
-        return not self._cells(xatoms, yatoms)
+        return not any(self._columns(*_joint_atoms(self)))
 
     # -- set operations ----------------------------------------------------
 
     def union(self, other: "Region2") -> "Region2":
-        xa, ya, ca, cb = _aligned_cells(self, other)
-        restrict = self.restrict_to_finite and other.restrict_to_finite
-        return _reassemble_region(xa, ya, ca | cb, self.framing, restrict)
+        return _combine(self, other, operator.or_)
 
     def intersect(self, other: "Region2") -> "Region2":
-        xa, ya, ca, cb = _aligned_cells(self, other)
-        restrict = self.restrict_to_finite or other.restrict_to_finite
-        return _reassemble_region(xa, ya, ca & cb, self.framing, restrict)
+        return _combine(self, other, operator.and_)
 
     def difference(self, other: "Region2") -> "Region2":
-        xa, ya, ca, cb = _aligned_cells(self, other)
-        return _reassemble_region(xa, ya, ca - cb, self.framing, self.restrict_to_finite)
+        return _combine(self, other, lambda a, b: a & ~b)
 
     def complement(self) -> "Region2":
-        """Complement within Q² when restricted, within the full torus otherwise."""
+        """Complement within Q × Q."""
         xatoms, yatoms = _joint_atoms(self)
-        cells = self._cells(xatoms, yatoms)
-        universe = set(itertools.product(range(len(xatoms)), range(len(yatoms))))
-        if self.restrict_to_finite:
-            universe = {(i, j) for i, j in universe if i != 0 and j != 0}
-        return _reassemble_region(
-            xatoms, yatoms, frozenset(universe) - cells, self.framing, self.restrict_to_finite
-        )
+        full = (1 << len(yatoms)) - 1
+        cols = tuple(full & ~c for c in self._columns(xatoms, yatoms))
+        return _reassemble_region(xatoms, yatoms, cols, self.framing)
 
     def covers(self, target: "Region2") -> bool:
-        xa, ya, ca, cb = _aligned_cells(self, target)
-        return cb <= ca
+        _, _, ca, cb = _aligned_columns(self, target)
+        return not any(b & ~a for a, b in zip(ca, cb))
 
     def equals(self, other: "Region2") -> bool:
-        """Equality of the denoted point sets (flags and shapes may differ)."""
-        xa, ya, ca, cb = _aligned_cells(self, other)
+        """Equality of the denoted point sets (shapes may differ)."""
+        _, _, ca, cb = _aligned_columns(self, other)
         return ca == cb
 
     # -- plane symmetries ---------------------------------------------------
 
     def negated(self) -> "Region2":
-        return Region2(
-            self.framing,
-            tuple((ix.negated(), iy.negated()) for ix, iy in self.rects),
-            self.restrict_to_finite,
-        )
+        return Region2(self.framing, tuple((ix.negated(), iy.negated()) for ix, iy in self.rects))
 
     def swapped(self) -> "Region2":
-        return Region2(
-            self.framing,
-            tuple((iy, ix) for ix, iy in self.rects),
-            self.restrict_to_finite,
-        )
+        return Region2(self.framing, tuple((iy, ix) for ix, iy in self.rects))
 
     def shifted(self, dx, dy) -> "Region2":
         return Region2(
             self.framing,
             tuple((ix.shifted(dx), iy.shifted(dy)) for ix, iy in self.rects),
-            self.restrict_to_finite,
         )
 
     def with_framing(self, framing: Framing) -> "Region2":
-        return Region2(framing, self.rects, self.restrict_to_finite)
-
-    def restricted(self) -> "Region2":
-        return Region2(self.framing, self.rects, True)
+        return Region2(framing, self.rects)
 
     def canonical(self) -> "Region2":
         """Normal form: rectangles reassembled on the region's own grid."""
         xatoms, yatoms = _joint_atoms(self)
-        return _reassemble_region(
-            xatoms, yatoms, self._cells(xatoms, yatoms), self.framing, self.restrict_to_finite
-        )
+        return _reassemble_region(xatoms, yatoms, self._columns(xatoms, yatoms), self.framing)
 
     def to_json_dict(self) -> dict:
-        canon = self.canonical()
         return {
             "framing": self.framing.value,
-            "restrict_to_finite": canon.restrict_to_finite,
-            "rects": [[str(ix), str(iy)] for ix, iy in canon.rects],
+            "restrict_to_finite": self.restrict_to_finite,
+            "rects": [[str(ix), str(iy)] for ix, iy in self.canonical().rects],
         }
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Region2":
+        if d["restrict_to_finite"] is not True:
+            raise ValueError("regions are sets of finite multislopes: restrict_to_finite is true")
         return cls(
             Framing(d["framing"]),
             tuple(
                 (parse_interval(ix), parse_interval(iy)) for ix, iy in d["rects"]
             ),
-            bool(d["restrict_to_finite"]),
         )
 
 
-def _joint_atoms(*regions: Region2) -> tuple[tuple[_Atom, ...], tuple[_Atom, ...]]:
-    xs, ys = set(), set()
-    for r in regions:
-        gx, gy = r._endpoint_grid()
-        xs.update(gx)
-        ys.update(gy)
-    return _axis_atoms(tuple(sorted(xs))), _axis_atoms(tuple(sorted(ys)))
+def _joint_atoms(*regions: Region2) -> tuple[tuple[Slope, ...], tuple[Slope, ...]]:
+    """Atoms of each axis, cut at the finite endpoints of every rectangle."""
+    axes = []
+    for k in (0, 1):
+        ends = {s.value for r in regions for rect in r.rects for s in rect[k].endpoints()}
+        ends.discard(None)
+        axes.append(_axis_atoms(tuple(sorted(ends))))
+    return axes[0], axes[1]
 
 
-def _aligned_cells(a: Region2, b: Region2):
+def _aligned_columns(a: Region2, b: Region2):
     if a.framing != b.framing:
         raise FramingMismatch(
             f"cannot combine regions framed {a.framing.value} and {b.framing.value}"
         )
     xatoms, yatoms = _joint_atoms(a, b)
-    return xatoms, yatoms, a._cells(xatoms, yatoms), b._cells(xatoms, yatoms)
+    return xatoms, yatoms, a._columns(xatoms, yatoms), b._columns(xatoms, yatoms)
+
+
+def _combine(a: Region2, b: Region2, op) -> Region2:
+    xatoms, yatoms, ca, cb = _aligned_columns(a, b)
+    return _reassemble_region(xatoms, yatoms, tuple(map(op, ca, cb)), a.framing)
 
 
 def _reassemble_region(
-    xatoms: tuple[_Atom, ...],
-    yatoms: tuple[_Atom, ...],
-    cells: frozenset[tuple[int, int]],
+    xatoms: tuple[Slope, ...],
+    yatoms: tuple[Slope, ...],
+    cols: tuple[int, ...],
     framing: Framing,
-    restrict: bool,
 ) -> Region2:
-    if not cells:
-        return Region2.empty(framing, restrict)
-    columns: dict[int, set[int]] = {}
-    for i, j in cells:
-        columns.setdefault(i, set()).add(j)
-    nx = len(xatoms)
-    patterns = [frozenset(columns.get(i, ())) for i in range(nx)]
-    rects: list[tuple[CircleInterval, CircleInterval]] = []
-    if all(p == patterns[0] for p in patterns):
-        ymask = [j in patterns[0] for j in range(len(yatoms))]
-        for yiv in _reassemble_axis(yatoms, ymask):
-            rects.append((CircleInterval.full(), yiv))
-        return Region2(framing, tuple(rects), restrict)
-    starts = [
-        i
-        for i in range(nx)
-        if patterns[i] and patterns[i] != patterns[(i - 1) % nx]
-    ]
-    for s in starts:
-        run = [s]
-        j = (s + 1) % nx
-        while patterns[j] == patterns[s] and j != s:
-            run.append(j)
-            j = (j + 1) % nx
-        xiv = _run_to_interval(xatoms, run)
-        ymask = [k in patterns[s] for k in range(len(yatoms))]
-        for yiv in _reassemble_axis(yatoms, ymask):
-            rects.append((xiv, yiv))
-    return Region2(framing, tuple(rects), restrict)
+    """Rectangles over each run of equal adjacent nonempty columns."""
+    rects = []
+    x = 0
+    for col, run in itertools.groupby(cols):
+        width = sum(1 for _ in run)
+        if col:
+            xiv = _run_to_interval(xatoms, x, x + width - 1)
+            rects.extend((xiv, _run_to_interval(yatoms, lo, hi)) for lo, hi in _bit_runs(col))
+        x += width
+    return Region2(framing, tuple(rects))
 
 
 # ---------------------------------------------------------------------------

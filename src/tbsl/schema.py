@@ -3,7 +3,9 @@
 Every ``--json`` output of the command line validates against
 :data:`REPORT_SCHEMA`.  Rational data is rendered as exact fraction
 strings ("8/5", "-1/3", "2", "inf"); counts and integer invariants are
-JSON integers, so every report round-trips losslessly.
+JSON integers, so every report round-trips losslessly.  Regions are sets of
+finite multislopes, so a region's ``restrict_to_finite`` field is always
+``true``; it stays in the schema for the readers that expect it.
 """
 
 _FRACTION = {"type": "string", "pattern": r"^(-?\d+(/\d+)?|inf)$"}

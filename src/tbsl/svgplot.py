@@ -1,8 +1,10 @@
 """Deterministic SVG rendering of slope-plane regions.
 
-All pixel coordinates are computed with exact rationals and formatted as
-fixed-point decimals by integer arithmetic, so the same input always
-produces byte-identical output.
+Regions are drawn from their ``canonical()`` rectangles, whose arcs never
+wrap through ``inf``, clipped to the window [-w, w]².  All pixel
+coordinates are computed with exact rationals and formatted as fixed-point
+decimals by integer arithmetic, so the same input always produces
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -31,29 +33,16 @@ def _fixed(x: Fraction, places: int = 2) -> str:
 
 
 def _interval_segments(iv: CircleInterval, w: int) -> list[tuple[Fraction, Fraction]]:
-    """Real segments of an arc clipped to the window [-w, w]."""
-    lo, hi, win = iv.lo, iv.hi, Fraction(w)
-    if iv.full_circle:
-        return [(-win, win)]
-    if lo == hi:
-        if iv.lo_closed:  # single point: no area
-            return []
-        return [(-win, win)]  # punctured line: full strip up to measure zero
-    if lo.is_infinity and hi.is_infinity:
-        return [(-win, win)]
-    if lo.is_infinity:
-        return [(-win, min(hi.value, win))] if hi.value > -win else []
-    if hi.is_infinity:
-        return [(max(lo.value, -win), win)] if lo.value < win else []
-    if lo.value < hi.value:
-        a, b = max(lo.value, -win), min(hi.value, win)
-        return [(a, b)] if a < b else []
-    segments = []
-    if lo.value < win:
-        segments.append((max(lo.value, -win), win))
-    if hi.value > -win:
-        segments.append((-win, min(hi.value, win)))
-    return segments
+    """Real segment of a canonical arc clipped to the window [-w, w].
+
+    Canonical arcs never wrap through ``inf``: an ``inf`` endpoint is
+    -infinity on the left and +infinity on the right, and an arc with two
+    equal finite endpoints is a single point, which has no area.
+    """
+    win = Fraction(w)
+    a = -win if iv.lo.is_infinity else max(iv.lo.value, -win)
+    b = win if iv.hi.is_infinity else min(iv.hi.value, win)
+    return [(a, b)] if a < b else []
 
 
 def _px(x: Fraction, w: int) -> Fraction:

@@ -301,8 +301,6 @@ def parse_link(text: str) -> TwoBridgeLink:
     return TwoBridgeLink.from_fraction(frac)
 
 
-def render_link(link: TwoBridgeLink) -> str:
-    """Canonical rendering: both normal forms plus the classification tag."""
-    expansion = even_expand(link.fraction())
-    cls = classify(link)
-    return f"{link} = L({expansion}) [{cls.tag()}]"
+def render_link(link: TwoBridgeLink, cls: LinkClass) -> str:
+    """Canonical rendering: both normal forms plus the tag of the link's class ``cls``."""
+    return f"{link} = L({even_expand(link.fraction())}) [{cls.tag()}]"

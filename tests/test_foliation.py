@@ -64,7 +64,6 @@ class TestLemmaRegions:
         expected = Region2(
             Framing.SEIFERT,
             tuple((parse_interval(a), parse_interval(b)) for a, b in rects),
-            restrict_to_finite=True,
         )
         assert lemma_regions(census).equals(expected)
 

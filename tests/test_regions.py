@@ -20,8 +20,8 @@ from tbsl.errors import FramingMismatch
 from tbsl.regions import BUILTIN_WEIGHT_FAMILIES
 
 
-def box(ix, iy, restrict=True):
-    return Region2.box(parse_interval(ix), parse_interval(iy), Framing.SEIFERT, restrict)
+def box(ix, iy):
+    return Region2.box(parse_interval(ix), parse_interval(iy), Framing.SEIFERT)
 
 
 PLANE = Region2.finite_plane(Framing.SEIFERT)
@@ -36,10 +36,8 @@ class TestRegionBasics:
         assert not r.contains((0, -1))
 
     def test_restrict_drops_infinity(self):
-        r = box("[1,inf]", "[1,inf]", restrict=True)
+        r = box("[1,inf]", "[1,inf]")
         assert not r.contains((INFINITY, 2))
-        unrestricted = box("[1,inf]", "[1,inf]", restrict=False)
-        assert unrestricted.contains((INFINITY, 2))
 
     def test_empty_and_plane(self):
         assert Region2.empty(Framing.SEIFERT).is_empty()
@@ -110,6 +108,8 @@ class TestSymmetries:
         r = box("(inf,1)", "(0,2)").union(box("[3,4]", "(inf,inf)"))
         back = Region2.from_json_dict(r.to_json_dict())
         assert back.equals(r)
+        with pytest.raises(ValueError):
+            Region2.from_json_dict({**r.to_json_dict(), "restrict_to_finite": False})
 
 
 _ENDPOINTS = [Slope(Fraction(v, 2)) for v in range(-4, 5)] + [INFINITY]
@@ -133,7 +133,7 @@ def interval_st(draw):
 def region_st(draw):
     n = draw(st.integers(0, 3))
     rects = tuple((draw(interval_st()), draw(interval_st())) for _ in range(n))
-    return Region2(Framing.SEIFERT, rects, draw(st.booleans()))
+    return Region2(Framing.SEIFERT, rects)
 
 
 def _probe_points():
@@ -156,7 +156,6 @@ def test_union_and_intersection_membership(a, b):
 @settings(max_examples=60)
 @given(region_st(), region_st())
 def test_de_morgan(a, b):
-    b = Region2(a.framing, b.rects, a.restrict_to_finite)
     lhs = a.union(b).complement()
     rhs = a.complement().intersect(b.complement())
     assert lhs.equals(rhs)
@@ -165,7 +164,9 @@ def test_de_morgan(a, b):
 @settings(max_examples=60)
 @given(region_st())
 def test_double_complement(a):
-    assert a.complement().complement().equals(a)
+    twice = a.complement().complement()
+    assert twice.equals(a)
+    assert twice.canonical().rects == a.canonical().rects
 
 
 @settings(max_examples=60)
@@ -174,12 +175,18 @@ def test_canonical_preserves_membership(a):
     canon = a.canonical()
     for pt in _PROBES[:: 5]:
         assert canon.contains(pt) == a.contains(pt)
+    for side in itertools.chain.from_iterable(canon.rects):
+        assert not side.full_circle
+        assert not (side.lo.is_infinity and side.lo_closed)
+        assert not (side.hi.is_infinity and side.hi_closed)
+        if not (side.lo.is_infinity or side.hi.is_infinity):
+            # no wrap through inf: increasing arc or a single point
+            assert side.lo < side.hi or (side.lo == side.hi and side.lo_closed)
 
 
 @settings(max_examples=40)
 @given(region_st(), region_st())
 def test_covers_iff_union_is_identity(a, b):
-    b = Region2(a.framing, b.rects, a.restrict_to_finite)
     assert a.covers(b) == a.union(b).equals(a)
 
 

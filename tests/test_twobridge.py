@@ -301,7 +301,8 @@ class TestParseRender:
         assert parse_link("L(2)") == TwoBridgeLink(2, 1)
 
     def test_render(self):
-        assert render_link(TwoBridgeLink(8, 5)) == "b(8,5) = L(2,-2,-2) [Ln(1)]"
+        link = TwoBridgeLink(8, 5)
+        assert render_link(link, classify(link)) == "b(8,5) = L(2,-2,-2) [Ln(1)]"
 
     def test_parse_errors(self):
         with pytest.raises(KnotNotLink):
