@@ -412,13 +412,19 @@ def main(argv=None) -> int:
         report["error"] = str(exc)
         code = 1
     report["timing_ms"] = int((time.perf_counter() - t0) * 1000)
-    if args.json:
-        json.dump(report, sys.stdout, indent=2)
-        sys.stdout.write("\n")
-    elif report["ok"]:
-        _print_text(report)
-    else:
-        print(f"error: {report['error']}", file=sys.stderr)
+    try:
+        if args.json:
+            json.dump(report, sys.stdout, indent=2)
+            sys.stdout.write("\n")
+        elif report["ok"]:
+            _print_text(report)
+        else:
+            print(f"error: {report['error']}", file=sys.stderr)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # reader gone: discard the rest, so the flush at exit raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return code
 
 

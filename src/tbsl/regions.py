@@ -6,17 +6,19 @@ that union: every region is a subset of Q × Q, and ``inf`` fillings are
 decided elsewhere.  All set operations are decided exactly by refining both
 operands over the grid of all finite interval endpoints: the grid cuts each
 axis into a linear list of point atoms and open arcs, from the arc below
-the first endpoint to the arc above the last, every interval involved is a
-union of atoms, and membership of an atom is decided by evaluating one
-exact rational representative.  A region on the grid is one ``int`` mask of
-y-atoms per x-atom, so set operations are bitwise, and the normal form
-reads rectangles off runs of equal adjacent columns.
+the first endpoint to the arc above the last, and every interval involved
+is a union of atoms.  Atoms are index positions, never evaluated: an
+interval's atoms are one or two runs of indices found by ``bisect`` on the
+sorted endpoints.  A region on the grid is one ``int`` mask of y-atoms per
+x-atom, so set operations are bitwise, and the normal form reads
+rectangles off runs of equal adjacent columns.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -31,27 +33,22 @@ class Framing(Enum):
 
 
 # ---------------------------------------------------------------------------
-# atom decomposition of one axis
+# atoms of one axis
 
 
-def _axis_atoms(endpoints: tuple[Fraction, ...]) -> tuple[Slope, ...]:
-    """Representatives of the atoms of Q cut at a sorted tuple of finite endpoints.
+def _atom_runs(iv: CircleInterval, ends: tuple[Fraction, ...]) -> tuple[tuple[int, int], ...]:
+    """The finite part of ``iv`` as at most two (first, last) runs of atoms.
 
-    The atoms form a linear list: open arcs at even indices, each bounded by
-    its neighbours (by ``inf`` at either end), and the endpoints themselves
-    at odd indices.
+    Atom ``2k + 1`` is ``ends[k]`` and atom ``2k`` is the open arc below it,
+    so atom ``2 * len(ends)`` is the arc above the last endpoint.  A run that
+    would pass ``inf`` (a wrapping arc or a punctured point) splits in two.
     """
-    if not endpoints:
-        return (Slope(Fraction(0)),)
-    reps = [endpoints[0] - 1]
-    for a, b in zip(endpoints, endpoints[1:]):
-        reps += [a, (a + b) / 2]
-    reps += [endpoints[-1], endpoints[-1] + 1]
-    return tuple(map(Slope, reps))
-
-
-def _mask(iv: CircleInterval, atoms: tuple[Slope, ...]) -> int:
-    return sum(1 << i for i, a in enumerate(atoms) if iv.contains(a))
+    lo, hi, top = iv.lo.value, iv.hi.value, 2 * len(ends)
+    if lo is None and hi is None and iv.lo_closed and not iv.full_circle:
+        return ()  # [inf,inf], the point at infinity
+    first = 0 if lo is None else 2 * bisect_left(ends, lo) + (1 if iv.lo_closed else 2)
+    last = top if hi is None else 2 * bisect_left(ends, hi) + (1 if iv.hi_closed else 0)
+    return ((first, last),) if first <= last else ((first, top), (0, last))
 
 
 def _bit_runs(mask: int):
@@ -67,18 +64,11 @@ def _bit_runs(mask: int):
         i += ones
 
 
-def _run_to_interval(atoms: tuple[Slope, ...], first: int, last: int) -> CircleInterval:
+def _run_to_interval(ends: tuple[Fraction, ...], first: int, last: int) -> CircleInterval:
     """The interval made of the atoms ``first`` to ``last``."""
-    lo_closed, hi_closed = first % 2 == 1, last % 2 == 1
-    if lo_closed:
-        lo = atoms[first]
-    else:
-        lo = atoms[first - 1] if first else INFINITY
-    if hi_closed:
-        hi = atoms[last]
-    else:
-        hi = atoms[last + 1] if last + 1 < len(atoms) else INFINITY
-    return CircleInterval(lo, hi, lo_closed, hi_closed)
+    lo = Slope(ends[(first - 1) // 2]) if first else INFINITY
+    hi = Slope(ends[last // 2]) if last < 2 * len(ends) else INFINITY
+    return CircleInterval(lo, hi, first % 2 == 1, last % 2 == 1)
 
 
 # ---------------------------------------------------------------------------
@@ -122,19 +112,20 @@ class Region2:
 
     # -- grid machinery ----------------------------------------------------
 
-    def _columns(self, xatoms: tuple[Slope, ...], yatoms: tuple[Slope, ...]) -> tuple[int, ...]:
+    def _columns(self, xends: tuple[Fraction, ...], yends: tuple[Fraction, ...]) -> list[int]:
         """One mask of the y-atoms in the region per x-atom."""
-        cols = [0] * len(xatoms)
+        cols = [0] * (2 * len(xends) + 1)
         for ix, iy in self.rects:
-            ymask = _mask(iy, yatoms)
+            ymask = 0
+            for a, b in _atom_runs(iy, yends):
+                ymask |= (1 << (b + 1)) - (1 << a)
             if ymask:
-                for i, a in enumerate(xatoms):
-                    if ix.contains(a):
-                        cols[i] |= ymask
-        return tuple(cols)
+                for a, b in _atom_runs(ix, xends):
+                    cols[a : b + 1] = [c | ymask for c in cols[a : b + 1]]
+        return cols
 
     def is_empty(self) -> bool:
-        return not any(self._columns(*_joint_atoms(self)))
+        return not any(self._columns(*_joint_ends(self)))
 
     # -- set operations ----------------------------------------------------
 
@@ -149,10 +140,10 @@ class Region2:
 
     def complement(self) -> "Region2":
         """Complement within Q × Q."""
-        xatoms, yatoms = _joint_atoms(self)
-        full = (1 << len(yatoms)) - 1
-        cols = tuple(full & ~c for c in self._columns(xatoms, yatoms))
-        return _reassemble_region(xatoms, yatoms, cols, self.framing)
+        xends, yends = _joint_ends(self)
+        full = (1 << (2 * len(yends) + 1)) - 1
+        cols = [full & ~c for c in self._columns(xends, yends)]
+        return _reassemble_region(xends, yends, cols, self.framing)
 
     def covers(self, target: "Region2") -> bool:
         _, _, ca, cb = _aligned_columns(self, target)
@@ -182,8 +173,8 @@ class Region2:
 
     def canonical(self) -> "Region2":
         """Normal form: rectangles reassembled on the region's own grid."""
-        xatoms, yatoms = _joint_atoms(self)
-        return _reassemble_region(xatoms, yatoms, self._columns(xatoms, yatoms), self.framing)
+        xends, yends = _joint_ends(self)
+        return _reassemble_region(xends, yends, self._columns(xends, yends), self.framing)
 
     def to_json_dict(self) -> dict:
         return {
@@ -204,13 +195,13 @@ class Region2:
         )
 
 
-def _joint_atoms(*regions: Region2) -> tuple[tuple[Slope, ...], tuple[Slope, ...]]:
-    """Atoms of each axis, cut at the finite endpoints of every rectangle."""
+def _joint_ends(*regions: Region2) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """The sorted finite endpoints of every rectangle, on each axis."""
     axes = []
     for k in (0, 1):
         ends = {s.value for r in regions for rect in r.rects for s in rect[k].endpoints()}
         ends.discard(None)
-        axes.append(_axis_atoms(tuple(sorted(ends))))
+        axes.append(tuple(sorted(ends)))
     return axes[0], axes[1]
 
 
@@ -219,19 +210,19 @@ def _aligned_columns(a: Region2, b: Region2):
         raise FramingMismatch(
             f"cannot combine regions framed {a.framing.value} and {b.framing.value}"
         )
-    xatoms, yatoms = _joint_atoms(a, b)
-    return xatoms, yatoms, a._columns(xatoms, yatoms), b._columns(xatoms, yatoms)
+    xends, yends = _joint_ends(a, b)
+    return xends, yends, a._columns(xends, yends), b._columns(xends, yends)
 
 
 def _combine(a: Region2, b: Region2, op) -> Region2:
-    xatoms, yatoms, ca, cb = _aligned_columns(a, b)
-    return _reassemble_region(xatoms, yatoms, tuple(map(op, ca, cb)), a.framing)
+    xends, yends, ca, cb = _aligned_columns(a, b)
+    return _reassemble_region(xends, yends, list(map(op, ca, cb)), a.framing)
 
 
 def _reassemble_region(
-    xatoms: tuple[Slope, ...],
-    yatoms: tuple[Slope, ...],
-    cols: tuple[int, ...],
+    xends: tuple[Fraction, ...],
+    yends: tuple[Fraction, ...],
+    cols: list[int],
     framing: Framing,
 ) -> Region2:
     """Rectangles over each run of equal adjacent nonempty columns."""
@@ -240,8 +231,8 @@ def _reassemble_region(
     for col, run in itertools.groupby(cols):
         width = sum(1 for _ in run)
         if col:
-            xiv = _run_to_interval(xatoms, x, x + width - 1)
-            rects.extend((xiv, _run_to_interval(yatoms, lo, hi)) for lo, hi in _bit_runs(col))
+            xiv = _run_to_interval(xends, x, x + width - 1)
+            rects.extend((xiv, _run_to_interval(yends, lo, hi)) for lo, hi in _bit_runs(col))
         x += width
     return Region2(framing, tuple(rects))
 

@@ -5,7 +5,7 @@ Every ``--json`` output of the command line validates against
 strings ("8/5", "-1/3", "2", "inf"); counts and integer invariants are
 JSON integers, so every report round-trips losslessly.  Regions are sets of
 finite multislopes, so a region's ``restrict_to_finite`` field is always
-``true``; it stays in the schema for the readers that expect it.
+``true``; the schema, like ``Region2.from_json_dict``, accepts no other value.
 """
 
 _FRACTION = {"type": "string", "pattern": r"^(-?\d+(/\d+)?|inf)$"}
@@ -16,7 +16,7 @@ _REGION = {
     "required": ["framing", "restrict_to_finite", "rects"],
     "properties": {
         "framing": {"enum": ["seifert", "canonical"]},
-        "restrict_to_finite": {"type": "boolean"},
+        "restrict_to_finite": {"const": True},
         "rects": {
             "type": "array",
             "items": {

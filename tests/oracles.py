@@ -2,13 +2,15 @@
 
 These deliberately avoid the library's own algorithms: expansions are found
 by exhaustive search (with provably sound pruning), fibered links by
-enumerating all ±2 sequences directly.
+enumerating all ±2 sequences directly, and region membership by testing
+every rectangle at a probe point of every grid atom.
 """
 
+import itertools
 from fractions import Fraction
 from math import gcd
 
-from tbsl import TwoBridgeLink
+from tbsl import Slope, TwoBridgeLink
 
 
 def even_expansion_search(x: Fraction, max_len: int) -> list[tuple[int, ...]]:
@@ -98,3 +100,32 @@ def pm2_sequences(max_len: int) -> list[tuple[int, ...]]:
             stack = [s + (a,) for s in stack for a in (2, -2)]
         seqs.extend(stack)
     return seqs
+
+
+def grid_probes(*regions) -> list[tuple[Slope, Slope]]:
+    """One finite probe point in every cell of the regions' joint grid.
+
+    On each axis the probes are every finite endpoint, the midpoint of each
+    pair of neighbouring endpoints, and one point beyond each end, so every
+    point atom and every open arc of the grid holds a probe.  Any region
+    whose rectangles have no other endpoints is constant on each cell, so
+    comparing regions on these probes decides them exactly.
+    """
+    axes = []
+    for k in (0, 1):
+        ends = sorted(
+            {s.value for r in regions for rect in r.rects for s in (rect[k].lo, rect[k].hi)}
+            - {None}
+        )
+        if not ends:
+            axes.append([Slope(Fraction(0))])
+            continue
+        mids = [(a + b) / 2 for a, b in zip(ends, ends[1:])]
+        axes.append([Slope(v) for v in (ends[0] - 1, *ends, *mids, ends[-1] + 1)])
+    return list(itertools.product(*axes))
+
+
+def member(region, point) -> bool:
+    """Brute-force membership of a finite point: one rectangle holds both coordinates."""
+    x, y = point
+    return any(ix.contains(x) and iy.contains(y) for ix, iy in region.rects)

@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -92,6 +95,12 @@ class TestRegion:
         code, out, _ = run(capsys, "region", "b(20,-3)", "--framing", "seifert")
         assert code == 0
         assert "[5,inf) x [5,inf)" in out
+
+    def test_schema_requires_finite_regions(self, capsys):
+        _, report = run_json(capsys, "region", "b(20,-3)")
+        report["regions"]["canonical"]["lspace"]["restrict_to_finite"] = False
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(report, REPORT_SCHEMA)
 
     def test_torus_rejected(self, capsys):
         code, report = run_json(capsys, "region", "L(2)")
@@ -220,3 +229,20 @@ def test_bad_input_is_reported(capsys, argv, message):
     code, report = run_json(capsys, *argv)
     assert code == 1 and not report["ok"]
     assert message in report["error"]
+
+
+@pytest.mark.parametrize(
+    "json_flag, window", [(["--json"], "30"), ([], "80")], ids=["json", "text"]
+)
+def test_closed_pipe_is_quiet(json_flag, window):
+    # both reports are larger than a pipe buffer, so writing them outlives the reader
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    argv = [sys.executable, "-m", "tbsl", *json_flag, "sweep", "b(20,-3)", "--window", window]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.read(100)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) in (0, 1)
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err

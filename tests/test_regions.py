@@ -16,6 +16,7 @@ from tbsl import (
     family_image,
     parse_interval,
 )
+from oracles import grid_probes, member
 from tbsl.errors import FramingMismatch
 from tbsl.regions import BUILTIN_WEIGHT_FAMILIES
 
@@ -113,20 +114,29 @@ class TestSymmetries:
 
 
 _ENDPOINTS = [Slope(Fraction(v, 2)) for v in range(-4, 5)] + [INFINITY]
+_FINITE = [e for e in _ENDPOINTS if not e.is_infinity]
+_SHAPES = ("full", "point", "punctured", "arc", "wrap", "ray_from_inf", "ray_to_inf")
 
 
 @st.composite
 def interval_st(draw):
-    kind = draw(st.integers(0, 9))
-    if kind == 0:
+    """Every interval over ``_ENDPOINTS``, by shape: points and punctures
+    (at ``inf`` too), increasing arcs, arcs that wrap through ``inf``, and
+    rays with one end at ``inf``, each end open or closed."""
+    shape = draw(st.sampled_from(_SHAPES))
+    if shape == "full":
         return CircleInterval.full()
-    a = draw(st.sampled_from(_ENDPOINTS))
-    if kind == 1:
-        return CircleInterval.point(a)
-    if kind == 2:
-        return CircleInterval.punctured(a)
-    b = draw(st.sampled_from([e for e in _ENDPOINTS if e != a]))
-    return CircleInterval(a, b, draw(st.booleans()), draw(st.booleans()))
+    if shape in ("point", "punctured"):
+        a = draw(st.sampled_from(_ENDPOINTS))
+        return CircleInterval(a, a, shape == "point", shape == "point")
+    a, b = sorted(draw(st.lists(st.sampled_from(_FINITE), min_size=2, max_size=2, unique=True)))
+    lo, hi = {
+        "arc": (a, b),
+        "wrap": (b, a),
+        "ray_from_inf": (INFINITY, a),
+        "ray_to_inf": (a, INFINITY),
+    }[shape]
+    return CircleInterval(lo, hi, draw(st.booleans()), draw(st.booleans()))
 
 
 @st.composite
@@ -151,6 +161,28 @@ def test_union_and_intersection_membership(a, b):
     for pt in _PROBES[:: 7]:
         assert u.contains(pt) == (a.contains(pt) or b.contains(pt))
         assert i.contains(pt) == (a.contains(pt) and b.contains(pt))
+
+
+@settings(max_examples=100)
+@given(region_st(), region_st())
+def test_kernel_matches_membership_oracle(a, b):
+    results = {
+        "union": (a.union(b), lambda p: ina[p] or inb[p]),
+        "intersect": (a.intersect(b), lambda p: ina[p] and inb[p]),
+        "difference": (a.difference(b), lambda p: ina[p] and not inb[p]),
+        "complement": (a.complement(), lambda p: not ina[p]),
+        "canonical": (a.canonical(), lambda p: ina[p]),
+    }
+    # a result's own endpoints join the grid, so a stray one cannot hide a wrong cell
+    probes = grid_probes(a, b, *(region for region, _ in results.values()))
+    ina = {p: member(a, p) for p in probes}
+    inb = {p: member(b, p) for p in probes}
+    for name, (region, expected) in results.items():
+        for p in probes:
+            assert member(region, p) == expected(p), (name, p)
+    assert a.covers(b) == all(ina[p] for p in probes if inb[p])
+    assert a.equals(b) == (ina == inb)
+    assert a.is_empty() == (not any(ina.values()))
 
 
 @settings(max_examples=60)
