@@ -77,6 +77,9 @@ def _window(args, a: foliation.LinkAnalysis) -> int:
     return args.window
 
 
+#: Most grid points one ``sweep`` may report on.
+MAX_SWEEP_POINTS = 250_000
+
 _WITNESS = {
     foliation.Verdict.L_SPACE: "lspace",
     foliation.Verdict.NLS_WITH_TAUT_FOLIATION: "foliation",
@@ -169,13 +172,15 @@ def _cmd_sweep(args) -> dict:
     step = _exact(Fraction, args.step, "--step")
     if step <= 0:
         raise ValueError("--step must be positive")
-    values = []
-    v = Fraction(-window)
-    while v <= window:
-        values.append(v)
-        v += step
+    n = 2 * window // step + 1
+    if n * n > MAX_SWEEP_POINTS:
+        raise ValueError(
+            f"sweep of {n * n} points exceeds the limit of {MAX_SWEEP_POINTS}: "
+            "narrow --window or widen --step"
+        )
+    axis = [Slope(-window + k * step) for k in range(n)]
     # the regions are computed once; every grid point is a membership test
-    verdicts = [_verdict_entry(a, Slope(x), Slope(y)) for x in values for y in values]
+    verdicts = [_verdict_entry(a, x, y) for x in axis for y in axis]
     return {
         "input": {"link": args.link, "window": window, "step": str(step)},
         "classification": _classification_dict(a),

@@ -10,7 +10,10 @@ the constructive covers are kept as independent witnesses
 (``cover_witnesses``, ``ln_taut_witness_strips``) that reproduce it.
 
 ``analyse`` builds one :class:`LinkAnalysis` per link; its ``verdict`` is
-the package's only verdict predicate.
+the package's only verdict predicate.  Per multislope it costs a few
+integer operations: the two-slope homology test ``qhs_filling`` on the
+link's linking number (no surgery diagram is built) and one grid lookup
+in the L-space region.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .exactq import INFINITY, CircleInterval, Slope
 from .lspace import classified_lspace_region
 from .monodromy import MonodromyWord, SignCensus, sign_census, twist_word
 from .regions import Framing, Region2
-from .surgery import SurgeryDiagram, framing_convert, is_qhs, rolfsen_fill
+from .surgery import SurgeryDiagram, framing_convert, qhs_filling, rolfsen_fill
 from .twobridge import LinkClass, TwoBridgeLink, classify, linking_number
 
 
@@ -127,7 +130,7 @@ class LinkAnalysis:
         lspace = self.lspace  # rejects out-of-scope links before any slope is read
         if s1.is_infinity or s2.is_infinity:
             return Verdict.INFINITY_FILLING
-        if not is_qhs(self.diagram(s1, s2, Framing.CANONICAL)):
+        if not qhs_filling(s1, s2, self.linking):
             return Verdict.NOT_QHS_TAUT_BY_BETTI
         if lspace.contains((s1, s2)):
             return Verdict.L_SPACE

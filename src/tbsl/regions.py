@@ -11,7 +11,9 @@ is a union of atoms.  Atoms are index positions, never evaluated: an
 interval's atoms are one or two runs of indices found by ``bisect`` on the
 sorted endpoints.  A region on the grid is one ``int`` mask of y-atoms per
 x-atom, so set operations are bitwise, and the normal form reads
-rectangles off runs of equal adjacent columns.
+rectangles off runs of equal adjacent columns.  Point membership reads the
+same grid: the region keeps its own grid once asked, and a point costs one
+``bisect`` per coordinate and one bit test.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import FramingMismatch
 from .exactq import INFINITY, CircleInterval, Slope, as_rat, parse_interval
@@ -49,6 +52,12 @@ def _atom_runs(iv: CircleInterval, ends: tuple[Fraction, ...]) -> tuple[tuple[in
     first = 0 if lo is None else 2 * bisect_left(ends, lo) + (1 if iv.lo_closed else 2)
     last = top if hi is None else 2 * bisect_left(ends, hi) + (1 if iv.hi_closed else 0)
     return ((first, last),) if first <= last else ((first, top), (0, last))
+
+
+def _atom_of(ends: tuple[Fraction, ...], v: Fraction) -> int:
+    """The atom holding the finite value ``v``."""
+    k = bisect_left(ends, v)
+    return 2 * k + 1 if k < len(ends) and ends[k] == v else 2 * k
 
 
 def _bit_runs(mask: int):
@@ -106,11 +115,18 @@ class Region2:
         s1, s2 = (Slope.of(point[0]), Slope.of(point[1]))
         if s1.is_infinity or s2.is_infinity:
             return False
-        return any(ix.contains(s1) and iy.contains(s2) for ix, iy in self.rects)
+        xends, yends, cols = self._grid
+        return bool(cols[_atom_of(xends, s1.value)] >> _atom_of(yends, s2.value) & 1)
 
     __contains__ = contains
 
     # -- grid machinery ----------------------------------------------------
+
+    @cached_property
+    def _grid(self) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...], list[int]]:
+        """The region's own grid and its columns, built on the first membership test."""
+        xends, yends = _joint_ends(self)
+        return xends, yends, self._columns(xends, yends)
 
     def _columns(self, xends: tuple[Fraction, ...], yends: tuple[Fraction, ...]) -> list[int]:
         """One mask of the y-atoms in the region per x-atom."""

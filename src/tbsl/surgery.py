@@ -161,19 +161,25 @@ class HomologyReport:
 
 
 def _det(m: tuple[tuple[int, ...], ...]) -> int:
-    n = len(m)
-    if n == 0:
-        return 1
-    if n == 1:
-        return m[0][0]
-    total = 0
-    rest = m[1:]
-    for j in range(n):
-        if m[0][j] == 0:
-            continue
-        minor = tuple(tuple(row[k] for k in range(n) if k != j) for row in rest)
-        total += (-1) ** j * m[0][j] * _det(minor)
-    return total
+    """Determinant by fraction-free (Bareiss) elimination, in integers only.
+
+    Every division is exact; a zero pivot swaps in a lower row and flips
+    the sign, and a column with no pivot makes the determinant zero.
+    """
+    a = [list(row) for row in m]
+    n, sign, prev = len(a), 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1] if n else 1
 
 
 def presentation_matrix(d: SurgeryDiagram) -> HomologyReport:
@@ -195,22 +201,24 @@ def presentation_matrix(d: SurgeryDiagram) -> HomologyReport:
     return HomologyReport(matrix, _det(matrix))
 
 
-def is_qhs(d: SurgeryDiagram) -> bool:
-    """Does a fully filled two-component diagram give a rational homology sphere?
+def qhs_filling(r1: Slope, r2: Slope, lk: int) -> bool:
+    """Does filling a two-component link of linking number ``lk`` at (r1, r2)
+    (canonical framing) give a rational homology sphere?
 
-    Fails exactly when the slopes are {0, inf} or when r1·r2 equals the
-    squared linking number; agrees with a nonzero presentation determinant
-    on finite slopes.
+    Fails exactly when the slopes are {0, inf} or when r1·r2 equals lk²;
+    agrees with a nonzero presentation determinant on finite slopes.
     """
+    if r1.is_infinity or r2.is_infinity:
+        other = r2 if r1.is_infinity else r1
+        return other.is_infinity or other.value != 0
+    return r1.value * r2.value != lk * lk
+
+
+def is_qhs(d: SurgeryDiagram) -> bool:
+    """:func:`qhs_filling` for a fully filled two-component diagram."""
     if d.n_components != 2 or not d.fully_filled():
         raise ValueError("is_qhs expects a fully filled two-component diagram")
-    r1, r2 = d.slopes
-    lk = d.linking[0][1]
-    if {r1, r2} == {INFINITY, Slope(Fraction(0))}:
-        return False
-    if r1.is_infinity or r2.is_infinity:
-        return True
-    return r1.value * r2.value != lk * lk
+    return qhs_filling(*d.slopes, d.linking[0][1])
 
 
 def homological_longitude(lk: int, r) -> Slope:

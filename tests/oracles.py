@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's own algorithms: expansions are found
 by exhaustive search (with provably sound pruning), fibered links by
-enumerating all ±2 sequences directly, and region membership by testing
-every rectangle at a probe point of every grid atom.
+enumerating all ±2 sequences directly, region membership by testing
+every rectangle at a probe point of every grid atom, and determinants by
+Laplace expansion.
 """
 
 import itertools
@@ -129,3 +130,19 @@ def member(region, point) -> bool:
     """Brute-force membership of a finite point: one rectangle holds both coordinates."""
     x, y = point
     return any(ix.contains(x) and iy.contains(y) for ix, iy in region.rects)
+
+
+def laplace_det(m) -> int:
+    """Determinant by Laplace expansion along the first row (O(n!))."""
+    n = len(m)
+    if n == 0:
+        return 1
+    if n == 1:
+        return m[0][0]
+    total = 0
+    for j in range(n):
+        if m[0][j] == 0:
+            continue
+        minor = tuple(tuple(row[k] for k in range(n) if k != j) for row in m[1:])
+        total += (-1) ** j * m[0][j] * laplace_det(minor)
+    return total

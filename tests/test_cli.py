@@ -221,6 +221,8 @@ class TestVerifyCommands:
         (["sweep", "b(8,5)", "--step", "1/0"], "zero denominator"),
         (["classify", "1/0"], "zero denominator"),
         (["sweep", "b(8,5)", "--window", "0"], "--window"),
+        (["sweep", "b(8,5)", "--window", "100", "--step", "1/1000000000"], "exceeds the limit"),
+        (["sweep", "b(8,5)", "--window", "250"], "251001 points"),
         (["region", "b(8,5)", "--svg", os.devnull, "--window", "-2"], "--window"),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else None,

@@ -185,6 +185,22 @@ def test_kernel_matches_membership_oracle(a, b):
     assert a.is_empty() == (not any(ina.values()))
 
 
+_OFF_GRID = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12)).map(Slope)
+
+
+@settings(max_examples=100)
+@given(region_st(), region_st(), st.lists(st.tuples(_OFF_GRID, _OFF_GRID), max_size=20))
+def test_contains_matches_membership_oracle(a, b, extra):
+    # contains reads each region's own grid; the oracle tests every rectangle
+    regions = (a, b, a.union(b), a.difference(b), a.complement(), b.complement().intersect(a))
+    for region in regions:
+        for p in grid_probes(region) + extra:
+            assert region.contains(p) == member(region, p), p
+        for x in (Slope(0), Slope(Fraction(-7, 2)), INFINITY):
+            assert not region.contains((x, INFINITY))
+            assert not region.contains((INFINITY, x))
+
+
 @settings(max_examples=60)
 @given(region_st(), region_st())
 def test_de_morgan(a, b):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from tbsl import (
     INFINITY,
@@ -17,7 +17,9 @@ from tbsl import (
     presentation_matrix,
     rolfsen_fill,
 )
+from oracles import laplace_det
 from tbsl.errors import FramingMismatch, UnsupportedSlope
+from tbsl.surgery import _det, qhs_filling
 
 # the three auxiliary links whose surgery chains are replayed in the tests:
 # the seed of the exceptional family, the all-negative companion, and the
@@ -138,6 +140,33 @@ class TestPresentation:
         out = presentation_matrix(d).to_json_dict()
         assert out["order"] == "infinite" and out["determinant"] == 0
 
+    @given(
+        st.integers(0, 6).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n
+            )
+        )
+    )
+    def test_det_matches_laplace(self, rows):
+        # small entries give zero pivots and singular matrices often
+        m = tuple(tuple(row) for row in rows)
+        assert _det(m) == laplace_det(m)
+
+    def test_det_12x12(self):
+        # six blocks ((0, a), (b, c)) on the diagonal, det -a*b each; every
+        # block starts with a zero pivot, so each needs a row swap
+        blocks = [(a, a + 2, a * a - 7) for a in range(1, 7)]
+        m = [[0] * 12 for _ in range(12)]
+        for k, (a, b, c) in enumerate(blocks):
+            m[2 * k][2 * k + 1], m[2 * k + 1][2 * k], m[2 * k + 1][2 * k + 1] = a, b, c
+        # a multiple of the block rows above added to the last row keeps det
+        for j in range(12):
+            m[11][j] += 5 * m[0][j] - 3 * m[4][j]
+        expected = 1
+        for a, b, _ in blocks:
+            expected *= -a * b
+        assert _det(tuple(map(tuple, m))) == expected
+
 
 class TestQhs:
     def test_whitehead_zero_slope(self):
@@ -166,6 +195,24 @@ class TestQhs:
         d = diagram(((0, lk), (lk, 0)), (Fraction(p1, q1), Fraction(p2, q2)))
         det = presentation_matrix(d).determinant
         assert is_qhs(d) == (det != 0)
+
+    _SLOPE = st.one_of(
+        st.just(INFINITY),
+        st.just(Slope(0)),
+        st.builds(lambda p, q: Slope(Fraction(p, q)), st.integers(-30, 30), st.integers(1, 9)),
+    )
+
+    @given(_SLOPE, _SLOPE, st.integers(-6, 6))
+    @example(INFINITY, INFINITY, 1)
+    @example(INFINITY, Slope(0), 2)
+    @example(Slope(0), INFINITY, 0)
+    @example(Slope(2), INFINITY, 3)
+    @example(Slope(0), Slope(5), 0)
+    @example(Slope(Fraction(9, 2)), Slope(2), 3)
+    def test_filling_helper_matches_diagram(self, r1, r2, lk):
+        d = diagram(((0, lk), (lk, 0)), (r1, r2))
+        assert qhs_filling(r1, r2, lk) == is_qhs(d)
+        assert qhs_filling(r1, r2, lk) == (presentation_matrix(d).determinant != 0)
 
 
 class TestLongitudes:
