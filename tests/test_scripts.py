@@ -26,3 +26,9 @@ def test_region_gallery(monkeypatch, capsys, tmp_path):
     assert "Ln(1)" in out
     svgs = list(tmp_path.glob("*.svg"))
     assert len(svgs) == 1 and svgs[0].read_text().startswith("<svg")
+
+
+def test_fibered_census_output_is_pinned(monkeypatch, capsys):
+    out = run_script(monkeypatch, capsys, "fibered_census.py", "--max-p", "300")
+    golden = pathlib.Path(__file__).resolve().parent / "golden" / "fibered_census_300.txt"
+    assert out == golden.read_text()
