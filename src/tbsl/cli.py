@@ -86,9 +86,9 @@ _WITNESS = {
 }
 
 
-def _verdict_entry(a: foliation.LinkAnalysis, s1: Slope, s2: Slope) -> dict:
-    v = a.verdict(s1, s2)
-    return {"slope": [str(s1), str(s2)], "verdict": v.value, "witness_region": _WITNESS.get(v)}
+def _verdict_entry(v: foliation.Verdict, x: str, y: str) -> dict:
+    """Report entry for verdict ``v`` at the multislope written ``(x, y)``."""
+    return {"slope": [x, y], "verdict": v.value, "witness_region": _WITNESS.get(v)}
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +162,7 @@ def _cmd_verdict(args) -> dict:
     return {
         "input": {"link": args.link, "slope": [args.r1, args.r2], "framing": framing.value},
         "classification": _classification_dict(a),
-        "verdicts": [_verdict_entry(a, s1, s2)],
+        "verdicts": [_verdict_entry(a.verdict(s1, s2), str(s1), str(s2))],
     }
 
 
@@ -178,9 +178,9 @@ def _cmd_sweep(args) -> dict:
             f"sweep of {n * n} points exceeds the limit of {MAX_SWEEP_POINTS}: "
             "narrow --window or widen --step"
         )
-    axis = [Slope(-window + k * step) for k in range(n)]
+    axis = [(s, str(s)) for s in (Slope(-window + k * step) for k in range(n))]
     # the regions are computed once; every grid point is a membership test
-    verdicts = [_verdict_entry(a, x, y) for x in axis for y in axis]
+    verdicts = [_verdict_entry(a.verdict(x, y), sx, sy) for x, sx in axis for y, sy in axis]
     return {
         "input": {"link": args.link, "window": window, "step": str(step)},
         "classification": _classification_dict(a),
@@ -321,8 +321,19 @@ def _print_text(body: dict) -> None:
         print(f"{'ok  ' if c['ok'] else 'FAIL'}  {c['name']}")
 
 
+class _UsageError(ValueError):
+    """A command line the argument parser rejects."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as an error with exit code 1, not argparse's 2."""
+
+    def error(self, message):
+        raise _UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tbsl",
         description="Exact L-space / taut-foliation surgery calculus for "
         "fibered two-bridge links.",
@@ -401,12 +412,14 @@ def main(argv=None) -> int:
     level = os.environ.get("TBSL_LOG")
     if level:
         logging.basicConfig(level=getattr(logging, level.upper(), logging.DEBUG))
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # parse into our own namespace: after a usage error it still says which
+    # subcommand was chosen and whether --json came before it
+    args = argparse.Namespace(json=False, command=None)
     t0 = time.perf_counter()
-    report = {"command": args.command, "ok": True}
+    report = {"command": None, "ok": True}
     code = 0
     try:
+        build_parser().parse_args(argv, args)
         report.update(_HANDLERS[args.command](args))
         if any(not c["ok"] for c in report.get("checks", [])):
             report["ok"] = False
@@ -416,9 +429,10 @@ def main(argv=None) -> int:
         report["ok"] = False
         report["error"] = str(exc)
         code = 1
+    report["command"] = args.command
     report["timing_ms"] = int((time.perf_counter() - t0) * 1000)
     try:
-        if args.json:
+        if args.json and args.command in _HANDLERS:
             json.dump(report, sys.stdout, indent=2)
             sys.stdout.write("\n")
         elif report["ok"]:

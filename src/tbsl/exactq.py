@@ -20,6 +20,10 @@ of every interval, including the arcs that pass through infinity:
 
 The module also provides continued-fraction evaluation and the unique
 all-even continued-fraction expansion used to normalise two-bridge data.
+The expansion's greedy loop, :func:`even_entries`, works on plain integers
+and yields one entry at a time, so the fibered test can stop at the first
+entry other than ±2; :func:`even_expand` checks its input and collects the
+entries into an :class:`EvenExpansion`.
 """
 
 from __future__ import annotations
@@ -283,14 +287,33 @@ def cf_eval(coeffs: Iterable[int]) -> Slope:
     return Slope(Fraction(p, q))
 
 
+def even_entries(num: int, den: int) -> Iterator[int]:
+    """The entries of the all-even expansion of ``num/den``, in order.
+
+    Greedy: each step takes the unique even integer within distance one of
+    the current value; parity guarantees existence and uniqueness, and the
+    denominators strictly decrease, so this terminates with odd length.
+    The input must be what :func:`even_expand` checks for: a reduced
+    fraction with even ``num``, odd ``den > 0`` and ``|num| > den``.  The
+    entries come lazily, so a caller that only wants ±2 expansions can
+    stop at the first entry that is not ±2, on plain integers.
+    """
+    while den != 1:
+        f = num // den  # floor; exactly one of f, f+1 is even
+        a = f if f % 2 == 0 else f + 1
+        yield a
+        num, den = den, num - a * den
+        if den < 0:
+            num, den = -num, -den
+    yield num
+
+
 def even_expand(x) -> EvenExpansion:
     """The unique all-even continued-fraction expansion of ``x``.
 
     Requires a reduced fraction with even numerator, odd denominator and
-    ``|x| > 1`` (otherwise no expansion with nonzero even entries exists).
-    Greedy: each step takes the unique even integer within distance one of
-    the current value; parity guarantees existence and uniqueness, and the
-    denominators strictly decrease, so this terminates with odd length.
+    ``|x| > 1`` (otherwise no expansion with nonzero even entries exists);
+    the entries come from :func:`even_entries`.
     """
     x = as_rat(x)
     num, den = x.numerator, x.denominator
@@ -300,18 +323,7 @@ def even_expand(x) -> EvenExpansion:
         raise ValueError(f"{x} does not have even numerator and odd denominator")
     if abs(num) <= den:
         raise ValueError(f"|{x}| <= 1 admits no expansion with nonzero even entries")
-    coeffs: list[int] = []
-    while True:
-        if den == 1:
-            coeffs.append(num)
-            break
-        f = num // den  # floor; exactly one of f, f+1 is even
-        a = f if f % 2 == 0 else f + 1
-        coeffs.append(a)
-        num, den = den, num - a * den
-        if den < 0:
-            num, den = -num, -den
-    return EvenExpansion(tuple(coeffs))
+    return EvenExpansion(tuple(even_entries(num, den)))
 
 
 def interval_between(a, b, avoid) -> CircleInterval:

@@ -10,6 +10,9 @@ Fibered links are recognised through the all-even continued-fraction
 expansion: the link is fibered exactly when some Schubert-equivalent
 fraction expands with all entries ±2, and the shape of that expansion
 sorts the fibered hyperbolic links into the families used downstream.
+The test walks each candidate fraction on plain integers and stops at the
+first entry other than ±2; the exceptional ``Ln`` links are recognised by
+:func:`detect_Ln`, a test modulo p.
 """
 
 from __future__ import annotations
@@ -18,10 +21,12 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import islice
 from math import gcd
+from typing import Iterator
 
 from .errors import KnotNotLink
-from .exactq import EvenExpansion, Slope, as_rat, cf_eval, even_expand
+from .exactq import EvenExpansion, Slope, as_rat, cf_eval, even_entries, even_expand
 
 
 @dataclass(frozen=True)
@@ -127,16 +132,37 @@ def _candidates(link: TwoBridgeLink) -> list[int]:
     return out
 
 
-def _candidate_expansions(link: TwoBridgeLink) -> list[EvenExpansion]:
-    return [even_expand(Fraction(link.p, c)) for c in _candidates(link)]
+def _pm2_halves(p: int, q: int) -> tuple[int, ...] | None:
+    """Halves of the even expansion of ``p/q`` if every entry is ±2, else ``None``.
+
+    Walks the expansion on integers and stops at the first other entry.
+    """
+    if q < 0:
+        p, q = -p, -q
+    halves = []
+    for a in even_entries(p, q):
+        if a != 2 and a != -2:
+            return None
+        halves.append(a // 2)
+    return tuple(halves)
+
+
+def _pm2_chains(link: TwoBridgeLink) -> Iterator[tuple[int, ...]]:
+    """Halves of each all-±2 candidate expansion, lazily, in candidate order."""
+    for c in _candidates(link):
+        halves = _pm2_halves(link.p, c)
+        if halves is not None:
+            yield halves
+
+
+def _expansion(halves: tuple[int, ...]) -> EvenExpansion:
+    return EvenExpansion(tuple(2 * h for h in halves))
 
 
 def fibered_expansion(link: TwoBridgeLink) -> EvenExpansion | None:
     """The first candidate expansion with all entries ±2, if any."""
-    for e in _candidate_expansions(link):
-        if e.all_plus_minus_two:
-            return e
-    return None
+    halves = next(_pm2_chains(link), None)
+    return None if halves is None else _expansion(halves)
 
 
 class LinkFamily(Enum):
@@ -211,38 +237,42 @@ def ln_link(n: int) -> TwoBridgeLink:
 def classify(link: TwoBridgeLink) -> LinkClass:
     """Sort a link into its surgery family.
 
-    Every all-±2 candidate expansion is inspected (not just the first): the
-    same link can expand both in the canonical family shape and in a
-    rewritten shape, depending on which Schubert representative is used, and
-    the classification must not depend on that choice.  ``mirrored`` records
-    when the family template matched only after negating the expansion.
+    The candidates are walked on integers, each stopping at its first entry
+    other than ±2, and an :class:`EvenExpansion` is built only for the first
+    all-±2 candidate, the one the class keeps.  Except for ``Ln`` links,
+    every all-±2 candidate is inspected (not just the first): the same link
+    can expand both in the canonical family shape and in a rewritten shape,
+    depending on which Schubert representative is used, and the
+    classification must not depend on that choice.  ``Ln`` links are
+    decided by :func:`detect_Ln` alone, so the walk stops at their first
+    ±2 candidate: the torus shape cannot occur for them, because a torus
+    link has q ≡ ±1 (mod p) and −3 ≢ ±1 (mod 6n+2) for n ≥ 1.
+    ``mirrored`` records when the family template matched only after
+    negating the expansion.
     """
-    pm2 = [e for e in _candidate_expansions(link) if e.all_plus_minus_two]
+    hit = detect_Ln(link)
+    chains = _pm2_chains(link)
+    pm2 = list(islice(chains, 1) if hit is not None else chains)
     if not pm2:
         return LinkClass(LinkFamily.NON_FIBERED)
-    first = pm2[0]
-    if any(_alternating(e.halves()) for e in pm2):
-        return LinkClass(LinkFamily.TORUS, fibered_expansion=first)
-    hit = detect_Ln(link)
+    first = _expansion(pm2[0])
     if hit is not None:
         n, mirrored = hit
         fam = LinkFamily.LN_MIRROR if mirrored else LinkFamily.LN
         return LinkClass(fam, n=n, fibered_expansion=first, mirrored=mirrored)
-    for e in pm2:
-        if all(h == -1 for h in e.halves()):
-            return LinkClass(LinkFamily.FAMILY1, fibered_expansion=first)
-    for e in pm2:
-        if all(h == 1 for h in e.halves()):
-            return LinkClass(LinkFamily.FAMILY1, fibered_expansion=first, mirrored=True)
-    for e in pm2:
-        if _family2_interior_shape(e.halves()):
-            return LinkClass(LinkFamily.FAMILY2_INTERIOR, fibered_expansion=first)
-    for e in pm2:
-        if _family2_interior_shape(e.negated().halves()):
-            return LinkClass(
-                LinkFamily.FAMILY2_INTERIOR, fibered_expansion=first, mirrored=True
-            )
-    rivers_all_negative = all(h == 1 for h in first.halves()[1::2])
+    if any(_alternating(h) for h in pm2):
+        return LinkClass(LinkFamily.TORUS, fibered_expansion=first)
+    if any(all(x == -1 for x in h) for h in pm2):
+        return LinkClass(LinkFamily.FAMILY1, fibered_expansion=first)
+    if any(all(x == 1 for x in h) for h in pm2):
+        return LinkClass(LinkFamily.FAMILY1, fibered_expansion=first, mirrored=True)
+    if any(_family2_interior_shape(h) for h in pm2):
+        return LinkClass(LinkFamily.FAMILY2_INTERIOR, fibered_expansion=first)
+    if any(_family2_interior_shape(tuple(-x for x in h)) for h in pm2):
+        return LinkClass(
+            LinkFamily.FAMILY2_INTERIOR, fibered_expansion=first, mirrored=True
+        )
+    rivers_all_negative = all(x == 1 for x in pm2[0][1::2])
     return LinkClass(
         LinkFamily.GENERIC_FIBERED, fibered_expansion=first, mirrored=rivers_all_negative
     )

@@ -4,14 +4,16 @@ These deliberately avoid the library's own algorithms: expansions are found
 by exhaustive search (with provably sound pruning), fibered links by
 enumerating all ±2 sequences directly, region membership by testing
 every rectangle at a probe point of every grid atom, and determinants by
-Laplace expansion.
+Laplace expansion.  The link classifier is the one that expands every
+Schubert candidate in full before looking at its entries.
 """
 
 import itertools
 from fractions import Fraction
 from math import gcd
 
-from tbsl import Slope, TwoBridgeLink
+from tbsl import LinkClass, LinkFamily, Slope, TwoBridgeLink, detect_Ln, even_expand
+from tbsl.twobridge import _alternating, _candidates, _family2_interior_shape
 
 
 def even_expansion_search(x: Fraction, max_len: int) -> list[tuple[int, ...]]:
@@ -146,3 +148,42 @@ def laplace_det(m) -> int:
         minor = tuple(tuple(row[k] for k in range(n) if k != j) for row in m[1:])
         total += (-1) ** j * m[0][j] * laplace_det(minor)
     return total
+
+
+def classify_by_expansion(link: TwoBridgeLink) -> LinkClass:
+    """``classify`` by full expansion of every Schubert candidate.
+
+    Every candidate is expanded to the end with ``even_expand``, every
+    all-±2 expansion is inspected (``Ln`` links included), and the torus
+    shape is tested before ``detect_Ln``.
+    """
+    expansions = [even_expand(Fraction(link.p, c)) for c in _candidates(link)]
+    pm2 = [e for e in expansions if e.all_plus_minus_two]
+    if not pm2:
+        return LinkClass(LinkFamily.NON_FIBERED)
+    first = pm2[0]
+    if any(_alternating(e.halves()) for e in pm2):
+        return LinkClass(LinkFamily.TORUS, fibered_expansion=first)
+    hit = detect_Ln(link)
+    if hit is not None:
+        n, mirrored = hit
+        fam = LinkFamily.LN_MIRROR if mirrored else LinkFamily.LN
+        return LinkClass(fam, n=n, fibered_expansion=first, mirrored=mirrored)
+    for e in pm2:
+        if all(h == -1 for h in e.halves()):
+            return LinkClass(LinkFamily.FAMILY1, fibered_expansion=first)
+    for e in pm2:
+        if all(h == 1 for h in e.halves()):
+            return LinkClass(LinkFamily.FAMILY1, fibered_expansion=first, mirrored=True)
+    for e in pm2:
+        if _family2_interior_shape(e.halves()):
+            return LinkClass(LinkFamily.FAMILY2_INTERIOR, fibered_expansion=first)
+    for e in pm2:
+        if _family2_interior_shape(e.negated().halves()):
+            return LinkClass(
+                LinkFamily.FAMILY2_INTERIOR, fibered_expansion=first, mirrored=True
+            )
+    rivers_all_negative = all(h == 1 for h in first.halves()[1::2])
+    return LinkClass(
+        LinkFamily.GENERIC_FIBERED, fibered_expansion=first, mirrored=rivers_all_negative
+    )

@@ -234,6 +234,37 @@ def test_bad_input_is_reported(capsys, argv, message):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verdict", "b(8,5)", "-23/2", "1"], "required: r2"),
+        (["sweep", "b(8,5)", "--window", "abc"], "invalid int value: 'abc'"),
+        (["classify"], "required: link"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+)
+def test_usage_error_is_reported(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == "" and err.startswith("error: ") and message in err
+    code, report = run_json(capsys, *argv)
+    assert code == 1 and not report["ok"]
+    assert report["command"] == argv[0] and message in report["error"]
+
+
+def test_unknown_subcommand_is_reported_on_stderr_only(capsys):
+    for argv in (["bogus"], ["--json", "bogus"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "invalid choice: 'bogus'" in err
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--help"])
+    assert exc.value.code == 0
+    assert "--window" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
     "json_flag, window", [(["--json"], "30"), ([], "80")], ids=["json", "text"]
 )
 def test_closed_pipe_is_quiet(json_flag, window):

@@ -4,17 +4,20 @@ from math import gcd
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 
-from oracles import unoriented_key
+from oracles import classify_by_expansion, unoriented_key
 from tbsl.errors import KnotNotLink
+from tbsl.twobridge import _pm2_halves
 from tbsl import (
     EvenExpansion,
     LinkFamily,
     SchubertRelation,
     TwoBridgeLink,
+    cf_eval,
     classify,
     detect_Ln,
+    even_expand,
     fibered_expansion,
     linking_number,
     ln_link,
@@ -177,13 +180,15 @@ class TestFiberedExpansion:
         from fractions import Fraction as F
 
         from oracles import pm2_census_by_key
-        from tbsl.twobridge import _candidate_expansions
+        from tbsl.twobridge import _candidates, _pm2_halves
 
         by_key = pm2_census_by_key(200)
         for L in links_200:
             expected = by_key.get(unoriented_key(L), set())
             found = {
-                e.coeffs for e in _candidate_expansions(L) if e.all_plus_minus_two
+                tuple(2 * h for h in halves)
+                for c in _candidates(L)
+                if (halves := _pm2_halves(L.p, c)) is not None
             }
             assert found == expected
 
@@ -238,6 +243,55 @@ class TestClassify:
         for members in by_class.values():
             tags = {classify(L).tag() for L in members}
             assert len(tags) == 1, f"class of {members[0]} classified as {tags}"
+
+
+def _same_class(a, b):
+    return (a.family, a.n, a.mirrored, a.fibered_expansion) == (
+        b.family,
+        b.n,
+        b.mirrored,
+        b.fibered_expansion,
+    )
+
+
+class TestClassifyAgainstFullExpansion:
+    def test_every_link_up_to_200(self, links_200):
+        for L in links_200:
+            assert _same_class(classify(L), classify_by_expansion(L)), L
+
+    def test_ln_links_and_mirrors(self):
+        for n in range(1, 501):
+            for L in (ln_link(n), ln_link(n).mirror()):
+                assert _same_class(classify(L), classify_by_expansion(L)), L
+
+
+@st.composite
+def even_over_odd(draw):
+    """Even p <= 10**6 over an odd q of either sign with gcd 1 and |q| < p.
+
+    Half of the draws are values of ±2 sequences, so the all-±2 case
+    comes up at every size and not only for small p.
+    """
+    if draw(st.booleans()):
+        seq = draw(st.lists(st.sampled_from((2, -2)), min_size=1, max_size=15))
+        x = cf_eval(seq[: len(seq) - 1 + len(seq) % 2]).value
+        p, q = abs(x.numerator), abs(x.denominator)
+    else:
+        p = 2 * draw(st.integers(min_value=1, max_value=500_000))
+        q = 2 * draw(st.integers(min_value=0, max_value=p // 2 - 1)) + 1
+        assume(gcd(p, q) == 1)
+    return p, draw(st.sampled_from((q, -q)))
+
+
+@given(even_over_odd())
+def test_pm2_halves_matches_full_expansion(pq):
+    p, q = pq
+    e = even_expand(Fraction(p, q))
+    halves = _pm2_halves(p, q)
+    if e.all_plus_minus_two:
+        assert halves == e.halves()
+    else:
+        assert halves is None
 
 
 class TestLinkingNumber:
