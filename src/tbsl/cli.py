@@ -87,7 +87,6 @@ _WITNESS = {
 
 
 def _verdict_entry(v: foliation.Verdict, x: str, y: str) -> dict:
-    """Report entry for verdict ``v`` at the multislope written ``(x, y)``."""
     return {"slope": [x, y], "verdict": v.value, "witness_region": _WITNESS.get(v)}
 
 
@@ -321,15 +320,11 @@ def _print_text(body: dict) -> None:
         print(f"{'ok  ' if c['ok'] else 'FAIL'}  {c['name']}")
 
 
-class _UsageError(ValueError):
-    """A command line the argument parser rejects."""
-
-
 class _Parser(argparse.ArgumentParser):
     """Reports a bad command line as an error with exit code 1, not argparse's 2."""
 
     def error(self, message):
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -20,10 +20,8 @@ of every interval, including the arcs that pass through infinity:
 
 The module also provides continued-fraction evaluation and the unique
 all-even continued-fraction expansion used to normalise two-bridge data.
-The expansion's greedy loop, :func:`even_entries`, works on plain integers
-and yields one entry at a time, so the fibered test can stop at the first
-entry other than ±2; :func:`even_expand` checks its input and collects the
-entries into an :class:`EvenExpansion`.
+Its greedy loop, :func:`even_entries`, yields integer entries one at a
+time, so the fibered test can stop at the first entry other than ±2.
 """
 
 from __future__ import annotations
@@ -293,10 +291,8 @@ def even_entries(num: int, den: int) -> Iterator[int]:
     Greedy: each step takes the unique even integer within distance one of
     the current value; parity guarantees existence and uniqueness, and the
     denominators strictly decrease, so this terminates with odd length.
-    The input must be what :func:`even_expand` checks for: a reduced
-    fraction with even ``num``, odd ``den > 0`` and ``|num| > den``.  The
-    entries come lazily, so a caller that only wants ±2 expansions can
-    stop at the first entry that is not ±2, on plain integers.
+    Expects the reduced input :func:`even_expand` checks for: even ``num``,
+    odd ``den > 0`` and ``|num| > den``.
     """
     while den != 1:
         f = num // den  # floor; exactly one of f, f+1 is even

@@ -10,9 +10,8 @@ Fibered links are recognised through the all-even continued-fraction
 expansion: the link is fibered exactly when some Schubert-equivalent
 fraction expands with all entries ±2, and the shape of that expansion
 sorts the fibered hyperbolic links into the families used downstream.
-The test walks each candidate fraction on plain integers and stops at the
-first entry other than ±2; the exceptional ``Ln`` links are recognised by
-:func:`detect_Ln`, a test modulo p.
+Each candidate is walked on integers up to its first entry other than ±2,
+and the exceptional ``Ln`` links are recognised by :func:`detect_Ln` (mod p).
 """
 
 from __future__ import annotations
@@ -133,10 +132,7 @@ def _candidates(link: TwoBridgeLink) -> list[int]:
 
 
 def _pm2_halves(p: int, q: int) -> tuple[int, ...] | None:
-    """Halves of the even expansion of ``p/q`` if every entry is ±2, else ``None``.
-
-    Walks the expansion on integers and stops at the first other entry.
-    """
+    """Halves of the even expansion of ``p/q``; ``None`` at its first entry not ±2."""
     if q < 0:
         p, q = -p, -q
     halves = []
@@ -155,14 +151,10 @@ def _pm2_chains(link: TwoBridgeLink) -> Iterator[tuple[int, ...]]:
             yield halves
 
 
-def _expansion(halves: tuple[int, ...]) -> EvenExpansion:
-    return EvenExpansion(tuple(2 * h for h in halves))
-
-
 def fibered_expansion(link: TwoBridgeLink) -> EvenExpansion | None:
     """The first candidate expansion with all entries ±2, if any."""
     halves = next(_pm2_chains(link), None)
-    return None if halves is None else _expansion(halves)
+    return None if halves is None else EvenExpansion(tuple(2 * h for h in halves))
 
 
 class LinkFamily(Enum):
@@ -237,25 +229,21 @@ def ln_link(n: int) -> TwoBridgeLink:
 def classify(link: TwoBridgeLink) -> LinkClass:
     """Sort a link into its surgery family.
 
-    The candidates are walked on integers, each stopping at its first entry
-    other than ±2, and an :class:`EvenExpansion` is built only for the first
-    all-±2 candidate, the one the class keeps.  Except for ``Ln`` links,
-    every all-±2 candidate is inspected (not just the first): the same link
+    Every all-±2 candidate is inspected (not just the first): the same link
     can expand both in the canonical family shape and in a rewritten shape,
     depending on which Schubert representative is used, and the
-    classification must not depend on that choice.  ``Ln`` links are
-    decided by :func:`detect_Ln` alone, so the walk stops at their first
-    ±2 candidate: the torus shape cannot occur for them, because a torus
-    link has q ≡ ±1 (mod p) and −3 ≢ ±1 (mod 6n+2) for n ≥ 1.
-    ``mirrored`` records when the family template matched only after
-    negating the expansion.
+    classification must not depend on that choice.  The exception is ``Ln``,
+    decided by :func:`detect_Ln` alone, so the walk stops at its first ±2
+    candidate; the torus shape (q ≡ ±1 mod p) cannot occur there, as
+    −3 ≢ ±1 (mod 6n+2) for n ≥ 1.  ``mirrored`` records when the family
+    template matched only after negating the expansion.
     """
     hit = detect_Ln(link)
     chains = _pm2_chains(link)
     pm2 = list(islice(chains, 1) if hit is not None else chains)
     if not pm2:
         return LinkClass(LinkFamily.NON_FIBERED)
-    first = _expansion(pm2[0])
+    first = EvenExpansion(tuple(2 * h for h in pm2[0]))
     if hit is not None:
         n, mirrored = hit
         fam = LinkFamily.LN_MIRROR if mirrored else LinkFamily.LN

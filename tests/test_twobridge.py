@@ -245,24 +245,16 @@ class TestClassify:
             assert len(tags) == 1, f"class of {members[0]} classified as {tags}"
 
 
-def _same_class(a, b):
-    return (a.family, a.n, a.mirrored, a.fibered_expansion) == (
-        b.family,
-        b.n,
-        b.mirrored,
-        b.fibered_expansion,
-    )
-
-
 class TestClassifyAgainstFullExpansion:
+    # LinkClass equality compares family, n, fibered_expansion and mirrored
     def test_every_link_up_to_200(self, links_200):
         for L in links_200:
-            assert _same_class(classify(L), classify_by_expansion(L)), L
+            assert classify(L) == classify_by_expansion(L), L
 
     def test_ln_links_and_mirrors(self):
         for n in range(1, 501):
             for L in (ln_link(n), ln_link(n).mirror()):
-                assert _same_class(classify(L), classify_by_expansion(L)), L
+                assert classify(L) == classify_by_expansion(L), L
 
 
 @st.composite
