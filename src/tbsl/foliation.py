@@ -8,6 +8,10 @@ exceptional links, the quadrant that is exactly the L-space set; so the
 foliation region is defined as the complement of the L-space region, and
 the constructive covers are kept as independent witnesses
 (``cover_witnesses``, ``ln_taut_witness_strips``) that reproduce it.
+Every realised interval is read off the weight families
+(``BUILTIN_WEIGHT_FAMILIES``), and one route, ``_route``, carries a
+companion link's realised boxes through the framing change and the twist
+fillings for all three families.
 
 ``analyse`` builds one :class:`LinkAnalysis` per link; its ``verdict`` is
 the package's only verdict predicate.  Per multislope it costs a few
@@ -27,16 +31,20 @@ from .errors import OutOfScope
 from .exactq import INFINITY, CircleInterval, Slope
 from .lspace import classified_lspace_region
 from .monodromy import MonodromyWord, SignCensus, sign_census, twist_word
-from .regions import Framing, Region2
+from .regions import BUILTIN_WEIGHT_FAMILIES, Framing, Region2, family_image
 from .surgery import SurgeryDiagram, framing_convert, qhs_filling, rolfsen_fill
 from .twobridge import LinkClass, TwoBridgeLink, classify, linking_number
 
 
-def _iv(lo, hi) -> CircleInterval:
-    return CircleInterval.open(lo, hi)
-
-
+#: Realised slope intervals, keyed by their text: the weight-family images.
+_REALISED = {key: family_image(f) for key, f in BUILTIN_WEIGHT_FAMILIES.items()}
 _RATIONAL_LINE = CircleInterval.punctured(INFINITY)
+
+
+def _realised(*keys: str) -> tuple[CircleInterval, ...]:
+    """Realised intervals by key; ``Q``, the rational line, is the one that
+    is not a weight-family image."""
+    return tuple(_RATIONAL_LINE if k == "Q" else _REALISED[k] for k in keys)
 
 
 def lemma_regions(census: SignCensus) -> Region2:
@@ -46,17 +54,18 @@ def lemma_regions(census: SignCensus) -> Region2:
     quadrant below slope one on both components, the negative versions its
     mirror, and mixed signs give the corresponding split quadrants.
     """
+    below, above, pos, neg = _realised("(inf,1)", "(-1,inf)", "(0,inf)", "(inf,0)")
     rects = []
     if census.pos_rivers >= 1 or census.pos_bridges >= 2:
-        rects.append((_iv(INFINITY, 1), _iv(INFINITY, 1)))
+        rects.append((below, below))
     if census.neg_rivers >= 1 or census.neg_bridges >= 2:
-        rects.append((_iv(-1, INFINITY), _iv(-1, INFINITY)))
+        rects.append((above, above))
     if census.pos_rivers >= 1 and census.neg_rivers >= 1:
-        rects.append((_iv(INFINITY, 1), _iv(-1, INFINITY)))
-        rects.append((_iv(-1, INFINITY), _iv(INFINITY, 1)))
+        rects.append((below, above))
+        rects.append((above, below))
     if census.pos_bridges >= 1 and census.neg_bridges >= 1:
-        rects.append((_iv(0, INFINITY), _iv(INFINITY, 0)))
-        rects.append((_iv(INFINITY, 0), _iv(0, INFINITY)))
+        rects.append((pos, neg))
+        rects.append((neg, pos))
     return Region2(Framing.SEIFERT, tuple(rects))
 
 
@@ -161,8 +170,32 @@ def verdict(link: TwoBridgeLink, slope: tuple) -> Verdict:
 # constructive cover witnesses
 
 
-def _seifert_union(*rects) -> Region2:
-    return Region2(Framing.SEIFERT, tuple(rects))
+def _route(companion: SurgeryDiagram, boxes, filled: Region2 | None = None) -> Region2:
+    """Canonical-framing region of a companion's realised boxes, and their swap.
+
+    ``companion`` is Seifert-framed with slope 0 on its first two components
+    and each further component at its filling slope; each box lists one
+    realised interval per component.  Every filling slope must lie in its
+    interval.  Converting the framing and twisting the further components
+    away, highest first, shifts the first two coordinates; the same probe
+    gives the filled link's linking number, which carries the
+    Seifert-framing region ``filled`` of the filled link to the canonical
+    framing.
+    """
+    for box in boxes:
+        for s, iv in zip(companion.slopes[2:], box[2:]):
+            if not iv.contains(s):
+                raise ValueError(f"filling slope {s} leaves the realised interval {iv}")
+    probe = framing_convert(companion, Framing.CANONICAL)
+    for component in range(companion.n_components - 1, 1, -1):
+        probe = rolfsen_fill(probe, component)
+    c1, c2 = probe.slopes[0].value, probe.slopes[1].value
+    routed = Region2(Framing.CANONICAL, tuple((b[0].shifted(c1), b[1].shifted(c2)) for b in boxes))
+    routed = routed.union(routed.swapped())
+    if filled is not None:
+        lk = probe.linking[0][1]
+        routed = routed.union(filled.shifted(-lk, -lk).with_framing(Framing.CANONICAL))
+    return routed
 
 
 def _family1_aux_diagram(a, b) -> SurgeryDiagram:
@@ -175,56 +208,22 @@ def _family1_aux_diagram(a, b) -> SurgeryDiagram:
     )
 
 
+#: Seifert-framing boxes of the two auxiliary branched surfaces on the
+#: family-1 companion, each with its realised third factor.
+_FAMILY1_BOXES = (
+    _realised("(inf,1)", "(0,inf)", "(inf,0)"),
+    _realised("(inf,1)", "(inf,1)", "(inf,1)"),
+)
+
+
 def family1_small_route_region() -> Region2:
     """Canonical-framing foliation region for the length-3 all-negative link.
 
-    Pushes the two auxiliary-surface slope boxes through the framing change
-    and the -1 twist (the shift is probed from the surgery calculus, not
-    hard-coded), then adds the shifted census regions.
+    The auxiliary boxes routed through the companion, plus the census
+    region of ``L(-2,-2,-2)`` moved by the linking number the route probes.
     """
-    # boxes realised by the two auxiliary branched surfaces; the third
-    # coordinate is held at -1, interior to both realised third factors
-    if not (_iv(INFINITY, 0).contains(Slope(-1)) and _iv(INFINITY, 1).contains(Slope(-1))):
-        raise AssertionError("filling slope left a realised box")
-    probe = rolfsen_fill(
-        framing_convert(_family1_aux_diagram(0, 0), Framing.CANONICAL), 2
-    )
-    c1, c2 = probe.slopes[0].value, probe.slopes[1].value
-    lk = probe.linking[0][1]
-    aux = Region2(
-        Framing.CANONICAL,
-        (
-            (_iv(INFINITY, 1).shifted(c1), _iv(0, INFINITY).shifted(c2)),
-            (_iv(INFINITY, 1).shifted(c1), _iv(INFINITY, 1).shifted(c2)),
-        ),
-    )
-    census_region = _seifert_union(
-        (_iv(INFINITY, 1), _iv(INFINITY, 1)), (_iv(-1, INFINITY), _iv(-1, INFINITY))
-    )
-    shifted = census_region.shifted(-lk, -lk).with_framing(Framing.CANONICAL)
-    return aux.union(aux.swapped()).union(shifted)
-
-
-def family2_route_region(k: int, h: int) -> Region2:
-    """Seifert-framing foliation region for the rewritten interior links.
-
-    The four-component companion realises the boxes (0, inf) × R and
-    (inf, 1)² on the surviving components once its last two components are
-    filled at -1/k and -1/h; both fillings must be interior to the realised
-    third and fourth factors.
-    """
-    if k < 1 or h < 1:
-        raise ValueError("k and h must be positive")
-    third, fourth = Slope(Fraction(-1, k)), Slope(Fraction(-1, h))
-    if not (_iv(INFINITY, 0).contains(third) and _iv(INFINITY, 0).contains(fourth)):
-        raise AssertionError("filling slopes left the first realised box")
-    if not (_iv(INFINITY, 1).contains(third) and _iv(INFINITY, 1).contains(fourth)):
-        raise AssertionError("filling slopes left the second realised box")
-    region = _seifert_union(
-        (_iv(0, INFINITY), _RATIONAL_LINE),
-        (_iv(INFINITY, 1), _iv(INFINITY, 1)),
-    )
-    return region.union(region.swapped())
+    census = lemma_regions(SignCensus(1, 0, 0, 2))
+    return _route(_family1_aux_diagram(0, 0), _FAMILY1_BOXES, census)
 
 
 def family2_aux_diagram(a, b, k: int, h: int) -> SurgeryDiagram:
@@ -246,6 +245,24 @@ def family2_aux_diagram(a, b, k: int, h: int) -> SurgeryDiagram:
     )
 
 
+#: Seifert-framing boxes (0, inf) × Q and (inf, 1)² of the family-2
+#: companion, with the realised third and fourth factors; any filling at
+#: -1/k and -1/h with k, h >= 1 lies inside them.
+_FAMILY2_BOXES = (
+    _realised("(0,inf)", "Q", "(inf,0)", "(inf,0)"),
+    _realised("(inf,1)", "(inf,1)", "(inf,1)", "(inf,1)"),
+)
+
+
+def family2_route_region() -> Region2:
+    """Canonical-framing foliation region for the rewritten interior links.
+
+    The region is the whole plane for every (k, h); it is routed through
+    the companion filled at -1 and -1.
+    """
+    return _route(family2_aux_diagram(0, 0, 1, 1), _FAMILY2_BOXES)
+
+
 def _ln_aux_diagram(a, b, n: int) -> SurgeryDiagram:
     # three-component companion of the exceptional links; third component
     # filled at Seifert slope -1/n
@@ -259,35 +276,26 @@ def _ln_aux_diagram(a, b, n: int) -> SurgeryDiagram:
 #: Seifert-framing boxes realised by the four branched surfaces on the
 #: exceptional links' companion; first two coordinates, with the realised
 #: interval for the filled third coordinate alongside.
-_LN_SURFACE_BOXES: tuple[tuple[CircleInterval, CircleInterval, CircleInterval], ...] = (
-    (_iv(INFINITY, 1), _RATIONAL_LINE, _iv(-1, 0)),
-    (_iv(0, 2), _iv(0, INFINITY), _iv(INFINITY, 0)),
-    (_iv(0, 2), _iv(INFINITY, 0), _iv(-1, 0)),
-    (_iv(INFINITY, 2), _iv(-1, 1), _iv(-1, 0)),
+_LN_SURFACE_BOXES = (
+    _realised("(inf,1)", "Q", "(-1,0)"),
+    _realised("(0,2)", "(0,inf)", "(inf,0)"),
+    _realised("(0,2)", "(inf,0)", "(-1,0)"),
+    _realised("(inf,2)", "(-1,1)", "(-1,0)"),
 )
 
 
 def ln_taut_witness_strips(n: int) -> Region2:
     """Canonical-framing strips witnessing foliations off the quadrant.
 
-    Each strip is a realised Seifert-framing box of the companion link with
-    third coordinate held at -1/n, pushed through the framing change and the
-    twist; their union (with the coordinate swap) covers everything with
-    min(r1, r2) < n while staying clear of [n, inf)².  Needs n >= 2 so that
-    -1/n is interior to the realised third factors.
+    The realised boxes of the companion with third coordinate held at -1/n,
+    routed to the canonical framing; their union (with the coordinate
+    swap) covers everything with min(r1, r2) < n while staying clear of
+    [n, inf)².  Needs n >= 2 so that -1/n is interior to the realised third
+    factors.
     """
     if n < 2:
         raise ValueError("the strip cover needs n >= 2")
-    third = Slope(Fraction(-1, n))
-    probe = rolfsen_fill(framing_convert(_ln_aux_diagram(0, 0, n), Framing.CANONICAL), 2)
-    c1, c2 = probe.slopes[0].value, probe.slopes[1].value
-    rects = []
-    for bx, by, bthird in _LN_SURFACE_BOXES:
-        if not bthird.contains(third):
-            raise AssertionError("filling slope left a realised box")
-        rects.append((bx.shifted(c1), by.shifted(c2)))
-    strips = Region2(Framing.CANONICAL, tuple(rects))
-    return strips.union(strips.swapped())
+    return _route(_ln_aux_diagram(0, 0, n), _LN_SURFACE_BOXES)
 
 
 @dataclass(frozen=True)
@@ -300,21 +308,15 @@ class CoverWitness:
 def cover_witnesses() -> tuple[CoverWitness, ...]:
     """The constructive covers that must exactly fill their targets."""
     seifert_plane = Region2.finite_plane(Framing.SEIFERT)
+    canonical_plane = Region2.finite_plane(Framing.CANONICAL)
     mixed_rivers = lemma_regions(SignCensus(1, 1, 1, 0))
     river_bridge_mix = lemma_regions(SignCensus(1, 0, 1, 2))
-    family1_generic = lemma_regions(SignCensus(1, 0, 0, 2)).union(
-        _seifert_union(
-            (_iv(INFINITY, 1), _iv(0, INFINITY)), (_iv(0, INFINITY), _iv(INFINITY, 1))
-        )
-    )
-    family1_small = family1_small_route_region()
-    family2 = family2_route_region(1, 1)
+    split = Region2(Framing.SEIFERT, (_realised("(inf,1)", "(0,inf)"),))
+    family1_generic = lemma_regions(SignCensus(1, 0, 0, 2)).union(split.union(split.swapped()))
     return (
         CoverWitness("mixed-rivers", mixed_rivers, seifert_plane),
         CoverWitness("positive-river-mixed-bridges", river_bridge_mix, seifert_plane),
         CoverWitness("family1-generic", family1_generic, seifert_plane),
-        CoverWitness(
-            "family1-small", family1_small, Region2.finite_plane(Framing.CANONICAL)
-        ),
-        CoverWitness("family2", family2, seifert_plane),
+        CoverWitness("family1-small", family1_small_route_region(), canonical_plane),
+        CoverWitness("family2", family2_route_region(), canonical_plane),
     )

@@ -18,7 +18,16 @@ from tbsl import (
     verdict,
 )
 from tbsl.errors import OutOfScope
-from tbsl.foliation import cover_witnesses, family2_aux_diagram
+from tbsl.foliation import (
+    _FAMILY2_BOXES,
+    _LN_SURFACE_BOXES,
+    _family1_aux_diagram,
+    _ln_aux_diagram,
+    _route,
+    analyse,
+    cover_witnesses,
+    family2_aux_diagram,
+)
 from tbsl.surgery import framing_convert, presentation_matrix, rolfsen_fill
 from tbsl.twobridge import TwoBridgeLink, classify, linking_number, parse_link
 
@@ -174,6 +183,29 @@ class TestCoverWitnesses:
             assert foliation_region(L).covers(shifted)
 
 
+class TestRoute:
+    def test_whitehead_filling_leaves_the_realised_interval(self):
+        # at n = 1 the third slope -1 is an endpoint of (-1,0): the Whitehead gap
+        message = r"filling slope -1 leaves the realised interval \(-1,0\)"
+        with pytest.raises(ValueError, match=message):
+            _route(_ln_aux_diagram(0, 0, 1), _LN_SURFACE_BOXES)
+
+    @pytest.mark.parametrize("k, h", [(1, 1), (2, 3), (5, 1), (7, 9)])
+    def test_family2_boxes_cover_the_plane_for_every_twist(self, k, h):
+        assert _route(family2_aux_diagram(0, 0, k, h), _FAMILY2_BOXES).equals(CANONICAL_PLANE)
+
+    def test_family2_filling_must_lie_in_its_interval(self):
+        message = r"filling slope 1 leaves the realised interval \(inf,0\)"
+        with pytest.raises(ValueError, match=message):
+            _route(family2_aux_diagram(0, 0, -1, 1), _FAMILY2_BOXES)
+
+    def test_filled_region_moves_by_the_linking_number(self):
+        census = lemma_regions(SignCensus(1, 0, 0, 2))
+        lk = analyse(parse_link("L(-2,-2,-2)")).linking
+        expected = census.shifted(-lk, -lk).with_framing(Framing.CANONICAL)
+        assert _route(_family1_aux_diagram(0, 0), (), census).equals(expected)
+
+
 class TestFamily2Companion:
     def test_framing_diagram_consistency(self):
         # Seifert (a, b, -1/k, -1/h) becomes canonical (a-1, b-1, ...) and the
@@ -213,8 +245,6 @@ class TestFramingSquares:
     def test_family1_square_closes(self):
         # Seifert (a, b, -1) on the companion reaches Seifert (a-1, b+1) on
         # the filled link through the canonical route
-        from tbsl.foliation import _family1_aux_diagram
-
         for a, b in [(0, 0), (4, -7), (-3, 2)]:
             d = framing_convert(_family1_aux_diagram(a, b), Framing.CANONICAL)
             filled = rolfsen_fill(d, 2)
