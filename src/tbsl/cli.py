@@ -69,12 +69,14 @@ def _slopes(args) -> tuple[Slope, Slope]:
     return _exact(Slope.parse, args.r1, "slope"), _exact(Slope.parse, args.r2, "slope")
 
 
+def _positive(value: int, flag: str) -> int:
+    if value < 1:
+        raise ValueError(f"{flag} must be a positive integer, got {value}")
+    return value
+
+
 def _window(args, a: foliation.LinkAnalysis) -> int:
-    if args.window is None:
-        return a.window
-    if args.window < 1:
-        raise ValueError(f"--window must be a positive integer, got {args.window}")
-    return args.window
+    return a.window if args.window is None else _positive(args.window, "--window")
 
 
 #: Most grid points one ``sweep`` may report on.
@@ -219,7 +221,7 @@ def _cmd_framing(args) -> dict:
 
 def _cmd_verify_ln(args) -> dict:
     checks = []
-    for n in range(1, args.max + 1):
+    for n in range(1, _positive(args.max, "--max") + 1):
         ok = lspace.verify_ln_chain(n)
         checks.append({"name": f"ln-chain n={n}", "ok": ok})
     return {"input": {"max": args.max}, "checks": checks}
@@ -230,7 +232,7 @@ def _cmd_verify_covers(args) -> dict:
     for witness in foliation.cover_witnesses():
         ok = witness.region.equals(witness.target)
         checks.append({"name": f"cover {witness.name}", "ok": ok})
-    for n in range(2, args.max + 1):
+    for n in range(2, _positive(args.max, "--max") + 1):
         strips = foliation.ln_taut_witness_strips(n)
         a = foliation.analyse(twobridge.ln_link(n))
         quadrant, fol = a.lspace, a.foliation
@@ -294,12 +296,10 @@ def _print_text(body: dict) -> None:
     if "regions" in body:
         framing = body["input"].get("framing", "canonical")
         r = body["regions"][framing]
-        print(f"L-space region   [{framing}]:")
-        for ix, iy in r["lspace"]["rects"] or [["(empty)", ""]]:
-            print(f"    {ix} x {iy}")
-        print(f"foliation region [{framing}]:")
-        for ix, iy in r["foliation"]["rects"] or [["(empty)", ""]]:
-            print(f"    {ix} x {iy}")
+        for key, label in (("lspace", "L-space region  "), ("foliation", "foliation region")):
+            print(f"{label} [{framing}]:")
+            for ix, iy in r[key]["rects"] or [["(empty)", ""]]:
+                print(f"    {ix} x {iy}")
     if "svg_path" in body:
         print(f"svg written to {body['svg_path']}")
     verdicts = body.get("verdicts", [])

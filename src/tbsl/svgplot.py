@@ -1,10 +1,11 @@
 """Deterministic SVG rendering of slope-plane regions.
 
 Regions are drawn from their ``canonical()`` rectangles, whose arcs never
-wrap through ``inf``, clipped to the window [-w, w]².  All pixel
-coordinates are computed with exact rationals and formatted as fixed-point
-decimals by integer arithmetic, so the same input always produces
-byte-identical output.
+wrap through ``inf``, clipped to the window [-w, w]².  Grid lines sit at
+±w and at the multiples of ceil(w / 50), so every integer up to w = 50.
+All pixel coordinates are computed with exact rationals and formatted as
+fixed-point decimals by integer arithmetic, so the same input always
+produces byte-identical output.
 """
 
 from __future__ import annotations
@@ -80,7 +81,8 @@ def region_svg(
     ]
     out.extend(_shade(foliation, w, "#4477cc", "0.45"))
     out.extend(_shade(lspace, w, "#ee8833", "0.75"))
-    for t in range(-w, w + 1):
+    step = -(-w // 50)  # at most 101 ticks, plus the frame at ±w
+    for t in sorted({-w, w, *range(-(w // step) * step, w + 1, step)}):
         x, y = _fixed(_px(Fraction(t), w)), _fixed(_py(Fraction(t), w))
         major = t in (-w, 0, w)
         stroke = "#333333" if major else "#bbbbbb"

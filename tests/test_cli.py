@@ -2,13 +2,16 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
 import pytest
 
 from tbsl.cli import main
+from tbsl.regions import Framing, Region2
 from tbsl.schema import REPORT_SCHEMA
+from tbsl.svgplot import region_svg
 
 
 def run(capsys, *argv):
@@ -113,6 +116,19 @@ class TestRegion:
         run(capsys, "region", "b(8,5)", "--svg", str(b))
         assert a.read_bytes() == b.read_bytes()
         assert a.read_bytes().startswith(b"<svg")
+
+    def test_svg_grid_is_bounded(self, capsys, tmp_path):
+        path = tmp_path / "wide.svg"
+        t0 = time.perf_counter()
+        code, _, _ = run(capsys, "region", "b(8,5)", "--svg", str(path), "--window", "1000000")
+        assert code == 0 and time.perf_counter() - t0 < 1.0
+        assert path.stat().st_size < 100_000
+
+    @pytest.mark.parametrize("window, ticks", [(2, 5), (50, 101), (51, 53), (1000, 101)])
+    def test_svg_tick_stride(self, window, ticks):
+        # every integer up to 50, then the multiples of ceil(w / 50) and the frame at ±w
+        region = Region2.empty(Framing.CANONICAL)
+        assert region_svg(region, region, window).count("<line") == 2 * ticks
 
 
 class TestVerdict:
@@ -224,6 +240,8 @@ class TestVerifyCommands:
         (["sweep", "b(8,5)", "--window", "100", "--step", "1/1000000000"], "exceeds the limit"),
         (["sweep", "b(8,5)", "--window", "250"], "251001 points"),
         (["region", "b(8,5)", "--svg", os.devnull, "--window", "-2"], "--window"),
+        (["verify-ln", "--max", "0"], "--max must be a positive integer, got 0"),
+        (["verify-covers", "--max", "-5"], "--max must be a positive integer, got -5"),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else None,
 )
