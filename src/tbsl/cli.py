@@ -1,9 +1,9 @@
 """Command-line front end.
 
-All mathematics is delegated to the library modules; this module only
-parses arguments, assembles report dictionaries and renders them as text
-or JSON (see :mod:`tbsl.schema` for the published schema).  Set the
-``TBSL_LOG`` environment variable to a logging level name for diagnostics.
+All mathematics is delegated to the library modules; this module parses
+arguments, assembles reports (a verdict entry is an ``(x, y, Verdict)``
+tuple) and renders them as text or exactly as ``json.dump(report, indent=2)``
+would (see :mod:`tbsl.schema`).  ``TBSL_LOG`` names a logging level.
 """
 
 from __future__ import annotations
@@ -11,10 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 import time
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import foliation, lspace, surgery, twobridge
 from .errors import KnotNotLink, OutOfScope, UnsupportedSlope
@@ -88,10 +90,6 @@ _WITNESS = {
 }
 
 
-def _verdict_entry(v: foliation.Verdict, x: str, y: str) -> dict:
-    return {"slope": [x, y], "verdict": v.value, "witness_region": _WITNESS.get(v)}
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers: each returns the report body
 
@@ -163,7 +161,7 @@ def _cmd_verdict(args) -> dict:
     return {
         "input": {"link": args.link, "slope": [args.r1, args.r2], "framing": framing.value},
         "classification": _classification_dict(a),
-        "verdicts": [_verdict_entry(a.verdict(s1, s2), str(s1), str(s2))],
+        "verdicts": [(str(s1), str(s2), a.verdict(s1, s2))],
     }
 
 
@@ -173,15 +171,19 @@ def _cmd_sweep(args) -> dict:
     step = _exact(Fraction, args.step, "--step")
     if step <= 0:
         raise ValueError("--step must be positive")
+    if args.window is None:
+        # the widest window whose grid, floor(2 * window / step) + 1 slopes a side, fits
+        window = max(1, min(window, math.ceil(math.isqrt(MAX_SWEEP_POINTS) * step / 2) - 1))
     n = 2 * window // step + 1
     if n * n > MAX_SWEEP_POINTS:
         raise ValueError(
             f"sweep of {n * n} points exceeds the limit of {MAX_SWEEP_POINTS}: "
             "narrow --window or widen --step"
         )
-    axis = [(s, str(s)) for s in (Slope(-window + k * step) for k in range(n))]
-    # the regions are computed once; every grid point is a membership test
-    verdicts = [_verdict_entry(a.verdict(x, y), sx, sy) for x, sx in axis for y, sy in axis]
+    axis = [Slope(-window + k * step) for k in range(n)]
+    texts = [str(s) for s in axis]
+    rows = a.verdict_rows(axis, axis)
+    verdicts = [(sx, sy, v) for sx, row in zip(texts, rows) for sy, v in zip(texts, row)]
     return {
         "input": {"link": args.link, "window": window, "step": str(step)},
         "classification": _classification_dict(a),
@@ -249,18 +251,15 @@ def _cmd_verify_covers(args) -> dict:
 # rendering
 
 _VERDICT_GLYPH = {
-    "LSpace": "L",
-    "NLSWithTautFoliation": "f",
-    "NotQHS_TautByBetti": "b",
-    "InfinityFilling": "i",
+    foliation.Verdict.L_SPACE: "L",
+    foliation.Verdict.NLS_WITH_TAUT_FOLIATION: "f",
+    foliation.Verdict.NOT_QHS_TAUT_BY_BETTI: "b",
+    foliation.Verdict.INFINITY_FILLING: "i",
 }
 
 
-def _print_sweep_table(verdicts: list[dict]) -> None:
-    cells = {
-        (Fraction(v["slope"][0]), Fraction(v["slope"][1])): _VERDICT_GLYPH[v["verdict"]]
-        for v in verdicts
-    }
+def _print_sweep_table(verdicts: list[tuple]) -> None:
+    cells = {(Fraction(x), Fraction(y)): _VERDICT_GLYPH[v] for x, y, v in verdicts}
     xs = sorted({x for x, _ in cells})
     ys = sorted({y for _, y in cells}, reverse=True)
     width = max(len(str(x)) for x in xs)
@@ -306,8 +305,8 @@ def _print_text(body: dict) -> None:
     if body.get("command") == "sweep" and verdicts:
         _print_sweep_table(verdicts)
     else:
-        for v in verdicts:
-            print(f"({v['slope'][0]}, {v['slope'][1]})  ->  {v['verdict']}")
+        for x, y, v in verdicts:
+            print(f"({x}, {y})  ->  {v.value}")
     if "homology" in body:
         h = body["homology"]
         for row in h["presentation"]:
@@ -318,6 +317,29 @@ def _print_text(body: dict) -> None:
         print(f"{f['from']} -> {f['to']}: ({', '.join(f['slopes'])})")
     for c in body.get("checks", []):
         print(f"{'ok  ' if c['ok'] else 'FAIL'}  {c['name']}")
+
+
+#: A ``verdicts`` entry, comma first, as ``json.dump(..., indent=2)`` lays it out; tails by verdict.
+_ENTRY = ',\n    {\n      "slope": [\n        %s,\n        %s\n      ],\n%s    }'
+_ENTRY_TAIL = {
+    v: f'      "verdict": "{v.value}",\n      "witness_region": {json.dumps(_WITNESS.get(v))}\n'
+    for v in foliation.Verdict
+}
+
+
+def _write_json(report: dict, out) -> None:
+    """``json.dump(report, out, indent=2)`` and a newline, byte for byte; ``json`` encodes
+    in pure Python under ``indent``, so verdict entries are formatted from ``_ENTRY``."""
+    verdicts = report.get("verdicts")
+    if not verdicts:
+        out.write(json.dumps(report, indent=2) + "\n")
+        return
+    head, _, tail = json.dumps({**report, "verdicts": []}, indent=2).partition('\n  "verdicts": []')
+    enc = encode_basestring_ascii
+    entries = (_ENTRY % (enc(x), enc(y), _ENTRY_TAIL[v]) for x, y, v in verdicts)
+    out.write(head + '\n  "verdicts": [' + next(entries)[1:])
+    out.writelines(entries)
+    out.write("\n  ]" + tail + "\n")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -428,8 +450,7 @@ def main(argv=None) -> int:
     report["timing_ms"] = int((time.perf_counter() - t0) * 1000)
     try:
         if args.json and args.command in _HANDLERS:
-            json.dump(report, sys.stdout, indent=2)
-            sys.stdout.write("\n")
+            _write_json(report, sys.stdout)
         elif report["ok"]:
             _print_text(report)
         else:

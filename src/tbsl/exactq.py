@@ -285,15 +285,22 @@ def cf_eval(coeffs: Iterable[int]) -> Slope:
     return Slope(Fraction(p, q))
 
 
+#: Most entries an even expansion may have: ``p/(p-1)`` has about ``p``.
+MAX_EVEN_ENTRIES = 10**6
+
+
 def even_entries(num: int, den: int) -> Iterator[int]:
     """The entries of the all-even expansion of ``num/den``, in order.
 
     Greedy: each step takes the unique even integer within distance one of
     the current value; parity guarantees existence and uniqueness, and the
-    denominators strictly decrease, so this terminates with odd length.
-    Expects the reduced input :func:`even_expand` checks for: even ``num``,
-    odd ``den > 0`` and ``|num| > den``.
+    denominators strictly decrease, so this terminates with odd length;
+    past ``MAX_EVEN_ENTRIES`` entries it raises ``ValueError``.  Expects the
+    reduced input :func:`even_expand` checks for: even ``num``, odd
+    ``den > 0`` and ``|num| > den``.
     """
+    # an expansion has fewer entries than its denominator: only a larger one is counted
+    left = den > MAX_EVEN_ENTRIES and MAX_EVEN_ENTRIES
     while den != 1:
         f = num // den  # floor; exactly one of f, f+1 is even
         a = f if f % 2 == 0 else f + 1
@@ -301,6 +308,8 @@ def even_entries(num: int, den: int) -> Iterator[int]:
         num, den = den, num - a * den
         if den < 0:
             num, den = -num, -den
+        if left and not (left := left - 1):
+            raise ValueError(f"the all-even expansion has more than {MAX_EVEN_ENTRIES} entries")
     yield num
 
 

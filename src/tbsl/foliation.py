@@ -13,11 +13,11 @@ Every realised interval is read off the weight families
 companion link's realised boxes through the framing change and the twist
 fillings for all three families.
 
-``analyse`` builds one :class:`LinkAnalysis` per link; its ``verdict`` is
-the package's only verdict predicate.  Per multislope it costs a few
-integer operations: the two-slope homology test ``qhs_filling`` on the
-link's linking number (no surgery diagram is built) and one grid lookup
-in the L-space region.
+``analyse`` builds one :class:`LinkAnalysis` per link; its ``verdict_rows``
+is the package's one verdict engine, and ``verdict`` is its 1×1 case.  A
+grid point costs a few integer operations: the L-space region is read one
+row at a time as a bitmask (``Region2.row_masks``), and the fillings that
+are not rational homology spheres are found per row, not per point.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .exactq import INFINITY, CircleInterval, Slope
 from .lspace import classified_lspace_region
 from .monodromy import MonodromyWord, SignCensus, sign_census, twist_word
 from .regions import BUILTIN_WEIGHT_FAMILIES, Framing, Region2, family_image
-from .surgery import SurgeryDiagram, framing_convert, qhs_filling, rolfsen_fill
+from .surgery import SurgeryDiagram, framing_convert, rolfsen_fill
 from .twobridge import LinkClass, TwoBridgeLink, classify, linking_number
 
 
@@ -129,21 +129,43 @@ class LinkAnalysis:
         return SurgeryDiagram(((0, lk), (lk, 0)), (s1, s2), framing)
 
     def verdict(self, s1: Slope, s2: Slope) -> Verdict:
-        """Classify one surgery of a fibered hyperbolic link (canonical framing).
+        """Classify one surgery (canonical framing): the 1×1 grid of :meth:`verdict_rows`."""
+        return next(self.verdict_rows((s1,), (s2,)))[0]
 
-        Infinite fillings are reported as such (the results are the
-        three-sphere, lens spaces or S²×S¹); fillings with positive first
-        Betti number carry taut foliations for homological reasons; the rest
-        split into L-spaces and non-L-spaces with taut foliations.
+    def verdict_rows(self, xs, ys):
+        """Verdicts over the canonical-framing grid ``xs`` × ``ys``, one list per x.
+
+        Infinite fillings are reported as such (the three-sphere, lens spaces
+        or S²×S¹); fillings with b1 > 0 carry taut foliations for homological
+        reasons; the rest split into L-spaces and non-L-spaces with taut
+        foliations.  A finite filling has b1 > 0 exactly when x·y = lk²
+        (:func:`~tbsl.surgery.qhs_filling`): in row x ≠ 0 only at y = lk²/x.
         """
         lspace = self.lspace  # rejects out-of-scope links before any slope is read
-        if s1.is_infinity or s2.is_infinity:
-            return Verdict.INFINITY_FILLING
-        if not qhs_filling(s1, s2, self.linking):
-            return Verdict.NOT_QHS_TAUT_BY_BETTI
-        if lspace.contains((s1, s2)):
-            return Verdict.L_SPACE
-        return Verdict.NLS_WITH_TAUT_FOLIATION
+        lk2 = self.linking * self.linking
+        positions: dict[Fraction | None, list[int]] = {}
+        for j, y in enumerate(ys):
+            positions.setdefault(y.value, []).append(j)
+        infinite = positions.pop(None, [])
+        by_membership = (Verdict.NLS_WITH_TAUT_FOLIATION, Verdict.L_SPACE)
+        bases: dict[int, list[Verdict]] = {}
+        for x, mask in zip(xs, lspace.row_masks(xs, ys)):
+            if x.is_infinity:
+                yield [Verdict.INFINITY_FILLING] * len(ys)
+                continue
+            if mask not in bases:
+                base = [by_membership[mask >> j & 1] for j in range(len(ys))]
+                for j in infinite:
+                    base[j] = Verdict.INFINITY_FILLING
+                bases[mask] = base
+            row = bases[mask].copy()
+            if x.value:
+                betti = positions.get(lk2 / x.value, ())
+            else:
+                betti = [j for js in positions.values() for j in js] if lk2 == 0 else ()
+            for j in betti:
+                row[j] = Verdict.NOT_QHS_TAUT_BY_BETTI
+            yield row
 
 
 def analyse(link: TwoBridgeLink) -> LinkAnalysis:

@@ -11,9 +11,9 @@ is a union of atoms.  Atoms are index positions, never evaluated: an
 interval's atoms are one or two runs of indices found by ``bisect`` on the
 sorted endpoints.  A region on the grid is one ``int`` mask of y-atoms per
 x-atom, so set operations are bitwise, and the normal form reads
-rectangles off runs of equal adjacent columns.  Point membership reads the
-same grid: the region keeps its own grid once asked, and a point costs one
-``bisect`` per coordinate and one bit test.
+rectangles off runs of equal adjacent columns.  Membership reads the
+region's own grid, kept once asked: a point (``contains``) costs one
+``bisect`` per coordinate, and a grid row (``row_masks``) one ``bisect``.
 """
 
 from __future__ import annotations
@@ -119,6 +119,19 @@ class Region2:
         return bool(cols[_atom_of(xends, s1.value)] >> _atom_of(yends, s2.value) & 1)
 
     __contains__ = contains
+
+    def row_masks(self, xs, ys):
+        """Yield, per slope x of the sequence ``xs``, an ``int`` whose bit ``j`` says whether
+        ``(x, ys[j])`` lies in the region (0 for an ``inf`` x)."""
+        xends, yends, cols = self._grid
+        atom_bits = [0] * (2 * len(yends) + 1)
+        for j, y in enumerate(ys):
+            if not y.is_infinity:
+                atom_bits[_atom_of(yends, y.value)] |= 1 << j
+        # one row per distinct column; the atoms' bitsets are disjoint, so their sum is their union
+        rows = {c: sum(bits for k, bits in enumerate(atom_bits) if c >> k & 1) for c in set(cols)}
+        for x in xs:
+            yield 0 if x.is_infinity else rows[cols[_atom_of(xends, x.value)]]
 
     # -- grid machinery ----------------------------------------------------
 

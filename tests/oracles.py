@@ -3,16 +3,18 @@
 These deliberately avoid the library's own algorithms: expansions are found
 by exhaustive search (with provably sound pruning), fibered links by
 enumerating all ±2 sequences directly, region membership by testing
-every rectangle at a probe point of every grid atom, and determinants by
-Laplace expansion.  The link classifier is the one that expands every
-Schubert candidate in full before looking at its entries.
+every rectangle at a probe point of every grid atom, verdicts by the rules
+applied one point at a time, and determinants by Laplace expansion.  The
+link classifier is the one that expands every Schubert candidate in full
+before looking at its entries.
 """
 
 import itertools
 from fractions import Fraction
 from math import gcd
 
-from tbsl import LinkClass, LinkFamily, Slope, TwoBridgeLink, detect_Ln, even_expand
+from tbsl import LinkClass, LinkFamily, Slope, TwoBridgeLink, Verdict, detect_Ln, even_expand
+from tbsl.surgery import qhs_filling
 from tbsl.twobridge import _alternating, _candidates, _family2_interior_shape
 
 
@@ -132,6 +134,17 @@ def member(region, point) -> bool:
     """Brute-force membership of a finite point: one rectangle holds both coordinates."""
     x, y = point
     return any(ix.contains(x) and iy.contains(y) for ix, iy in region.rects)
+
+
+def verdict_by_rules(analysis, x, y) -> Verdict:
+    """The verdict rules at one point, with brute-force L-space membership."""
+    if x.is_infinity or y.is_infinity:
+        return Verdict.INFINITY_FILLING
+    if not qhs_filling(x, y, analysis.linking):
+        return Verdict.NOT_QHS_TAUT_BY_BETTI
+    if member(analysis.lspace, (x, y)):
+        return Verdict.L_SPACE
+    return Verdict.NLS_WITH_TAUT_FOLIATION
 
 
 def laplace_det(m) -> int:

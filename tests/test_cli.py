@@ -3,11 +3,16 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
+import hypothesis.strategies as st
 import jsonschema
 import pytest
+from hypothesis import given, settings
 
+from test_golden import SVG_PATH, _run, corpus
+from tbsl import cli
 from tbsl.cli import main
 from tbsl.regions import Framing, Region2
 from tbsl.schema import REPORT_SCHEMA
@@ -25,6 +30,10 @@ def run_json(capsys, *argv):
     report = json.loads(out)
     jsonschema.validate(report, REPORT_SCHEMA)
     return code, report
+
+
+def has_json_dump_layout(out: str) -> bool:
+    return json.dumps(json.loads(out), indent=2) + "\n" == out
 
 
 class TestClassify:
@@ -181,6 +190,40 @@ class TestSweep:
             assert verdict(link, (s1, s2)).value == entry["verdict"]
 
 
+class TestSweepDefaultWindow:
+    """Without ``--window``, ``sweep`` narrows the link's default window to the
+    widest grid within the point limit, lowered here to keep the grids small."""
+
+    LIMIT = 441  # 21 slopes a side; b(62,59) is Ln(10), default window 12
+
+    @pytest.mark.parametrize("step", ["1", "2", "1/2", "3/2", "2/3"])
+    def test_widest_window_within_the_limit(self, capsys, monkeypatch, step):
+        monkeypatch.setattr(cli, "MAX_SWEEP_POINTS", self.LIMIT)
+        code, report = run_json(capsys, "sweep", "b(62,59)", "--step", step)
+        assert code == 0
+        window = report["input"]["window"]
+
+        def points(w):
+            return (2 * w // Fraction(step) + 1) ** 2
+
+        assert len(report["verdicts"]) == points(window) <= self.LIMIT
+        assert window == 12 or points(window + 1) > self.LIMIT
+
+    def test_clamped_at_step_one_not_at_step_two(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_SWEEP_POINTS", self.LIMIT)
+        windows = [
+            run_json(capsys, "sweep", "b(62,59)", "--step", step)[1]["input"]["window"]
+            for step in ("1", "2")
+        ]
+        assert windows == [10, 12]
+
+    def test_explicit_window_is_not_narrowed(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_SWEEP_POINTS", self.LIMIT)
+        code, report = run_json(capsys, "sweep", "b(62,59)", "--window", "12")
+        assert code == 1
+        assert "sweep of 625 points exceeds the limit of 441" in report["error"]
+
+
 class TestHomology:
     def test_poincare_corner(self, capsys):
         code, report = run_json(capsys, "homology", "b(8,5)", "1", "1")
@@ -242,6 +285,9 @@ class TestVerifyCommands:
         (["region", "b(8,5)", "--svg", os.devnull, "--window", "-2"], "--window"),
         (["verify-ln", "--max", "0"], "--max must be a positive integer, got 0"),
         (["verify-covers", "--max", "-5"], "--max must be a positive integer, got -5"),
+        # b(p,-3) has the candidate p - 3, whose expansion has about p/3 entries ±2
+        (["classify", f"b({10**30},-3)"], "more than 1000000 entries"),
+        (["expand", "2000002/2000001"], "more than 1000000 entries"),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else None,
 )
@@ -297,3 +343,104 @@ def test_closed_pipe_is_quiet(json_flag, window):
     proc.stderr.close()
     assert proc.wait(timeout=60) in (0, 1)
     assert b"Traceback" not in err and b"BrokenPipeError" not in err
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer keeps json.dump's layout, checked without the golden file
+
+
+@pytest.mark.parametrize("argv", corpus(), ids=" ".join)
+def test_json_report_has_the_json_dump_layout(argv, tmp_path):
+    argv = [str(tmp_path / "plot.svg") if a == SVG_PATH else a for a in argv]
+    assert has_json_dump_layout(_run(["--json", *argv])["stdout"])
+
+
+_SWEEP_LINKS = ("b(8,5)", "b(20,-3)", "b(20,3)", "L(-2,-2,-2)", "b(30,-11)", "b(14,-3)", "b(62,-3)")
+
+
+@settings(max_examples=40)
+@given(
+    st.sampled_from(_SWEEP_LINKS),
+    st.integers(1, 5),
+    st.sampled_from(["1", "1/2", "1/3", "2/3", "3/2", "2"]),
+)
+def test_sweep_report_has_the_json_dump_layout(link, window, step):
+    run = _run(["--json", "sweep", link, "--window", str(window), "--step", step])
+    assert run["code"] == 0 and has_json_dump_layout(run["stdout"])
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(["classify", "sweep", "verdict", "expand"]), st.text(min_size=1, max_size=12))
+def test_error_report_has_the_json_dump_layout(command, text):
+    # "--" keeps text such as "-h" positional; most texts are not links
+    argv = ["--json", command, "--", text] + (["1", "1"] if command == "verdict" else [])
+    run = _run(argv)
+    assert run["code"] in (0, 1) and has_json_dump_layout(run["stdout"])
+
+
+def test_non_ascii_input_is_escaped_as_json_dump_does():
+    run = _run(["--json", "classify", "b(8,5)\u00e9\u2603"])
+    assert run["code"] == 1 and has_json_dump_layout(run["stdout"])
+    assert "\\u00e9\\u2603" in run["stdout"] and run["stdout"].isascii()
+
+
+# ---------------------------------------------------------------------------
+# argument fuzz: every command line ends with exit code 0 or 1, no traceback
+
+_SPECS = st.one_of(
+    st.sampled_from([
+        "b(8,5)", "b(20,-3)", "L(-2,-2,-2)", "b(30,-11)", "b(62,-59)", "L(2)", "b(10,3)",
+        "b(7,3)", "b(8;5)", "L()", "b(", "8/5", "b(0,1)", "1/0", "\u00fc", "b(" + "8" * 5000 + ",1)",
+    ]),
+    st.builds("b({},{})".format, st.integers(-(10**30), 10**30), st.integers(-(10**30), 10**30)),
+)
+_SLOPES = st.one_of(
+    st.sampled_from(["inf", "1/0", "0", "-23/2", "1/2", "3", "1e3", "abc", "\u00bd", ""]),
+    st.integers(-(10**40), 10**40).map(str),
+)
+_FRAMINGS = st.sampled_from(["seifert", "canonical", "bogus"])
+_WINDOWS = st.one_of(st.integers(-2, 20).map(str), st.just("abc"))
+_STEPS = st.sampled_from(["1", "1/2", "1/3", "3/2", "0", "-1", "1/0", "x", "1/1000000000"])
+
+
+@st.composite
+def argv_st(draw):
+    command = draw(st.sampled_from(list(cli._HANDLERS) + ["bogus"]))
+    flags, args = [], []
+    if command in ("classify", "region", "sweep", "bogus"):
+        args = [draw(_SPECS)]
+    elif command == "expand":
+        args = [draw(st.one_of(_SPECS, _SLOPES))]
+    elif command == "equal":
+        args = [draw(_SPECS), draw(_SPECS)]
+    elif command in ("verdict", "homology", "framing"):
+        # a slope such as -23/2 reads as a flag unless "--" comes first
+        dashes = ["--"] if draw(st.booleans()) else []
+        args = [draw(_SPECS), *dashes, draw(_SLOPES), draw(_SLOPES)]
+        if draw(st.booleans()):
+            flags += ["--framing", draw(_FRAMINGS)]
+        if command == "framing" and draw(st.booleans()):
+            flags += ["--to", draw(_FRAMINGS)]
+    else:
+        flags = ["--max", draw(st.sampled_from(["-1", "0", "1", "3", "x"]))]
+    if command in ("region", "sweep"):
+        flags += ["--window", draw(_WINDOWS)]
+    if command == "region":
+        if draw(st.booleans()):
+            flags += ["--framing", draw(_FRAMINGS)]
+        if draw(st.booleans()):
+            flags += ["--svg", os.devnull]
+    if command == "sweep" and draw(st.booleans()):
+        flags += ["--step", draw(_STEPS)]
+    json_flag = ["--json"] if draw(st.booleans()) else []
+    return [*json_flag, command, *flags, *args]
+
+
+@settings(max_examples=250)
+@given(argv_st())
+def test_any_command_line_ends_in_exit_code_0_or_1(argv):
+    run = _run(argv)
+    assert run["code"] in (0, 1)
+    assert "Traceback" not in run["stderr"]
+    if argv[0] == "--json" and argv[1] in cli._HANDLERS:
+        jsonschema.validate(json.loads(run["stdout"]), REPORT_SCHEMA)

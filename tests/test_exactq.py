@@ -16,6 +16,7 @@ from tbsl import (
     interval_between,
     parse_interval,
 )
+from tbsl.exactq import MAX_EVEN_ENTRIES
 
 
 class TestSlope:
@@ -94,6 +95,13 @@ class TestEvenExpand:
         with pytest.raises(ValueError):
             even_expand(Fraction(2, 5))
         assert even_expansion_search(Fraction(2, 5), 9) == []
+
+    def test_length_is_bounded(self):
+        # p/(p-1) expands as p - 1 entries ±2: every denominator up to the bound fits
+        p = MAX_EVEN_ENTRIES
+        assert len(even_expand(Fraction(p, p - 1)).coeffs) == p - 1
+        with pytest.raises(ValueError, match="more than 1000000 entries"):
+            even_expand(Fraction(2 * p + 2, 2 * p + 1))
 
 
 @st.composite

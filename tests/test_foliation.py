@@ -1,6 +1,8 @@
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import assume, given, settings
 
 from tbsl import (
     INFINITY,
@@ -10,6 +12,7 @@ from tbsl import (
     SignCensus,
     Slope,
     Verdict,
+    cf_eval,
     foliation_region,
     lemma_regions,
     ln_link,
@@ -17,6 +20,7 @@ from tbsl import (
     lspace_region,
     verdict,
 )
+from oracles import verdict_by_rules
 from tbsl.errors import OutOfScope
 from tbsl.foliation import (
     _FAMILY2_BOXES,
@@ -279,3 +283,50 @@ class TestMainTheoremPartition:
             ls, fol = lspace_region(link), foliation_region(link)
             assert ls.union(fol).equals(CANONICAL_PLANE)
             assert ls.intersect(fol).is_empty()
+
+
+_GRID_VALUES = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 6))
+
+
+@st.composite
+def fibered_analysis_st(draw):
+    """``Ln`` links, their mirrors, and hyperbolic fibered ±2 links with lk ≠ 0."""
+    kind = draw(st.sampled_from(["ln", "mirror", "pm2"]))
+    if kind == "pm2":
+        length = draw(st.sampled_from([3, 5, 7, 9]))
+        seq = draw(st.lists(st.sampled_from([2, -2]), min_size=length, max_size=length))
+        a = analyse(TwoBridgeLink.from_fraction(cf_eval(seq).value))
+        assume(a.cls.is_hyperbolic_fibered and a.linking != 0)
+        return a
+    link = ln_link(draw(st.integers(1, 12)))
+    return analyse(link.mirror() if kind == "mirror" else link)
+
+
+@st.composite
+def grid_axes_st(draw, a):
+    """Two shuffled axes holding 0, ``inf``, the quadrant corner, pairs with
+    x·y = lk², and repeated values."""
+    lk2 = a.linking**2
+    corner = (-1 if a.cls.mirrored else 1) * (a.cls.n or 0)
+    values = draw(st.lists(_GRID_VALUES, max_size=8))
+    pool = [0, a.linking, -a.linking, corner, corner - 1, corner + 1, *values]
+    pool += [Fraction(lk2) / v for v in pool if v]
+    pool = [Slope(v) for v in pool] + [INFINITY]
+    axes = []
+    for _ in range(2):
+        repeats = draw(st.lists(st.sampled_from(pool), max_size=4))
+        axes.append(draw(st.permutations(pool + repeats)))
+    return axes
+
+
+@settings(max_examples=120)
+@given(st.data())
+def test_verdict_rows_match_the_rules_point_by_point(data):
+    a = data.draw(fibered_analysis_st())
+    xs, ys = data.draw(grid_axes_st(a))
+    rows = list(a.verdict_rows(xs, ys))
+    assert len(rows) == len(xs)
+    for x, row in zip(xs, rows):
+        assert row == [verdict_by_rules(a, x, y) for y in ys], x
+    x, y = data.draw(st.sampled_from(xs)), data.draw(st.sampled_from(ys))
+    assert a.verdict(x, y) is verdict_by_rules(a, x, y)

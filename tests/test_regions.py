@@ -201,6 +201,24 @@ def test_contains_matches_membership_oracle(a, b, extra):
             assert not region.contains((INFINITY, x))
 
 
+@settings(max_examples=100)
+@given(region_st(), st.data())
+def test_row_masks_match_membership_oracle(a, data):
+    # each axis: every probe coordinate, inf and a repeated value, in any order
+    probes = grid_probes(a)
+    xs, ys = (
+        data.draw(st.permutations([*dict.fromkeys(p[k] for p in probes), INFINITY, probes[-1][k]]))
+        for k in (0, 1)
+    )
+    rows = list(a.row_masks(xs, ys))
+    assert len(rows) == len(xs)
+    for x, mask in zip(xs, rows):
+        assert mask >> len(ys) == 0
+        for j, y in enumerate(ys):
+            finite = not (x.is_infinity or y.is_infinity)
+            assert bool(mask >> j & 1) == (finite and member(a, (x, y))), (x, y)
+
+
 @settings(max_examples=60)
 @given(region_st(), region_st())
 def test_de_morgan(a, b):
