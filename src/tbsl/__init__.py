@@ -29,7 +29,6 @@ from .lspace import lspace_region, rect_propagate, rr_propagate, verify_ln_chain
 from .monodromy import MonodromyWord, SignCensus, sign_census, twist_word
 from .regions import (
     BUILTIN_WEIGHT_FAMILIES,
-    AffineForm,
     Framing,
     Region2,
     SlopeFamily,

@@ -9,6 +9,7 @@ would (see :mod:`tbsl.schema`).  ``TBSL_LOG`` names a logging level.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import math
@@ -46,12 +47,7 @@ def _classification_dict(a: foliation.LinkAnalysis) -> dict:
         d["fibered_expansion"] = list(cls.fibered_expansion.coeffs)
         d["linking_number"] = a.linking
         d["monodromy"] = str(a.word)
-        d["sign_census"] = {
-            "pos_rivers": a.census.pos_rivers,
-            "neg_rivers": a.census.neg_rivers,
-            "pos_bridges": a.census.pos_bridges,
-            "neg_bridges": a.census.neg_bridges,
-        }
+        d["sign_census"] = dataclasses.asdict(a.census)
     return d
 
 
@@ -147,8 +143,11 @@ def _cmd_region(args) -> dict:
     if args.svg:
         ls, fol = a.regions(framing)
         svg = region_svg(ls, fol, _window(args, a), title=f"{a.link} [{framing.value}]")
-        with open(args.svg, "w") as fh:
-            fh.write(svg)
+        try:
+            with open(args.svg, "w") as fh:
+                fh.write(svg)
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.svg!r}: {exc.strerror}") from exc
         body["svg_path"] = args.svg
     return body
 

@@ -248,17 +248,8 @@ class EvenExpansion:
     def negated(self) -> "EvenExpansion":
         return EvenExpansion(tuple(-a for a in self.coeffs))
 
-    def reversed_(self) -> "EvenExpansion":
-        return EvenExpansion(tuple(reversed(self.coeffs)))
-
     def __len__(self) -> int:
         return len(self.coeffs)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.coeffs)
-
-    def __getitem__(self, i):
-        return self.coeffs[i]
 
     def __str__(self) -> str:
         return ",".join(str(a) for a in self.coeffs)

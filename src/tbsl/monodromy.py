@@ -36,9 +36,6 @@ class MonodromyWord:
     def __str__(self) -> str:
         return " ".join(f"t{i}" if e == 1 else f"t{i}^-1" for i, e in self.letters)
 
-    def __len__(self) -> int:
-        return len(self.letters)
-
 
 @dataclass(frozen=True)
 class SignCensus:
@@ -46,17 +43,6 @@ class SignCensus:
     neg_rivers: int
     pos_bridges: int
     neg_bridges: int
-
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.pos_rivers, self.neg_rivers, self.pos_bridges, self.neg_bridges)
-
-    @property
-    def rivers(self) -> int:
-        return self.pos_rivers + self.neg_rivers
-
-    @property
-    def bridges(self) -> int:
-        return self.pos_bridges + self.neg_bridges
 
 
 def twist_word(e: EvenExpansion) -> MonodromyWord:

@@ -11,9 +11,12 @@ is a union of atoms.  Atoms are index positions, never evaluated: an
 interval's atoms are one or two runs of indices found by ``bisect`` on the
 sorted endpoints.  A region on the grid is one ``int`` mask of y-atoms per
 x-atom, so set operations are bitwise, and the normal form reads
-rectangles off runs of equal adjacent columns.  Membership reads the
-region's own grid, kept once asked: a point (``contains``) costs one
-``bisect`` per coordinate, and a grid row (``row_masks``) one ``bisect``.
+rectangles off runs of equal adjacent columns.  Membership builds the
+region's own grid on each call: ``row_masks`` then costs one ``bisect`` per
+grid slope, and a point (``contains``) is its 1×1 case.
+
+Weight families are linear forms over open boxes; :func:`family_image`
+gives the open arc of slopes each one realises.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
 
 from .errors import FramingMismatch
 from .exactq import INFINITY, CircleInterval, Slope, as_rat, parse_interval
@@ -112,18 +114,16 @@ class Region2:
         return cls(framing, ((ix, iy),))
 
     def contains(self, point) -> bool:
-        s1, s2 = (Slope.of(point[0]), Slope.of(point[1]))
-        if s1.is_infinity or s2.is_infinity:
-            return False
-        xends, yends, cols = self._grid
-        return bool(cols[_atom_of(xends, s1.value)] >> _atom_of(yends, s2.value) & 1)
+        """Membership of one multislope: the 1×1 grid of :meth:`row_masks`."""
+        return bool(next(self.row_masks((Slope.of(point[0]),), (Slope.of(point[1]),))))
 
     __contains__ = contains
 
     def row_masks(self, xs, ys):
         """Yield, per slope x of the sequence ``xs``, an ``int`` whose bit ``j`` says whether
         ``(x, ys[j])`` lies in the region (0 for an ``inf`` x)."""
-        xends, yends, cols = self._grid
+        xends, yends = _joint_ends(self)
+        cols = self._columns(xends, yends)
         atom_bits = [0] * (2 * len(yends) + 1)
         for j, y in enumerate(ys):
             if not y.is_infinity:
@@ -134,12 +134,6 @@ class Region2:
             yield 0 if x.is_infinity else rows[cols[_atom_of(xends, x.value)]]
 
     # -- grid machinery ----------------------------------------------------
-
-    @cached_property
-    def _grid(self) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...], list[int]]:
-        """The region's own grid and its columns, built on the first membership test."""
-        xends, yends = _joint_ends(self)
-        return xends, yends, self._columns(xends, yends)
 
     def _columns(self, xends: tuple[Fraction, ...], yends: tuple[Fraction, ...]) -> list[int]:
         """One mask of the y-atoms in the region per x-atom."""
@@ -267,140 +261,51 @@ def _reassemble_region(
 
 
 # ---------------------------------------------------------------------------
-# weight families: affine / linear-fractional slope functions over open boxes
-
-
-@dataclass(frozen=True)
-class AffineForm:
-    """constant + sum(coeffs[i] * x_i), with exact rational coefficients."""
-
-    constant: Fraction
-    coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "constant", as_rat(self.constant))
-        object.__setattr__(self, "coeffs", tuple(as_rat(c) for c in self.coeffs))
-
-    def __call__(self, point) -> Fraction:
-        return self.constant + sum(c * x for c, x in zip(self.coeffs, point))
-
-    @property
-    def is_constant(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def vector(self) -> tuple[Fraction, ...]:
-        return (self.constant, *self.coeffs)
+# weight families: linear slope functions over open boxes
 
 
 @dataclass(frozen=True)
 class SlopeFamily:
-    """A family of realised slopes numerator/denominator over an open box.
+    """The realised slopes ``constant + sum(coeffs[i] * x_i)`` over an open box.
 
     Each domain interval is an open arc read as a real interval, where an
     ``inf`` endpoint on the left means -infinity and on the right means
     +infinity; ``(inf, inf)`` is the whole real line.
     """
 
-    numerator: AffineForm
-    denominator: AffineForm
+    constant: Fraction
+    coeffs: tuple[Fraction, ...]
     domain: tuple[CircleInterval, ...]
 
     def __post_init__(self):
-        k = len(self.domain)
-        if len(self.numerator.coeffs) != k or len(self.denominator.coeffs) != k:
-            raise ValueError("numerator/denominator arity must match the domain")
+        object.__setattr__(self, "constant", as_rat(self.constant))
+        object.__setattr__(self, "coeffs", tuple(as_rat(c) for c in self.coeffs))
+        if len(self.coeffs) != len(self.domain):
+            raise ValueError("one coefficient per domain interval")
         for iv in self.domain:
             if iv.full_circle or iv.lo_closed or iv.hi_closed:
                 raise ValueError("domain intervals must be open arcs")
-
-    @property
-    def arity(self) -> int:
-        return len(self.domain)
-
-    @classmethod
-    def linear(cls, constant, coeffs, domain) -> "SlopeFamily":
-        coeffs = tuple(coeffs)
-        return cls(
-            AffineForm(as_rat(constant), coeffs),
-            AffineForm(Fraction(1), tuple(Fraction(0) for _ in coeffs)),
-            tuple(domain),
-        )
-
-
-_NEG_INF = object()
-_POS_INF = object()
-
-
-def _real_bounds(iv: CircleInterval):
-    lo = _NEG_INF if iv.lo.is_infinity else iv.lo.value
-    hi = _POS_INF if iv.hi.is_infinity else iv.hi.value
-    if lo is not _NEG_INF and hi is not _POS_INF and lo >= hi:
-        raise ValueError(f"domain interval {iv} wraps through inf")
-    return lo, hi
-
-
-def _ext_add(a, b):
-    if a is _NEG_INF or b is _NEG_INF:
-        return _NEG_INF
-    if a is _POS_INF or b is _POS_INF:
-        return _POS_INF
-    return a + b
-
-
-def _ext_scale(c: Fraction, a):
-    if a is _NEG_INF:
-        return _NEG_INF if c > 0 else _POS_INF
-    if a is _POS_INF:
-        return _POS_INF if c > 0 else _NEG_INF
-    return c * a
-
-
-def _open_interval(lo, hi) -> CircleInterval:
-    lo_s = INFINITY if lo is _NEG_INF else Slope(lo)
-    hi_s = INFINITY if hi is _POS_INF else Slope(hi)
-    return CircleInterval(lo_s, hi_s, False, False)
+            if None not in (iv.lo.value, iv.hi.value) and iv.lo.value >= iv.hi.value:
+                raise ValueError(f"domain interval {iv} wraps through inf")
 
 
 def family_image(f: SlopeFamily) -> CircleInterval:
-    """Exact image of the realised-slope function over the open box.
+    """Exact image of the family over its open box.
 
-    The function is a ratio of affine forms, hence monotone along every
-    coordinate line; extrema over the closed box sit at corners, and over
-    the open box they are approached but not attained, so the image is an
-    open arc (or a single point for constant families).
+    A linear form is monotone in each coordinate, so its infimum takes each
+    coordinate to the box end on the side of the coefficient's sign, and its
+    supremum to the other end; over the open box neither is attained, so the
+    image is an open arc, or the point ``[c,c]`` when every coefficient is 0.
     """
-    bounds = [_real_bounds(iv) for iv in f.domain]
-    nvec, dvec = f.numerator.vector(), f.denominator.vector()
-    if all(c == 0 for c in dvec):
-        raise ValueError("denominator is identically zero")
-    proportional = all(
-        nvec[i] * dvec[j] == nvec[j] * dvec[i]
-        for i in range(len(nvec))
-        for j in range(i + 1, len(nvec))
-    )
-    if proportional:
-        i = next(i for i, c in enumerate(dvec) if c != 0)
-        return CircleInterval.point(Slope(nvec[i] / dvec[i]))
-    if f.denominator.is_constant:
-        c = f.denominator.constant
-        lo = hi = f.numerator.constant / c
-        for coeff, (blo, bhi) in zip(f.numerator.coeffs, bounds):
-            k = coeff / c
-            if k == 0:
-                continue
-            lo = _ext_add(lo, _ext_scale(k, blo if k > 0 else bhi))
-            hi = _ext_add(hi, _ext_scale(k, bhi if k > 0 else blo))
-        return _open_interval(lo, hi)
-    if any(blo is _NEG_INF or bhi is _POS_INF for blo, bhi in bounds):
-        raise ValueError("fractional families need a bounded domain box")
-    corners = list(itertools.product(*bounds))
-    dvals = [f.denominator(c) for c in corners]
-    if any(v == 0 for v in dvals):
-        raise ValueError("denominator vanishes on the domain closure")
-    if min(dvals) < 0 < max(dvals):
-        raise ValueError("denominator vanishes inside the domain")
-    values = [f.numerator(c) / f.denominator(c) for c in corners]
-    return _open_interval(min(values), max(values))
+    if not any(f.coeffs):
+        return CircleInterval.point(f.constant)
+    lo = hi = f.constant  # None is -infinity in lo and +infinity in hi
+    for c, iv in zip(f.coeffs, f.domain):
+        if c:
+            down, up = (iv.lo.value, iv.hi.value) if c > 0 else (iv.hi.value, iv.lo.value)
+            lo = None if lo is None or down is None else lo + c * down
+            hi = None if hi is None or up is None else hi + c * up
+    return CircleInterval(Slope(lo), Slope(hi), False, False)
 
 
 def _box(*specs) -> tuple[CircleInterval, ...]:
@@ -413,12 +318,12 @@ def _box(*specs) -> tuple[CircleInterval, ...]:
 #: mirror; the rest are the simplest linear systems realising the interval
 #: each branched-surface family needs.
 BUILTIN_WEIGHT_FAMILIES: dict[str, SlopeFamily] = {
-    "(inf,1)": SlopeFamily.linear(0, (-1, 1), _box(("0", "inf"), ("0", "1"))),
-    "(-1,inf)": SlopeFamily.linear(0, (1, -1), _box(("0", "inf"), ("0", "1"))),
-    "(0,inf)": SlopeFamily.linear(0, (1,), _box(("0", "inf"))),
-    "(inf,0)": SlopeFamily.linear(0, (-1,), _box(("0", "inf"))),
-    "(-1,1)": SlopeFamily.linear(0, (-1, 1), _box(("0", "1"), ("0", "1"))),
-    "(0,2)": SlopeFamily.linear(0, (1, 1), _box(("0", "1"), ("0", "1"))),
-    "(inf,2)": SlopeFamily.linear(0, (-1, 1), _box(("0", "inf"), ("0", "2"))),
-    "(-1,0)": SlopeFamily.linear(0, (-1,), _box(("0", "1"))),
+    "(inf,1)": SlopeFamily(0, (-1, 1), _box(("0", "inf"), ("0", "1"))),
+    "(-1,inf)": SlopeFamily(0, (1, -1), _box(("0", "inf"), ("0", "1"))),
+    "(0,inf)": SlopeFamily(0, (1,), _box(("0", "inf"))),
+    "(inf,0)": SlopeFamily(0, (-1,), _box(("0", "inf"))),
+    "(-1,1)": SlopeFamily(0, (-1, 1), _box(("0", "1"), ("0", "1"))),
+    "(0,2)": SlopeFamily(0, (1, 1), _box(("0", "1"), ("0", "1"))),
+    "(inf,2)": SlopeFamily(0, (-1, 1), _box(("0", "inf"), ("0", "2"))),
+    "(-1,0)": SlopeFamily(0, (-1,), _box(("0", "1"))),
 }

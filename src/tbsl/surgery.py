@@ -68,21 +68,6 @@ class SurgeryDiagram:
     def fully_filled(self) -> bool:
         return all(s is not None for s in self.slopes)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "linking": [list(row) for row in self.linking],
-            "framing": self.framing.value,
-            "slopes": [None if s is None else str(s) for s in self.slopes],
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "SurgeryDiagram":
-        return cls(
-            tuple(tuple(row) for row in d["linking"]),
-            tuple(None if s is None else Slope.parse(s) for s in d["slopes"]),
-            Framing(d["framing"]),
-        )
-
 
 def framing_convert(d: SurgeryDiagram, target: Framing) -> SurgeryDiagram:
     """Re-express every filled slope in the target framing; inf is fixed."""

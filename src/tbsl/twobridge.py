@@ -25,7 +25,7 @@ from math import gcd
 from typing import Iterator
 
 from .errors import KnotNotLink
-from .exactq import EvenExpansion, Slope, as_rat, cf_eval, even_entries, even_expand
+from .exactq import EvenExpansion, as_rat, cf_eval, even_entries, even_expand
 
 
 @dataclass(frozen=True)
@@ -63,10 +63,6 @@ class TwoBridgeLink:
         Negative fractions are re-written with positive numerator: the value
         num/den equals |num| / (sign(num)·den), so no mirroring is involved.
         """
-        if isinstance(x, Slope):
-            if x.is_infinity:
-                raise ValueError("inf is not a two-bridge fraction")
-            x = x.value
         x = as_rat(x)
         num, den = x.numerator, x.denominator
         if num == 0:

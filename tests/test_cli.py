@@ -19,6 +19,11 @@ from tbsl.schema import REPORT_SCHEMA
 from tbsl.svgplot import region_svg
 
 
+#: Unwritable ``--svg`` paths: one in a directory that does not exist, one a directory.
+MISSING_DIR_SVG = os.path.join("no-such-dir", "x.svg")
+DIRECTORY_SVG = os.curdir
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -283,6 +288,8 @@ class TestVerifyCommands:
         (["sweep", "b(8,5)", "--window", "100", "--step", "1/1000000000"], "exceeds the limit"),
         (["sweep", "b(8,5)", "--window", "250"], "251001 points"),
         (["region", "b(8,5)", "--svg", os.devnull, "--window", "-2"], "--window"),
+        (["region", "b(8,5)", "--svg", MISSING_DIR_SVG], "cannot write"),
+        (["region", "b(8,5)", "--svg", DIRECTORY_SVG], "cannot write"),
         (["verify-ln", "--max", "0"], "--max must be a positive integer, got 0"),
         (["verify-covers", "--max", "-5"], "--max must be a positive integer, got -5"),
         # b(p,-3) has the candidate p - 3, whose expansion has about p/3 entries ±2
@@ -429,7 +436,7 @@ def argv_st(draw):
         if draw(st.booleans()):
             flags += ["--framing", draw(_FRAMINGS)]
         if draw(st.booleans()):
-            flags += ["--svg", os.devnull]
+            flags += ["--svg", draw(st.sampled_from([os.devnull, MISSING_DIR_SVG, DIRECTORY_SVG]))]
     if command == "sweep" and draw(st.booleans()):
         flags += ["--step", draw(_STEPS)]
     json_flag = ["--json"] if draw(st.booleans()) else []

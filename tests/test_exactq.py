@@ -145,7 +145,6 @@ class TestEvenExpansionType:
         assert e.halves() == (1, -1, -1)
         assert e.all_plus_minus_two
         assert e.negated().coeffs == (-2, 2, 2)
-        assert e.reversed_().coeffs == (-2, -2, 2)
 
 
 class TestCircleInterval:

@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
@@ -6,7 +8,7 @@ from tbsl import EvenExpansion, MonodromyWord, SignCensus, sign_census, twist_wo
 
 
 def census_of(coeffs):
-    return sign_census(twist_word(EvenExpansion(coeffs))).as_tuple()
+    return astuple(sign_census(twist_word(EvenExpansion(coeffs))))
 
 
 class TestTwistWord:
@@ -57,9 +59,9 @@ def pm2_expansion(draw):
 def test_census_counts_every_curve(e):
     c = sign_census(twist_word(e))
     n = len(e)
-    assert c.rivers == (n - 1) // 2
-    assert c.bridges == (n + 1) // 2
-    assert sum(c.as_tuple()) == n
+    assert c.pos_rivers + c.neg_rivers == (n - 1) // 2
+    assert c.pos_bridges + c.neg_bridges == (n + 1) // 2
+    assert sum(astuple(c)) == n
 
 
 @given(pm2_expansion())

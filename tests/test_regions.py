@@ -7,7 +7,6 @@ from hypothesis import given, settings
 
 from tbsl import (
     INFINITY,
-    AffineForm,
     CircleInterval,
     Framing,
     Region2,
@@ -270,29 +269,24 @@ class TestFamilyImage:
             assert str(family_image(fam)) == target
 
     def test_constant_family(self):
-        fam = SlopeFamily.linear(Fraction(5, 3), (0, 0), BUILTIN_WEIGHT_FAMILIES["(inf,1)"].domain)
+        fam = SlopeFamily(Fraction(5, 3), (0, 0), BUILTIN_WEIGHT_FAMILIES["(inf,1)"].domain)
         assert family_image(fam) == CircleInterval.point(Fraction(5, 3))
 
-    def test_fractional_family(self):
-        dom = (CircleInterval.open(1, 2), CircleInterval.open(1, 2))
-        fam = SlopeFamily(AffineForm(0, (1, 0)), AffineForm(0, (0, 1)), dom)
-        assert family_image(fam) == CircleInterval.open(Fraction(1, 2), 2)
-
-    def test_fractional_pole_rejected(self):
-        dom = (CircleInterval.open(-1, 1),)
-        fam = SlopeFamily(AffineForm(1, (0,)), AffineForm(0, (1,)), dom)
-        with pytest.raises(ValueError):
-            family_image(fam)
-
-    def test_unbounded_fractional_rejected(self):
-        dom = (CircleInterval.open(1, INFINITY),)
-        fam = SlopeFamily(AffineForm(1, (1,)), AffineForm(1, (2,)), dom)
-        with pytest.raises(ValueError):
-            family_image(fam)
-
     def test_whole_line_domain(self):
-        fam = SlopeFamily.linear(0, (1,), (CircleInterval.punctured(INFINITY),))
+        fam = SlopeFamily(0, (1,), (CircleInterval.punctured(INFINITY),))
         assert family_image(fam) == CircleInterval.punctured(INFINITY)
+
+    @pytest.mark.parametrize(
+        "domain", ["[0,1]", "[0,1)", "(0,1]", "[inf,1)", "full", "(2,-2)", "(2,inf]", "(3,3)"]
+    )
+    def test_domain_must_be_open_arcs_not_through_inf(self, domain):
+        with pytest.raises(ValueError):
+            SlopeFamily(0, (1,), (parse_interval(domain),))
+
+    @pytest.mark.parametrize("coeffs", [(), (1,), (1, 2, 3)])
+    def test_one_coefficient_per_domain_interval(self, coeffs):
+        with pytest.raises(ValueError, match="one coefficient per domain interval"):
+            SlopeFamily(0, coeffs, (CircleInterval.open(0, 1), CircleInterval.open(0, 1)))
 
 
 @st.composite
@@ -305,16 +299,16 @@ def linear_family_st(draw):
         lo = draw(st.integers(-3, 2))
         hi = draw(st.integers(lo + 1, 4))
         dom.append(CircleInterval.open(lo, hi))
-    return SlopeFamily.linear(const, coeffs, tuple(dom))
+    return SlopeFamily(const, coeffs, tuple(dom))
 
 
 @given(linear_family_st())
 def test_linear_image_matches_corner_enumeration(fam):
     img = family_image(fam)
     corners = itertools.product(*((iv.lo.value, iv.hi.value) for iv in fam.domain))
-    values = [fam.numerator(c) for c in corners]
-    if fam.numerator.is_constant:
-        assert img == CircleInterval.point(fam.numerator.constant)
+    values = [fam.constant + sum(k * x for k, x in zip(fam.coeffs, c)) for c in corners]
+    if not any(fam.coeffs):
+        assert img == CircleInterval.point(fam.constant)
     else:
         assert img == CircleInterval.open(min(values), max(values))
 
@@ -327,8 +321,8 @@ def test_image_invariant_under_box_reparametrisation(fam, scale, offset, flip):
     lo, hi = fam.domain[0].lo.value, fam.domain[0].hi.value
     u_lo, u_hi = sorted(((lo - b) / a, (hi - b) / a))
     new_dom = (CircleInterval.open(u_lo, u_hi),) + fam.domain[1:]
-    c0 = fam.numerator.coeffs[0]
-    new_coeffs = (c0 * a,) + fam.numerator.coeffs[1:]
-    new_const = fam.numerator.constant + c0 * b
-    reparam = SlopeFamily.linear(new_const, new_coeffs, new_dom)
+    c0 = fam.coeffs[0]
+    new_coeffs = (c0 * a,) + fam.coeffs[1:]
+    new_const = fam.constant + c0 * b
+    reparam = SlopeFamily(new_const, new_coeffs, new_dom)
     assert family_image(reparam) == family_image(fam)

@@ -42,10 +42,6 @@ class TestDiagram:
         with pytest.raises(ValueError):
             diagram(((0, 1), (1, 0)), (1, 1, 1))  # slope count mismatch
 
-    def test_json_roundtrip(self):
-        d = diagram(LN_SEED_LK, (1, "inf", None))
-        assert SurgeryDiagram.from_json_dict(d.to_json_dict()) == d
-
 
 class TestFramingConvert:
     def test_family1_diagram_shift(self):
