@@ -1,9 +1,10 @@
 """Command-line front end.
 
 All mathematics is delegated to the library modules; this module parses
-arguments, assembles reports (a verdict entry is an ``(x, y, Verdict)``
-tuple) and renders them as text or exactly as ``json.dump(report, indent=2)``
-would (see :mod:`tbsl.schema`).  ``TBSL_LOG`` names a logging level.
+arguments, assembles reports (a ``verdicts`` grid is ``(xs, ys, rows)``: slope texts
+and one row of ``Verdict`` per x) and renders them as text or exactly as
+``json.dump(report, indent=2)`` would (see :mod:`tbsl.schema`).  ``TBSL_LOG`` names
+a logging level.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from . import foliation, lspace, surgery, twobridge
-from .errors import KnotNotLink, OutOfScope, UnsupportedSlope
 from .exactq import Slope, cf_eval, even_expand
-from .regions import Framing, Region2
+from .monodromy import sign_census, twist_word
+from .regions import Framing
 from .svgplot import region_svg
 
 log = logging.getLogger("tbsl")
@@ -44,10 +45,11 @@ def _classification_dict(a: foliation.LinkAnalysis) -> dict:
         "sign_census": None,
     }
     if cls.fibered_expansion is not None:
+        word = twist_word(cls.fibered_expansion)
         d["fibered_expansion"] = list(cls.fibered_expansion.coeffs)
         d["linking_number"] = a.linking
-        d["monodromy"] = str(a.word)
-        d["sign_census"] = dataclasses.asdict(a.census)
+        d["monodromy"] = str(word)
+        d["sign_census"] = dataclasses.asdict(sign_census(word))
     return d
 
 
@@ -131,18 +133,17 @@ def _cmd_equal(args) -> dict:
 def _cmd_region(args) -> dict:
     a = foliation.analyse(twobridge.parse_link(args.link))
     framing = Framing(args.framing)
-    regions = {}
-    for f in (Framing.CANONICAL, Framing.SEIFERT):
-        ls, fol = a.regions(f)
-        regions[f.value] = {"lspace": ls.to_json_dict(), "foliation": fol.to_json_dict()}
+    pairs = {f: a.regions(f) for f in (Framing.CANONICAL, Framing.SEIFERT)}
     body = {
         "input": {"link": args.link, "framing": framing.value},
         "classification": _classification_dict(a),
-        "regions": regions,
+        "regions": {
+            f.value: {"lspace": ls.to_json_dict(), "foliation": fol.to_json_dict()}
+            for f, (ls, fol) in pairs.items()
+        },
     }
     if args.svg:
-        ls, fol = a.regions(framing)
-        svg = region_svg(ls, fol, _window(args, a), title=f"{a.link} [{framing.value}]")
+        svg = region_svg(*pairs[framing], _window(args, a), title=f"{a.link} [{framing.value}]")
         try:
             with open(args.svg, "w") as fh:
                 fh.write(svg)
@@ -160,7 +161,7 @@ def _cmd_verdict(args) -> dict:
     return {
         "input": {"link": args.link, "slope": [args.r1, args.r2], "framing": framing.value},
         "classification": _classification_dict(a),
-        "verdicts": [(str(s1), str(s2), a.verdict(s1, s2))],
+        "verdicts": ([str(s1)], [str(s2)], list(a.verdict_rows((s1,), (s2,)))),
     }
 
 
@@ -181,12 +182,10 @@ def _cmd_sweep(args) -> dict:
         )
     axis = [Slope(-window + k * step) for k in range(n)]
     texts = [str(s) for s in axis]
-    rows = a.verdict_rows(axis, axis)
-    verdicts = [(sx, sy, v) for sx, row in zip(texts, rows) for sy, v in zip(texts, row)]
     return {
         "input": {"link": args.link, "window": window, "step": str(step)},
         "classification": _classification_dict(a),
-        "verdicts": verdicts,
+        "verdicts": (texts, texts, list(a.verdict_rows(axis, axis))),
     }
 
 
@@ -197,7 +196,7 @@ def _cmd_homology(args) -> dict:
     d = surgery.framing_convert(a.diagram(s1, s2, framing), Framing.CANONICAL)
     report = surgery.presentation_matrix(d)
     body = report.to_json_dict()
-    body["qhs"] = surgery.is_qhs(d)
+    body["qhs"] = report.order is not None
     return {
         "input": {"link": args.link, "slope": [args.r1, args.r2], "framing": framing.value},
         "homology": body,
@@ -234,14 +233,9 @@ def _cmd_verify_covers(args) -> dict:
         ok = witness.region.equals(witness.target)
         checks.append({"name": f"cover {witness.name}", "ok": ok})
     for n in range(2, _positive(args.max, "--max") + 1):
+        # foliation is the quadrant's complement: equal means no gap and no overlap
         strips = foliation.ln_taut_witness_strips(n)
-        a = foliation.analyse(twobridge.ln_link(n))
-        quadrant, fol = a.lspace, a.foliation
-        ok = (
-            strips.union(quadrant).equals(Region2.finite_plane(Framing.CANONICAL))
-            and strips.intersect(quadrant).is_empty()
-            and fol.covers(strips)
-        )
+        ok = strips.equals(foliation.analyse(twobridge.ln_link(n)).foliation)
         checks.append({"name": f"ln-strips n={n}", "ok": ok})
     return {"input": {"max": args.max}, "checks": checks}
 
@@ -257,17 +251,14 @@ _VERDICT_GLYPH = {
 }
 
 
-def _print_sweep_table(verdicts: list[tuple]) -> None:
-    cells = {(Fraction(x), Fraction(y)): _VERDICT_GLYPH[v] for x, y, v in verdicts}
-    xs = sorted({x for x, _ in cells})
-    ys = sorted({y for _, y in cells}, reverse=True)
-    width = max(len(str(x)) for x in xs)
-    label = max(len(str(y)) for y in ys)
-    for y in ys:
-        row = " ".join(cells[(x, y)].rjust(width) for x in xs)
-        print(f"{str(y):>{label}} | {row}")
+def _print_sweep_table(xs: list[str], ys: list[str], rows: list[list]) -> None:
+    """The grid with y rising up the page; both axes come ascending."""
+    width = max(map(len, xs))
+    label = max(map(len, ys))
+    for y, line in reversed(list(zip(ys, zip(*rows)))):
+        print(f"{y:>{label}} | {' '.join(_VERDICT_GLYPH[v].rjust(width) for v in line)}")
     print(f"{'':>{label}} +-{'-' * (len(xs) * (width + 1) - 1)}")
-    print(f"{'':>{label}}   {' '.join(str(x).rjust(width) for x in xs)}")
+    print(f"{'':>{label}}   {' '.join(x.rjust(width) for x in xs)}")
     print("L = L-space, f = taut foliation (not L-space), b = b1 > 0 (taut by homology)")
 
 
@@ -300,12 +291,14 @@ def _print_text(body: dict) -> None:
                 print(f"    {ix} x {iy}")
     if "svg_path" in body:
         print(f"svg written to {body['svg_path']}")
-    verdicts = body.get("verdicts", [])
-    if body.get("command") == "sweep" and verdicts:
-        _print_sweep_table(verdicts)
-    else:
-        for x, y, v in verdicts:
-            print(f"({x}, {y})  ->  {v.value}")
+    if "verdicts" in body:
+        xs, ys, rows = body["verdicts"]
+        if body["command"] == "sweep":
+            _print_sweep_table(xs, ys, rows)
+        else:
+            for x, row in zip(xs, rows):
+                for y, v in zip(ys, row):
+                    print(f"({x}, {y})  ->  {v.value}")
     if "homology" in body:
         h = body["homology"]
         for row in h["presentation"]:
@@ -335,7 +328,10 @@ def _write_json(report: dict, out) -> None:
         return
     head, _, tail = json.dumps({**report, "verdicts": []}, indent=2).partition('\n  "verdicts": []')
     enc = encode_basestring_ascii
-    entries = (_ENTRY % (enc(x), enc(y), _ENTRY_TAIL[v]) for x, y, v in verdicts)
+    xs, ys, rows = verdicts
+    eys = [enc(y) for y in ys]
+    entries = (_ENTRY % (ex, ey, _ENTRY_TAIL[v])
+               for ex, row in zip(map(enc, xs), rows) for ey, v in zip(eys, row))
     out.write(head + '\n  "verdicts": [' + next(entries)[1:])
     out.writelines(entries)
     out.write("\n  ]" + tail + "\n")
@@ -440,7 +436,7 @@ def main(argv=None) -> int:
         if any(not c["ok"] for c in report.get("checks", [])):
             report["ok"] = False
             code = 1
-    except (ValueError, KnotNotLink, OutOfScope, UnsupportedSlope) as exc:
+    except ValueError as exc:
         log.debug("command failed", exc_info=True)
         report["ok"] = False
         report["error"] = str(exc)
@@ -450,7 +446,7 @@ def main(argv=None) -> int:
     try:
         if args.json and args.command in _HANDLERS:
             _write_json(report, sys.stdout)
-        elif report["ok"]:
+        elif "error" not in report:
             _print_text(report)
         else:
             print(f"error: {report['error']}", file=sys.stderr)

@@ -30,7 +30,7 @@ from functools import cached_property
 from .errors import OutOfScope
 from .exactq import INFINITY, CircleInterval, Slope
 from .lspace import classified_lspace_region
-from .monodromy import MonodromyWord, SignCensus, sign_census, twist_word
+from .monodromy import SignCensus
 from .regions import BUILTIN_WEIGHT_FAMILIES, Framing, Region2, family_image
 from .surgery import SurgeryDiagram, framing_convert, rolfsen_fill
 from .twobridge import LinkClass, TwoBridgeLink, classify, linking_number
@@ -80,17 +80,16 @@ class Verdict(Enum):
 class LinkAnalysis:
     """A classified link and the facts the verdict engine reads about it.
 
-    :func:`analyse` computes the classification, the signed linking number,
-    the twist word and its sign census once.  The regions are computed on
-    first use and kept; reading them, or asking for a verdict, rejects torus
-    and non-fibered links.
+    :func:`analyse` computes the classification and the signed linking
+    number once; the twist word and its sign census are left to the code
+    that reports them.  The regions are computed on first use and kept;
+    reading them, or asking for a verdict, rejects torus and non-fibered
+    links.
     """
 
     link: TwoBridgeLink
     cls: LinkClass
     linking: int | None = None
-    word: MonodromyWord | None = None
-    census: SignCensus | None = None
 
     @cached_property
     def lspace(self) -> Region2:
@@ -169,13 +168,10 @@ class LinkAnalysis:
 
 
 def analyse(link: TwoBridgeLink) -> LinkAnalysis:
-    """Classify a link once and read its linking number and monodromy off it."""
+    """Classify a link once and read its linking number off it."""
     cls = classify(link)
     e = cls.fibered_expansion
-    if e is None:
-        return LinkAnalysis(link, cls)
-    word = twist_word(e)
-    return LinkAnalysis(link, cls, linking_number(e), word, sign_census(word))
+    return LinkAnalysis(link, cls, None if e is None else linking_number(e))
 
 
 def foliation_region(link: TwoBridgeLink) -> Region2:

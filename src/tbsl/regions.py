@@ -29,7 +29,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import FramingMismatch
-from .exactq import INFINITY, CircleInterval, Slope, as_rat, parse_interval
+from .exactq import INFINITY, CircleInterval, Slope, as_rat
 
 
 class Framing(Enum):
@@ -205,17 +205,6 @@ class Region2:
             "restrict_to_finite": self.restrict_to_finite,
             "rects": [[str(ix), str(iy)] for ix, iy in self.canonical().rects],
         }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "Region2":
-        if d["restrict_to_finite"] is not True:
-            raise ValueError("regions are sets of finite multislopes: restrict_to_finite is true")
-        return cls(
-            Framing(d["framing"]),
-            tuple(
-                (parse_interval(ix), parse_interval(iy)) for ix, iy in d["rects"]
-            ),
-        )
 
 
 def _joint_ends(*regions: Region2) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:

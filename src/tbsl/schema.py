@@ -5,7 +5,7 @@ Every ``--json`` output of the command line validates against
 strings ("8/5", "-1/3", "2", "inf"); counts and integer invariants are
 JSON integers, so every report round-trips losslessly.  Regions are sets of
 finite multislopes, so a region's ``restrict_to_finite`` field is always
-``true``; the schema, like ``Region2.from_json_dict``, accepts no other value.
+``true``; the schema accepts no other value.
 """
 
 _FRACTION = {"type": "string", "pattern": r"^(-?\d+(/\d+)?|inf)$"}
@@ -27,6 +27,14 @@ _REGION = {
             },
         },
     },
+    "additionalProperties": False,
+}
+
+#: The L-space and foliation regions of one framing.
+_REGION_PAIR = {
+    "type": "object",
+    "required": ["lspace", "foliation"],
+    "properties": {"lspace": _REGION, "foliation": _REGION},
     "additionalProperties": False,
 }
 
@@ -140,20 +148,7 @@ REPORT_SCHEMA = {
         "regions": {
             "type": "object",
             "required": ["canonical", "seifert"],
-            "properties": {
-                "canonical": {
-                    "type": "object",
-                    "required": ["lspace", "foliation"],
-                    "properties": {"lspace": _REGION, "foliation": _REGION},
-                    "additionalProperties": False,
-                },
-                "seifert": {
-                    "type": "object",
-                    "required": ["lspace", "foliation"],
-                    "properties": {"lspace": _REGION, "foliation": _REGION},
-                    "additionalProperties": False,
-                },
-            },
+            "properties": {"canonical": _REGION_PAIR, "seifert": _REGION_PAIR},
             "additionalProperties": False,
         },
         "svg_path": {"type": "string"},

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 
 from test_golden import SVG_PATH, _run, corpus
-from tbsl import cli
+from tbsl import cli, foliation, ln_link
 from tbsl.cli import main
+from tbsl.exactq import CircleInterval
 from tbsl.regions import Framing, Region2
 from tbsl.schema import REPORT_SCHEMA
 from tbsl.svgplot import region_svg
@@ -274,6 +275,23 @@ class TestVerifyCommands:
         assert code == 0
         assert out.count("ok") == 3
 
+    @pytest.mark.parametrize("fault", ["gap", "overlap"])
+    def test_strip_check_catches_a_gap_and_an_overlap(self, capsys, monkeypatch, fault):
+        # (0, 0) is off every Ln quadrant [n, inf)^2 and (n, n) is its corner
+        strips = foliation.ln_taut_witness_strips
+
+        def faulty(n):
+            at = 0 if fault == "gap" else n
+            point = Region2.box(CircleInterval.point(at), CircleInterval.point(at), Framing.CANONICAL)
+            return strips(n).difference(point) if fault == "gap" else strips(n).union(point)
+
+        monkeypatch.setattr(foliation, "ln_taut_witness_strips", faulty)
+        code, out, _ = run(capsys, "verify-covers", "--max", "3")
+        assert code == 1
+        assert "FAIL  ln-strips n=2" in out and "FAIL  ln-strips n=3" in out
+        code, report = run_json(capsys, "verify-covers", "--max", "3")
+        assert code == 1 and not report["ok"]
+
 
 @pytest.mark.parametrize(
     "argv, message",
@@ -374,6 +392,43 @@ _SWEEP_LINKS = ("b(8,5)", "b(20,-3)", "b(20,3)", "L(-2,-2,-2)", "b(30,-11)", "b(
 def test_sweep_report_has_the_json_dump_layout(link, window, step):
     run = _run(["--json", "sweep", link, "--window", str(window), "--step", step])
     assert run["code"] == 0 and has_json_dump_layout(run["stdout"])
+
+
+_GLYPH = {"LSpace": "L", "NLSWithTautFoliation": "f", "NotQHS_TautByBetti": "b", "InfinityFilling": "i"}
+_TORUS = "L(2)"
+_TABLE_LINKS = st.one_of(
+    st.integers(1, 7).map(lambda n: str(ln_link(n))),
+    st.integers(1, 7).map(lambda n: str(ln_link(n).mirror())),
+    st.sampled_from(["L(2,-2,-2,2,-2)", "b(18,-11)", "L(-2,-2,-2)", "b(30,-11)", _TORUS]),
+)
+
+
+def sweep_table_cells(out: str) -> tuple[list[str], list[str], dict]:
+    """The x axis, the y labels top to bottom and ``{(x, y): glyph}`` of a text table."""
+    lines = out.splitlines()
+    rule = next(i for i, line in enumerate(lines) if line.lstrip().startswith("+-"))
+    rows = [line.split(" | ") for line in lines[:rule] if " | " in line]
+    xs = lines[rule + 1].split()
+    ys = [y.strip() for y, _ in rows]
+    cells = {(x, y): g for y, (_, glyphs) in zip(ys, rows) for x, g in zip(xs, glyphs.split())}
+    return xs, ys, cells
+
+
+@settings(max_examples=40)
+@given(_TABLE_LINKS, st.integers(1, 6), st.sampled_from(["1", "1/2", "2/3", "3/2"]))
+def test_sweep_table_is_the_json_glyph_grid(link, window, step):
+    argv = ["sweep", link, "--window", str(window), "--step", step]
+    text, report = _run(argv), _run(["--json", *argv])
+    if link == _TORUS:
+        assert text["code"] == report["code"] == 1 and text["stdout"] == ""
+        assert "torus" in json.loads(report["stdout"])["error"]
+        return
+    assert text["code"] == report["code"] == 0
+    xs, ys, cells = sweep_table_cells(text["stdout"])
+    entries = json.loads(report["stdout"])["verdicts"]
+    assert cells == {tuple(e["slope"]): _GLYPH[e["verdict"]] for e in entries}
+    assert len(entries) == len(xs) * len(ys)
+    assert xs == sorted(xs, key=Fraction) and ys == xs[::-1]
 
 
 @settings(max_examples=60)

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -136,6 +137,22 @@ class TestVerdict:
     def test_out_of_scope(self):
         with pytest.raises(OutOfScope):
             verdict(parse_link("L(2)"), (1, 1))
+
+    def test_regions_and_verdicts_build_no_monodromy(self, monkeypatch):
+        # only reports read the twist word and its census: every alias of the
+        # two builders raises, and regions and verdicts are still computed
+        def refuse(*args):
+            raise AssertionError("the monodromy was built")
+
+        tbsl_modules = [m for k, m in sys.modules.items() if k == "tbsl" or k.startswith("tbsl.")]
+        for module in tbsl_modules:
+            for name in ("twist_word", "sign_census"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        for spec in ("b(20,-3)", "b(20,3)", "L(2,-2,-2,2,-2)", "L(-2,-2,-2)", "b(30,-11)"):
+            link = parse_link(spec)
+            assert foliation_region(link).contains((0, 0))
+            assert verdict(link, (0, 0)) is Verdict.NLS_WITH_TAUT_FOLIATION
 
     def test_consistent_with_regions(self):
         from itertools import product
