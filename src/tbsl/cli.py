@@ -65,13 +65,19 @@ def _exact(parse, text: str, what: str):
         raise ValueError(f"{what} {text!r} has a zero denominator") from None
 
 
-def _slopes(args) -> tuple[Slope, Slope]:
-    return _exact(Slope.parse, args.r1, "slope"), _exact(Slope.parse, args.r2, "slope")
+def _surgery(args, target: Framing) -> tuple[foliation.LinkAnalysis, surgery.SurgeryDiagram]:
+    """``args.link`` analysed, and its surgery at slopes ``args.r1``, ``args.r2`` in
+    ``args.framing`` converted to ``target``; a bad link is reported before a bad slope."""
+    a = foliation.analyse(twobridge.parse_link(args.link))
+    s1, s2 = _exact(Slope.parse, args.r1, "slope"), _exact(Slope.parse, args.r2, "slope")
+    return a, surgery.framing_convert(a.diagram(s1, s2, Framing(args.framing)), target)
 
 
-def _positive(value: int, flag: str) -> int:
+def _positive(value: int, flag: str, limit: int | None = None) -> int:
     if value < 1:
         raise ValueError(f"{flag} must be a positive integer, got {value}")
+    if limit is not None and value > limit:
+        raise ValueError(f"{flag} must be at most {limit}, got {value}")
     return value
 
 
@@ -81,6 +87,9 @@ def _window(args, a: foliation.LinkAnalysis) -> int:
 
 #: Most grid points one ``sweep`` may report on.
 MAX_SWEEP_POINTS = 250_000
+
+#: Largest ``--max`` of ``verify-ln`` and ``verify-covers``; their work grows with its square.
+MAX_VERIFY_INDEX = 1000
 
 _WITNESS = {
     foliation.Verdict.L_SPACE: "lspace",
@@ -134,6 +143,7 @@ def _cmd_region(args) -> dict:
     a = foliation.analyse(twobridge.parse_link(args.link))
     framing = Framing(args.framing)
     pairs = {f: a.regions(f) for f in (Framing.CANONICAL, Framing.SEIFERT)}
+    window = _window(args, a)
     body = {
         "input": {"link": args.link, "framing": framing.value},
         "classification": _classification_dict(a),
@@ -143,7 +153,7 @@ def _cmd_region(args) -> dict:
         },
     }
     if args.svg:
-        svg = region_svg(*pairs[framing], _window(args, a), title=f"{a.link} [{framing.value}]")
+        svg = region_svg(*pairs[framing], window, title=f"{a.link} [{framing.value}]")
         try:
             with open(args.svg, "w") as fh:
                 fh.write(svg)
@@ -154,12 +164,10 @@ def _cmd_region(args) -> dict:
 
 
 def _cmd_verdict(args) -> dict:
-    a = foliation.analyse(twobridge.parse_link(args.link))
-    framing = Framing(args.framing)
-    s1, s2 = _slopes(args)
-    s1, s2 = surgery.framing_convert(a.diagram(s1, s2, framing), Framing.CANONICAL).slopes
+    a, d = _surgery(args, Framing.CANONICAL)
+    s1, s2 = d.slopes
     return {
-        "input": {"link": args.link, "slope": [args.r1, args.r2], "framing": framing.value},
+        "input": {"link": args.link, "slope": [args.r1, args.r2], "framing": args.framing},
         "classification": _classification_dict(a),
         "verdicts": ([str(s1)], [str(s2)], list(a.verdict_rows((s1,), (s2,)))),
     }
@@ -190,30 +198,22 @@ def _cmd_sweep(args) -> dict:
 
 
 def _cmd_homology(args) -> dict:
-    a = foliation.analyse(twobridge.parse_link(args.link))
-    framing = Framing(args.framing)
-    s1, s2 = _slopes(args)
-    d = surgery.framing_convert(a.diagram(s1, s2, framing), Framing.CANONICAL)
-    report = surgery.presentation_matrix(d)
+    report = surgery.presentation_matrix(_surgery(args, Framing.CANONICAL)[1])
     body = report.to_json_dict()
     body["qhs"] = report.order is not None
     return {
-        "input": {"link": args.link, "slope": [args.r1, args.r2], "framing": framing.value},
+        "input": {"link": args.link, "slope": [args.r1, args.r2], "framing": args.framing},
         "homology": body,
     }
 
 
 def _cmd_framing(args) -> dict:
-    a = foliation.analyse(twobridge.parse_link(args.link))
-    src = Framing(args.framing)
-    dst = Framing(args.to)
-    s1, s2 = _slopes(args)
-    out = surgery.framing_convert(a.diagram(s1, s2, src), dst)
+    _, out = _surgery(args, Framing(args.to))
     return {
         "input": {"link": args.link, "slope": [args.r1, args.r2]},
         "framing": {
-            "from": src.value,
-            "to": dst.value,
+            "from": args.framing,
+            "to": args.to,
             "slopes": [str(s) for s in out.slopes],
         },
     }
@@ -221,7 +221,7 @@ def _cmd_framing(args) -> dict:
 
 def _cmd_verify_ln(args) -> dict:
     checks = []
-    for n in range(1, _positive(args.max, "--max") + 1):
+    for n in range(1, _positive(args.max, "--max", MAX_VERIFY_INDEX) + 1):
         ok = lspace.verify_ln_chain(n)
         checks.append({"name": f"ln-chain n={n}", "ok": ok})
     return {"input": {"max": args.max}, "checks": checks}
@@ -232,7 +232,7 @@ def _cmd_verify_covers(args) -> dict:
     for witness in foliation.cover_witnesses():
         ok = witness.region.equals(witness.target)
         checks.append({"name": f"cover {witness.name}", "ok": ok})
-    for n in range(2, _positive(args.max, "--max") + 1):
+    for n in range(2, _positive(args.max, "--max", MAX_VERIFY_INDEX) + 1):
         # foliation is the quadrant's complement: equal means no gap and no overlap
         strips = foliation.ln_taut_witness_strips(n)
         ok = strips.equals(foliation.analyse(twobridge.ln_link(n)).foliation)

@@ -176,11 +176,6 @@ class CircleInterval:
             return self.hi_closed
         return False
 
-    __contains__ = contains
-
-    def endpoints(self) -> tuple[Slope, Slope]:
-        return (self.lo, self.hi)
-
     def negated(self) -> "CircleInterval":
         """The pointwise image under slope negation (``inf`` is fixed)."""
         if self.full_circle:

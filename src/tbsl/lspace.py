@@ -69,19 +69,16 @@ def rr_propagate(known: Iterable, longitude) -> tuple[CircleInterval, ...]:
 def rect_propagate(seed: tuple, lk: int) -> Region2:
     """Quadrant of L-space multislopes spread from one seed.
 
-    Positive seeds give [r1, inf] × [r2, inf]; negative seeds the mirrored
-    [inf, r1] × [inf, r2].  Requires r1·r2 > lk² with equal nonzero signs.
+    Positive seeds give [r1, inf] × [r2, inf]; a negative seed the negated
+    quadrant of (-r1, -r2).  Requires r1·r2 > lk², so the signs are equal.
     The arcs reach ``inf``; the region holds the finite multislopes on them.
     """
     r1, r2 = as_rat(seed[0]), as_rat(seed[1])
     if r1 * r2 <= lk * lk:
         raise ValueError(f"seed ({r1},{r2}) does not satisfy r1*r2 > lk^2 = {lk * lk}")
-    if r1 > 0 and r2 > 0:
-        rect = (CircleInterval.closed(r1, INFINITY), CircleInterval.closed(r2, INFINITY))
-    elif r1 < 0 and r2 < 0:
-        rect = (CircleInterval.closed(INFINITY, r1), CircleInterval.closed(INFINITY, r2))
-    else:
-        raise ValueError("seed coordinates must have equal nonzero signs")
+    if r1 < 0:
+        return rect_propagate((-r1, -r2), lk).negated()
+    rect = (CircleInterval.closed(r1, INFINITY), CircleInterval.closed(r2, INFINITY))
     # the propagation is sound because each arc avoids the homological
     # longitude of the torus left by filling the other coordinate
     if rect[1].contains(homological_longitude(lk, r1)) or rect[0].contains(
@@ -109,15 +106,11 @@ def classified_lspace_region(link: TwoBridgeLink, cls: LinkClass) -> Region2:
         )
     if cls.family is LinkFamily.NON_FIBERED:
         raise OutOfScope(f"{link} is not fibered")
-    if cls.family is LinkFamily.LN:
-        n = cls.n
-        rect = (CircleInterval.closed(n, INFINITY), CircleInterval.closed(n, INFINITY))
-        return Region2(Framing.CANONICAL, (rect,))
-    if cls.family is LinkFamily.LN_MIRROR:
-        n = cls.n
-        rect = (CircleInterval.closed(INFINITY, -n), CircleInterval.closed(INFINITY, -n))
-        return Region2(Framing.CANONICAL, (rect,))
-    return Region2.empty(Framing.CANONICAL)
+    if cls.family not in (LinkFamily.LN, LinkFamily.LN_MIRROR):
+        return Region2.empty(Framing.CANONICAL)
+    arc = CircleInterval.closed(cls.n, INFINITY)
+    quadrant = Region2(Framing.CANONICAL, ((arc, arc),))
+    return quadrant.negated() if cls.family is LinkFamily.LN_MIRROR else quadrant
 
 
 def _ln_seed_diagram(third_slope: Slope | None) -> SurgeryDiagram:

@@ -117,8 +117,6 @@ class Region2:
         """Membership of one multislope: the 1×1 grid of :meth:`row_masks`."""
         return bool(next(self.row_masks((Slope.of(point[0]),), (Slope.of(point[1]),))))
 
-    __contains__ = contains
-
     def row_masks(self, xs, ys):
         """Yield, per slope x of the sequence ``xs``, an ``int`` whose bit ``j`` says whether
         ``(x, ys[j])`` lies in the region (0 for an ``inf`` x)."""
@@ -211,7 +209,7 @@ def _joint_ends(*regions: Region2) -> tuple[tuple[Fraction, ...], tuple[Fraction
     """The sorted finite endpoints of every rectangle, on each axis."""
     axes = []
     for k in (0, 1):
-        ends = {s.value for r in regions for rect in r.rects for s in rect[k].endpoints()}
+        ends = {s.value for r in regions for rect in r.rects for s in (rect[k].lo, rect[k].hi)}
         ends.discard(None)
         axes.append(tuple(sorted(ends)))
     return axes[0], axes[1]

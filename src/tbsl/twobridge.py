@@ -11,7 +11,7 @@ expansion: the link is fibered exactly when some Schubert-equivalent
 fraction expands with all entries ±2, and the shape of that expansion
 sorts the fibered hyperbolic links into the families used downstream.
 Each candidate is walked on integers up to its first entry other than ±2,
-and the exceptional ``Ln`` links are recognised by :func:`detect_Ln` (mod p).
+and :func:`detect_Ln` finds the exceptional ``Ln`` links among the candidates.
 """
 
 from __future__ import annotations
@@ -148,9 +148,8 @@ def _pm2_chains(link: TwoBridgeLink) -> Iterator[tuple[int, ...]]:
 
 
 def fibered_expansion(link: TwoBridgeLink) -> EvenExpansion | None:
-    """The first candidate expansion with all entries ±2, if any."""
-    halves = next(_pm2_chains(link), None)
-    return None if halves is None else EvenExpansion(tuple(2 * h for h in halves))
+    """The first candidate expansion with all entries ±2, if any: the one ``classify`` keeps."""
+    return classify(link).fibered_expansion
 
 
 class LinkFamily(Enum):
@@ -200,18 +199,16 @@ def _family2_interior_shape(halves: tuple[int, ...]) -> bool:
 
 
 def detect_Ln(link: TwoBridgeLink) -> tuple[int, bool] | None:
-    """Match against b(6n+2, -3) and its mirror; (n, mirrored) on success."""
+    """Match against b(6n+2, -3) and its mirror b(6n+2, 3); (n, mirrored) on success.
+
+    For p ≥ 8 the link is unoriented-equal to b(p, ∓3) exactly when ∓3 is
+    among its Schubert lifts, the odd q' in (-p, p) that :func:`_candidates` lists.
+    """
     p = link.p
-    if p % 6 != 2:
-        return None
-    n = (p - 2) // 6
-    if n < 1:
-        return None
-    rep = TwoBridgeLink(p, -3)
-    if schubert_unoriented_equal(link, rep):
-        return (n, False)
-    if schubert_unoriented_equal(link, rep.mirror()):
-        return (n, True)
+    lifts = _candidates(link) if p % 6 == 2 and p >= 8 else ()
+    for r, mirrored in ((-3, False), (3, True)):
+        if r in lifts:
+            return ((p - 2) // 6, mirrored)
     return None
 
 

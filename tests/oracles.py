@@ -6,16 +6,18 @@ enumerating all ±2 sequences directly, region membership by testing
 every rectangle at a probe point of every grid atom, verdicts by the rules
 applied one point at a time, and determinants by Laplace expansion.  The
 link classifier is the one that expands every Schubert candidate in full
-before looking at its entries.
+before looking at its entries, and it tests the ``Ln`` residues and the
+family shapes from their definitions.  Only the candidate order is shared
+with the library, because it decides which ±2 expansion counts as first.
 """
 
 import itertools
 from fractions import Fraction
 from math import gcd
 
-from tbsl import LinkClass, LinkFamily, Slope, TwoBridgeLink, Verdict, detect_Ln, even_expand
+from tbsl import LinkClass, LinkFamily, Slope, TwoBridgeLink, Verdict, even_expand
 from tbsl.surgery import qhs_filling
-from tbsl.twobridge import _alternating, _candidates, _family2_interior_shape
+from tbsl.twobridge import _candidates
 
 
 def even_expansion_search(x: Fraction, max_len: int) -> list[tuple[int, ...]]:
@@ -163,40 +165,73 @@ def laplace_det(m) -> int:
     return total
 
 
+def ln_by_definition(link: TwoBridgeLink) -> tuple[int, bool] | None:
+    """(n, mirrored) when the link is b(6n+2, r) up to Schubert equivalence, n >= 1.
+
+    The test is q ≡ r or q·r ≡ 1 (mod p), with r = -3 for ``Ln`` and r = 3
+    for its mirror.
+    """
+    p, q = link.p, link.q
+    if p % 6 != 2 or p < 8:
+        return None
+    for r, mirrored in ((-3, False), (3, True)):
+        if (q - r) % p == 0 or (q * r - 1) % p == 0:
+            return ((p - 2) // 6, mirrored)
+    return None
+
+
+def torus_shape(halves: tuple[int, ...]) -> bool:
+    """Halves that alternate in sign: the expansion of a (2, 2k) torus link."""
+    return all(a == -b for a, b in zip(halves, halves[1:]))
+
+
+def family2_interior_shape(halves: tuple[int, ...]) -> bool:
+    """At least five halves, every river (odd position) -1, and exactly one
+    bridge (even position) -1, which is neither the first nor the last."""
+    bridges, rivers = halves[0::2], halves[1::2]
+    return (
+        len(halves) >= 5
+        and all(h == -1 for h in rivers)
+        and bridges.count(-1) == 1
+        and bridges[0] == bridges[-1] == 1
+    )
+
+
 def classify_by_expansion(link: TwoBridgeLink) -> LinkClass:
     """``classify`` by full expansion of every Schubert candidate.
 
     Every candidate is expanded to the end with ``even_expand``, every
     all-±2 expansion is inspected (``Ln`` links included), and the torus
-    shape is tested before ``detect_Ln``.
+    shape is tested before the ``Ln`` residues.
     """
     expansions = [even_expand(Fraction(link.p, c)) for c in _candidates(link)]
     pm2 = [e for e in expansions if e.all_plus_minus_two]
     if not pm2:
         return LinkClass(LinkFamily.NON_FIBERED)
     first = pm2[0]
-    if any(_alternating(e.halves()) for e in pm2):
+    halves = [e.halves() for e in pm2]
+    if any(torus_shape(h) for h in halves):
         return LinkClass(LinkFamily.TORUS, fibered_expansion=first)
-    hit = detect_Ln(link)
+    hit = ln_by_definition(link)
     if hit is not None:
         n, mirrored = hit
         fam = LinkFamily.LN_MIRROR if mirrored else LinkFamily.LN
         return LinkClass(fam, n=n, fibered_expansion=first, mirrored=mirrored)
-    for e in pm2:
-        if all(h == -1 for h in e.halves()):
+    for h in halves:
+        if all(x == -1 for x in h):
             return LinkClass(LinkFamily.FAMILY1, fibered_expansion=first)
-    for e in pm2:
-        if all(h == 1 for h in e.halves()):
+    for h in halves:
+        if all(x == 1 for x in h):
             return LinkClass(LinkFamily.FAMILY1, fibered_expansion=first, mirrored=True)
-    for e in pm2:
-        if _family2_interior_shape(e.halves()):
+    for h in halves:
+        if family2_interior_shape(h):
             return LinkClass(LinkFamily.FAMILY2_INTERIOR, fibered_expansion=first)
-    for e in pm2:
-        if _family2_interior_shape(e.negated().halves()):
+    for h in halves:
+        if family2_interior_shape(tuple(-x for x in h)):
             return LinkClass(
                 LinkFamily.FAMILY2_INTERIOR, fibered_expansion=first, mirrored=True
             )
-    rivers_all_negative = all(h == 1 for h in first.halves()[1::2])
+    rivers_all_negative = all(x == 1 for x in halves[0][1::2])
     return LinkClass(
         LinkFamily.GENERIC_FIBERED, fibered_expansion=first, mirrored=rivers_all_negative
     )

@@ -306,10 +306,14 @@ class TestVerifyCommands:
         (["sweep", "b(8,5)", "--window", "100", "--step", "1/1000000000"], "exceeds the limit"),
         (["sweep", "b(8,5)", "--window", "250"], "251001 points"),
         (["region", "b(8,5)", "--svg", os.devnull, "--window", "-2"], "--window"),
+        (["region", "b(8,5)", "--window", "-2"], "--window must be a positive integer"),
+        (["region", "b(8,5)", "--window", "0", "--framing", "seifert"], "--window"),
         (["region", "b(8,5)", "--svg", MISSING_DIR_SVG], "cannot write"),
         (["region", "b(8,5)", "--svg", DIRECTORY_SVG], "cannot write"),
         (["verify-ln", "--max", "0"], "--max must be a positive integer, got 0"),
         (["verify-covers", "--max", "-5"], "--max must be a positive integer, got -5"),
+        (["verify-ln", "--max", "1001"], "--max must be at most 1000, got 1001"),
+        (["verify-covers", "--max", "1001"], "--max must be at most 1000, got 1001"),
         # b(p,-3) has the candidate p - 3, whose expansion has about p/3 entries ±2
         (["classify", f"b({10**30},-3)"], "more than 1000000 entries"),
         (["expand", "2000002/2000001"], "more than 1000000 entries"),
@@ -368,6 +372,22 @@ def test_closed_pipe_is_quiet(json_flag, window):
     proc.stderr.close()
     assert proc.wait(timeout=60) in (0, 1)
     assert b"Traceback" not in err and b"BrokenPipeError" not in err
+
+
+@pytest.mark.parametrize("level", [None, "debug", "verbose"])
+def test_tbsl_log_records_a_failed_command_with_its_traceback(level):
+    # off unless TBSL_LOG is set; a level logging does not know, such as "verbose", means DEBUG
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {k: v for k, v in os.environ.items() if k != "TBSL_LOG"}
+    env["PYTHONPATH"] = str(src)
+    if level is not None:
+        env["TBSL_LOG"] = level
+    argv = [sys.executable, "-m", "tbsl", "classify", "b(7,3)"]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "error: b(7,3) is a knot, not a link" in proc.stderr
+    logged = "DEBUG:tbsl:command failed\nTraceback" in proc.stderr
+    assert logged == (level is not None) and ("KnotNotLink" in proc.stderr) == logged
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,9 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import assume, given
 
-from oracles import classify_by_expansion, unoriented_key
+from oracles import classify_by_expansion, ln_by_definition, unoriented_key
 from tbsl.errors import KnotNotLink
-from tbsl.twobridge import _pm2_halves
+from tbsl.twobridge import _candidates, _pm2_halves
 from tbsl import (
     EvenExpansion,
     LinkFamily,
@@ -97,6 +97,18 @@ class TestSchubert:
                     or schubert_oriented_equal(a, other) is not SchubertRelation.DISTINCT
                 )
                 assert schubert_unoriented_equal(a, b) == oriented_any
+
+    def test_candidates_are_the_lifts_that_decide_unoriented_equality(self, links_200):
+        for p, group in itertools.groupby(links_200, key=lambda L: L.p):
+            group = list(group)
+            for a in group:
+                lifts = _candidates(a)
+                brute = {
+                    c for c in range(-p + 1, p, 2) if (c - a.q) % p == 0 or (a.q * c - 1) % p == 0
+                }
+                assert set(lifts) == brute and lifts[0] == a.q, a
+                for b in group:
+                    assert schubert_unoriented_equal(a, b) == (b.q in lifts), (a, b)
 
 
 @st.composite
@@ -325,6 +337,10 @@ class TestDetectLn:
         for n in range(1, 51):
             assert detect_Ln(ln_link(n)) == (n, False)
             assert detect_Ln(ln_link(n).mirror()) == (n, True)
+
+    def test_agrees_with_the_residue_definition(self, links_200):
+        for L in links_200:
+            assert detect_Ln(L) == ln_by_definition(L), L
 
     def test_agrees_with_classify(self, links_200):
         for L in links_200:
