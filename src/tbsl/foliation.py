@@ -75,6 +75,8 @@ class Verdict(Enum):
     NLS_WITH_TAUT_FOLIATION = "NLSWithTautFoliation"
     INFINITY_FILLING = "InfinityFilling"
 
+    __hash__ = object.__hash__  # identity, as Enum equality is; Enum.__hash__ runs in Python
+
 
 @dataclass(frozen=True)
 class LinkAnalysis:

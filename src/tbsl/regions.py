@@ -7,13 +7,15 @@ decided elsewhere.  All set operations are decided exactly by refining both
 operands over the grid of all finite interval endpoints: the grid cuts each
 axis into a linear list of point atoms and open arcs, from the arc below
 the first endpoint to the arc above the last, and every interval involved
-is a union of atoms.  Atoms are index positions, never evaluated: an
-interval's atoms are one or two runs of indices found by ``bisect`` on the
-sorted endpoints.  A region on the grid is one ``int`` mask of y-atoms per
-x-atom, so set operations are bitwise, and the normal form reads
-rectangles off runs of equal adjacent columns.  Membership builds the
-region's own grid on each call: ``row_masks`` then costs one ``bisect`` per
-grid slope, and a point (``contains``) is its 1×1 case.
+is a union of atoms.  Atoms are index positions, never evaluated: each axis
+keeps its endpoints as integers over the lcm of their denominators, and an
+interval's atoms are one or two runs of indices found by ``bisect`` on those
+integers, so no ``Fraction`` is compared or hashed.  A region on the grid is
+one ``int`` mask of y-atoms per x-atom, so set operations are bitwise, and
+the normal form reads rectangles off runs of equal adjacent columns, with
+their exact endpoints.  Membership builds the region's own grid on each
+call: ``row_masks`` then costs one integer ``bisect`` per grid slope, and a
+point (``contains``) is its 1×1 case.
 
 Weight families are linear forms over open boxes; :func:`family_image`
 gives the open arc of slopes each one realises.
@@ -22,6 +24,7 @@ gives the open arc of slopes each one realises.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -41,25 +44,47 @@ class Framing(Enum):
 # atoms of one axis
 
 
-def _atom_runs(iv: CircleInterval, ends: tuple[Fraction, ...]) -> tuple[tuple[int, int], ...]:
+class _Axis:
+    """``keys``: the sorted endpoints times ``den``, the lcm of their denominators."""
+
+    __slots__ = ("keys", "ends", "den")
+
+    def __init__(self, keys: list[int], ends: dict[int, Fraction], den: int):
+        self.keys, self.ends, self.den = keys, ends, den
+
+    def index(self, v: Fraction) -> int:
+        """The position of the endpoint ``v`` among the keys: ``v`` is on the grid."""
+        n, d = v.as_integer_ratio()
+        return bisect_left(self.keys, n * (self.den // d))
+
+
+#: An axis with no finite endpoint, whose one atom is the whole line.
+_NO_ENDS = _Axis([], {}, 1)
+
+
+def _atom_runs(iv: CircleInterval, axis: _Axis) -> tuple[tuple[int, int], ...]:
     """The finite part of ``iv`` as at most two (first, last) runs of atoms.
 
-    Atom ``2k + 1`` is ``ends[k]`` and atom ``2k`` is the open arc below it,
-    so atom ``2 * len(ends)`` is the arc above the last endpoint.  A run that
-    would pass ``inf`` (a wrapping arc or a punctured point) splits in two.
+    Atom ``2k + 1`` is endpoint ``k`` and atom ``2k`` is the open arc below it,
+    so atom ``2 * len(keys)`` is the arc above the last endpoint; the ends of
+    ``iv`` are on the grid.  A run that would pass ``inf`` (a wrapping arc or
+    a punctured point) splits in two.
     """
-    lo, hi, top = iv.lo.value, iv.hi.value, 2 * len(ends)
+    lo, hi, top = iv.lo.value, iv.hi.value, 2 * len(axis.keys)
     if lo is None and hi is None and iv.lo_closed and not iv.full_circle:
         return ()  # [inf,inf], the point at infinity
-    first = 0 if lo is None else 2 * bisect_left(ends, lo) + (1 if iv.lo_closed else 2)
-    last = top if hi is None else 2 * bisect_left(ends, hi) + (1 if iv.hi_closed else 0)
+    first = 0 if lo is None else 2 * axis.index(lo) + (1 if iv.lo_closed else 2)
+    last = top if hi is None else 2 * axis.index(hi) + (1 if iv.hi_closed else 0)
     return ((first, last),) if first <= last else ((first, top), (0, last))
 
 
-def _atom_of(ends: tuple[Fraction, ...], v: Fraction) -> int:
-    """The atom holding the finite value ``v``."""
-    k = bisect_left(ends, v)
-    return 2 * k + 1 if k < len(ends) and ends[k] == v else 2 * k
+def _atom_of(axis: _Axis, v: Fraction) -> int:
+    """The atom holding the finite value ``v = n/d``, on the grid or not: ``bisect`` finds
+    the first key at or above the ceiling of ``n * den / d``, and ``v`` is that endpoint
+    exactly when ``key * d == n * den``."""
+    n, d = v.as_integer_ratio()
+    k = bisect_left(axis.keys, -(-n * axis.den // d))
+    return 2 * k + 1 if k < len(axis.keys) and axis.keys[k] * d == n * axis.den else 2 * k
 
 
 def _bit_runs(mask: int):
@@ -75,10 +100,10 @@ def _bit_runs(mask: int):
         i += ones
 
 
-def _run_to_interval(ends: tuple[Fraction, ...], first: int, last: int) -> CircleInterval:
-    """The interval made of the atoms ``first`` to ``last``."""
-    lo = Slope(ends[(first - 1) // 2]) if first else INFINITY
-    hi = Slope(ends[last // 2]) if last < 2 * len(ends) else INFINITY
+def _run_to_interval(axis: _Axis, first: int, last: int) -> CircleInterval:
+    """The interval made of the atoms ``first`` to ``last``, with exact endpoints."""
+    lo = Slope(axis.ends[axis.keys[(first - 1) // 2]]) if first else INFINITY
+    hi = Slope(axis.ends[axis.keys[last // 2]]) if last < 2 * len(axis.keys) else INFINITY
     return CircleInterval(lo, hi, first % 2 == 1, last % 2 == 1)
 
 
@@ -120,28 +145,28 @@ class Region2:
     def row_masks(self, xs, ys):
         """Yield, per slope x of the sequence ``xs``, an ``int`` whose bit ``j`` says whether
         ``(x, ys[j])`` lies in the region (0 for an ``inf`` x)."""
-        xends, yends = _joint_ends(self)
-        cols = self._columns(xends, yends)
-        atom_bits = [0] * (2 * len(yends) + 1)
+        xaxis, yaxis = _joint_ends(self)
+        cols = self._columns(xaxis, yaxis)
+        atom_bits = [0] * (2 * len(yaxis.keys) + 1)
         for j, y in enumerate(ys):
             if not y.is_infinity:
-                atom_bits[_atom_of(yends, y.value)] |= 1 << j
+                atom_bits[_atom_of(yaxis, y.value)] |= 1 << j
         # one row per distinct column; the atoms' bitsets are disjoint, so their sum is their union
         rows = {c: sum(bits for k, bits in enumerate(atom_bits) if c >> k & 1) for c in set(cols)}
         for x in xs:
-            yield 0 if x.is_infinity else rows[cols[_atom_of(xends, x.value)]]
+            yield 0 if x.is_infinity else rows[cols[_atom_of(xaxis, x.value)]]
 
     # -- grid machinery ----------------------------------------------------
 
-    def _columns(self, xends: tuple[Fraction, ...], yends: tuple[Fraction, ...]) -> list[int]:
+    def _columns(self, xaxis: _Axis, yaxis: _Axis) -> list[int]:
         """One mask of the y-atoms in the region per x-atom."""
-        cols = [0] * (2 * len(xends) + 1)
+        cols = [0] * (2 * len(xaxis.keys) + 1)
         for ix, iy in self.rects:
             ymask = 0
-            for a, b in _atom_runs(iy, yends):
+            for a, b in _atom_runs(iy, yaxis):
                 ymask |= (1 << (b + 1)) - (1 << a)
             if ymask:
-                for a, b in _atom_runs(ix, xends):
+                for a, b in _atom_runs(ix, xaxis):
                     cols[a : b + 1] = [c | ymask for c in cols[a : b + 1]]
         return cols
 
@@ -161,10 +186,10 @@ class Region2:
 
     def complement(self) -> "Region2":
         """Complement within Q × Q."""
-        xends, yends = _joint_ends(self)
-        full = (1 << (2 * len(yends) + 1)) - 1
-        cols = [full & ~c for c in self._columns(xends, yends)]
-        return _reassemble_region(xends, yends, cols, self.framing)
+        xaxis, yaxis = _joint_ends(self)
+        full = (1 << (2 * len(yaxis.keys) + 1)) - 1
+        cols = [full & ~c for c in self._columns(xaxis, yaxis)]
+        return _reassemble_region(xaxis, yaxis, cols, self.framing)
 
     def covers(self, target: "Region2") -> bool:
         _, _, ca, cb = _aligned_columns(self, target)
@@ -194,8 +219,8 @@ class Region2:
 
     def canonical(self) -> "Region2":
         """Normal form: rectangles reassembled on the region's own grid."""
-        xends, yends = _joint_ends(self)
-        return _reassemble_region(xends, yends, self._columns(xends, yends), self.framing)
+        xaxis, yaxis = _joint_ends(self)
+        return _reassemble_region(xaxis, yaxis, self._columns(xaxis, yaxis), self.framing)
 
     def to_json_dict(self) -> dict:
         return {
@@ -205,13 +230,18 @@ class Region2:
         }
 
 
-def _joint_ends(*regions: Region2) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """The sorted finite endpoints of every rectangle, on each axis."""
+def _joint_ends(*regions: Region2) -> tuple[_Axis, _Axis]:
+    """The finite endpoints of every rectangle, on each axis, as integer keys."""
     axes = []
     for k in (0, 1):
-        ends = {s.value for r in regions for rect in r.rects for s in (rect[k].lo, rect[k].hi)}
-        ends.discard(None)
-        axes.append(tuple(sorted(ends)))
+        vals = [v for r in regions for rect in r.rects for s in (rect[k].lo, rect[k].hi)
+                if (v := s.value) is not None]
+        if not vals:  # the empty region and the plane: no holder to build
+            axes.append(_NO_ENDS)
+            continue
+        den = math.lcm(*[v.denominator for v in vals])
+        ends = {v.numerator * (den // v.denominator): v for v in vals}
+        axes.append(_Axis(sorted(ends), ends, den))
     return axes[0], axes[1]
 
 
@@ -220,29 +250,24 @@ def _aligned_columns(a: Region2, b: Region2):
         raise FramingMismatch(
             f"cannot combine regions framed {a.framing.value} and {b.framing.value}"
         )
-    xends, yends = _joint_ends(a, b)
-    return xends, yends, a._columns(xends, yends), b._columns(xends, yends)
+    xaxis, yaxis = _joint_ends(a, b)
+    return xaxis, yaxis, a._columns(xaxis, yaxis), b._columns(xaxis, yaxis)
 
 
 def _combine(a: Region2, b: Region2, op) -> Region2:
-    xends, yends, ca, cb = _aligned_columns(a, b)
-    return _reassemble_region(xends, yends, list(map(op, ca, cb)), a.framing)
+    xaxis, yaxis, ca, cb = _aligned_columns(a, b)
+    return _reassemble_region(xaxis, yaxis, list(map(op, ca, cb)), a.framing)
 
 
-def _reassemble_region(
-    xends: tuple[Fraction, ...],
-    yends: tuple[Fraction, ...],
-    cols: list[int],
-    framing: Framing,
-) -> Region2:
+def _reassemble_region(xaxis: _Axis, yaxis: _Axis, cols: list[int], framing: Framing) -> Region2:
     """Rectangles over each run of equal adjacent nonempty columns."""
     rects = []
     x = 0
     for col, run in itertools.groupby(cols):
         width = sum(1 for _ in run)
         if col:
-            xiv = _run_to_interval(xends, x, x + width - 1)
-            rects.extend((xiv, _run_to_interval(yends, lo, hi)) for lo, hi in _bit_runs(col))
+            xiv = _run_to_interval(xaxis, x, x + width - 1)
+            rects.extend((xiv, _run_to_interval(yaxis, lo, hi)) for lo, hi in _bit_runs(col))
         x += width
     return Region2(framing, tuple(rects))
 

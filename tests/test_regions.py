@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -162,9 +163,9 @@ def test_union_and_intersection_membership(a, b):
         assert i.contains(pt) == (a.contains(pt) and b.contains(pt))
 
 
-@settings(max_examples=100)
-@given(region_st(), region_st())
-def test_kernel_matches_membership_oracle(a, b):
+def _check_kernel_against_oracle(a, b):
+    """Every set operation, ``covers``, ``equals`` and ``is_empty`` against the brute-force
+    membership oracle on the joint grid's probes; returns the results and the probes."""
     results = {
         "union": (a.union(b), lambda p: ina[p] or inb[p]),
         "intersect": (a.intersect(b), lambda p: ina[p] and inb[p]),
@@ -182,6 +183,23 @@ def test_kernel_matches_membership_oracle(a, b):
     assert a.covers(b) == all(ina[p] for p in probes if inb[p])
     assert a.equals(b) == (ina == inb)
     assert a.is_empty() == (not any(ina.values()))
+    return results, probes
+
+
+@settings(max_examples=100)
+@given(region_st(), region_st())
+def test_kernel_matches_membership_oracle(a, b):
+    _check_kernel_against_oracle(a, b)
+
+
+def _check_row_masks_against_oracle(region, xs, ys):
+    rows = list(region.row_masks(xs, ys))
+    assert len(rows) == len(xs)
+    for x, mask in zip(xs, rows):
+        assert mask >> len(ys) == 0
+        for j, y in enumerate(ys):
+            finite = not (x.is_infinity or y.is_infinity)
+            assert bool(mask >> j & 1) == (finite and member(region, (x, y))), (x, y)
 
 
 _OFF_GRID = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12)).map(Slope)
@@ -209,13 +227,7 @@ def test_row_masks_match_membership_oracle(a, data):
         data.draw(st.permutations([*dict.fromkeys(p[k] for p in probes), INFINITY, probes[-1][k]]))
         for k in (0, 1)
     )
-    rows = list(a.row_masks(xs, ys))
-    assert len(rows) == len(xs)
-    for x, mask in zip(xs, rows):
-        assert mask >> len(ys) == 0
-        for j, y in enumerate(ys):
-            finite = not (x.is_infinity or y.is_infinity)
-            assert bool(mask >> j & 1) == (finite and member(a, (x, y))), (x, y)
+    _check_row_masks_against_oracle(a, xs, ys)
 
 
 @settings(max_examples=60)
@@ -253,6 +265,110 @@ def test_canonical_preserves_membership(a):
 @given(region_st(), region_st())
 def test_covers_iff_union_is_identity(a, b):
     assert a.covers(b) == a.union(b).equals(a)
+
+
+# Each axis of the kernel scales its endpoints by the lcm of their denominators.  The
+# strategies above use halves only; these mix coprime denominators, one of them the
+# Mersenne prime 2^89 - 1 > 10^20, and probe with denominators that divide no such lcm.
+_BIG_PRIME = 2**89 - 1
+_MIXED_DENS = (1, 2, 3, 7, _BIG_PRIME)
+_PROBE_DENS = (11, 13, 2**61 - 1)
+_HAIR = Fraction(1, 13 * (2**61 - 1))
+
+
+def _rationals_st(dens, bound=6):
+    """Rationals in [-bound, bound] over the denominators ``dens``, negatives included."""
+    return st.sampled_from(dens).flatmap(
+        lambda d: st.integers(-bound * d, bound * d).map(lambda n: Fraction(n, d))
+    )
+
+
+@st.composite
+def mixed_interval_st(draw, ends):
+    """Any interval over ``ends`` (``inf`` among them): full, points and punctures,
+    arcs, arcs through ``inf`` and rays, each end open or closed."""
+    if draw(st.integers(0, 9)) == 0:
+        return CircleInterval.full()
+    lo, hi = draw(st.sampled_from(ends)), draw(st.sampled_from(ends))
+    lo_closed = draw(st.booleans())
+    return CircleInterval(lo, hi, lo_closed, lo_closed if lo == hi else draw(st.booleans()))
+
+
+@st.composite
+def mixed_pair_st(draw):
+    """Two regions of up to three rectangles over one pool of mixed-denominator endpoints."""
+    pool = draw(st.lists(_rationals_st(_MIXED_DENS), min_size=2, max_size=6, unique=True))
+    ends = [Slope(v) for v in pool] + [INFINITY]
+
+    def region():
+        count = draw(st.integers(0, 3))
+        side = mixed_interval_st(ends)
+        return Region2(Framing.SEIFERT, tuple((draw(side), draw(side)) for _ in range(count)))
+
+    return pool, region(), region()
+
+
+@settings(max_examples=80)
+@given(mixed_pair_st(), st.lists(_rationals_st(_PROBE_DENS), max_size=6))
+def test_mixed_denominators_match_membership_oracle(pair, off_grid):
+    pool, a, b = pair
+    results, probes = _check_kernel_against_oracle(a, b)
+    # row_masks places off-grid slopes by a ceiling division: values just off each
+    # endpoint and values whose denominators do not divide the axis's lcm
+    extra = [Slope(v) for v in off_grid + [v + s * _HAIR for v in pool for s in (-1, 1)]]
+    for region in (a, results["difference"][0]):
+        xs, ys = ([*dict.fromkeys(p[k] for p in probes), *extra, INFINITY] for k in (0, 1))
+        _check_row_masks_against_oracle(region, xs, ys)
+
+
+def _mixed_boxes(count):
+    """``count`` boxes of arcs, arcs through ``inf``, rays, points and punctures over the
+    endpoints ``k + 1/d``, with ``d`` among 1, 3, 7 and 2^89 - 1, from a fixed seed."""
+    rng = random.Random(count)
+    dens = itertools.cycle((1, 3, 7, _BIG_PRIME))
+    ends = [Slope(k + Fraction(1, d)) for k, d in zip(range(-8, 8), dens)] + [INFINITY]
+
+    def interval():
+        lo, hi, lo_closed = rng.choice(ends), rng.choice(ends), rng.random() < 0.5
+        return CircleInterval(lo, hi, lo_closed, lo_closed if lo == hi else rng.random() < 0.5)
+
+    return [(interval(), interval()) for _ in range(count)]
+
+
+def _kernel_outputs(boxes, xs, ys):
+    region = Region2(Framing.SEIFERT, tuple(boxes))
+    half = len(boxes) // 2
+    a = Region2(Framing.SEIFERT, tuple(boxes[:half]))
+    b = Region2(Framing.SEIFERT, tuple(boxes[half:]))
+    return {
+        "union": a.union(b).rects,
+        "intersect": a.intersect(b).rects,
+        "difference": a.difference(b).rects,
+        "complement": region.complement().rects,
+        "covers": (region.covers(a), a.covers(region), a.covers(a.intersect(b))),
+        "equals": (region.equals(a.union(b)), a.equals(b)),
+        "canonical": region.canonical().rects,
+        "to_json_dict": region.to_json_dict(),
+        "row_masks": list(region.row_masks(xs, ys)),
+    }
+
+
+def test_kernel_makes_no_fraction_order_comparison_or_hash(monkeypatch):
+    # the kernel compares integer keys; only a rebuilt rectangle reads a Fraction
+    boxes = _mixed_boxes(24)
+    grid = [Slope(Fraction(n, d)) for n in range(-30, 31, 7) for d in (1, 5, 11)]
+    near = [Slope(iv.lo.value + _HAIR) for rect in boxes for iv in rect if not iv.lo.is_infinity]
+    xs, ys = [*grid, *near, INFINITY], [*reversed(grid), *near]
+    expected = _kernel_outputs(boxes, xs, ys)
+
+    def refuse(*args):
+        raise AssertionError("Fraction compared or hashed in the region kernel")
+
+    for name in ("__lt__", "__le__", "__gt__", "__ge__", "__hash__"):
+        monkeypatch.setattr(Fraction, name, refuse)
+    got = _kernel_outputs(boxes, xs, ys)
+    monkeypatch.undo()
+    assert got == expected
 
 
 class TestFamilyImage:
