@@ -20,13 +20,12 @@ def unoriented_classes(max_p):
         for q in range(-p + 1, p, 2):
             if q == 0 or gcd(p, abs(q)) != 1:
                 continue
-            link = TwoBridgeLink(p, q)
             qm = q % p
             key = (p, min(qm, pow(qm, -1, p)))
             if key in seen:
                 continue
             seen.add(key)
-            yield link
+            yield TwoBridgeLink(p, q)
 
 
 def main():

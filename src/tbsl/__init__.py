@@ -13,7 +13,6 @@ from .exactq import (
     as_rat,
     cf_eval,
     even_expand,
-    interval_between,
     parse_interval,
 )
 from .foliation import (

@@ -26,6 +26,7 @@ time, so the fibered test can stop at the first entry other than ±2.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -99,43 +100,29 @@ class Slope:
 INFINITY = Slope(None)
 
 
-def strictly_between(a: Slope, x: Slope, b: Slope) -> bool:
-    """Is ``x`` interior to the arc swept from ``a`` to ``b`` (increasing)?
-
-    With ``a == b`` the arc is the whole circle punctured at ``a``.
-    """
-    if a == b:
-        return x != a
-    if a < b:
-        return a < x < b
-    return x > a or x < b
-
-
 @dataclass(frozen=True)
 class CircleInterval:
     """An arc of the slope circle with exact endpoints and open/closed flags.
 
     The arc runs from ``lo`` to ``hi`` in the direction of increasing slope
     (wrapping at ``inf``).  ``lo == hi`` with both ends closed is the single
-    point; with both ends open it is the punctured circle.  ``full_circle``
-    marks the whole circle.
+    point; with both ends open it is the punctured circle, so ``(inf,inf)``
+    holds every rational.
     """
 
     lo: Slope
     hi: Slope
     lo_closed: bool
     hi_closed: bool
-    full_circle: bool = False
+
+    #: No arc is the whole circle: every region holds finite points only, and
+    #: on them ``(inf,inf)`` is the whole line.  Kept for readers of the flag.
+    full_circle = False
 
     def __post_init__(self):
         object.__setattr__(self, "lo", Slope.of(self.lo))
         object.__setattr__(self, "hi", Slope.of(self.hi))
-        if self.full_circle:
-            object.__setattr__(self, "lo", INFINITY)
-            object.__setattr__(self, "hi", INFINITY)
-            object.__setattr__(self, "lo_closed", True)
-            object.__setattr__(self, "hi_closed", True)
-        elif self.lo == self.hi and self.lo_closed != self.hi_closed:
+        if self.lo == self.hi and self.lo_closed != self.hi_closed:
             raise ValueError(
                 "degenerate interval must be a point [a,a] or a punctured circle (a,a)"
             )
@@ -158,40 +145,26 @@ class CircleInterval:
         a = Slope.of(a)
         return cls(a, a, False, False)
 
-    @classmethod
-    def full(cls) -> "CircleInterval":
-        return cls(INFINITY, INFINITY, True, True, full_circle=True)
-
     def contains(self, x) -> bool:
-        x = Slope.of(x)
-        if self.full_circle:
-            return True
-        if self.lo == self.hi:
-            return (x == self.lo) if self.lo_closed else (x != self.lo)
-        if strictly_between(self.lo, x, self.hi):
-            return True
-        if x == self.lo:
+        x, lo, hi = Slope.of(x), self.lo, self.hi
+        if x == lo:
             return self.lo_closed
-        if x == self.hi:
+        if x == hi:
             return self.hi_closed
-        return False
+        if lo == hi:
+            return not self.lo_closed  # all but the point, or only the point
+        return lo < x < hi if lo < hi else x > lo or x < hi
 
     def negated(self) -> "CircleInterval":
         """The pointwise image under slope negation (``inf`` is fixed)."""
-        if self.full_circle:
-            return self
         return CircleInterval(-self.hi, -self.lo, self.hi_closed, self.lo_closed)
 
     def shifted(self, d) -> "CircleInterval":
-        if self.full_circle:
-            return self
         return CircleInterval(
             self.lo.shifted(d), self.hi.shifted(d), self.lo_closed, self.hi_closed
         )
 
     def __str__(self) -> str:
-        if self.full_circle:
-            return "full"
         lb = "[" if self.lo_closed else "("
         rb = "]" if self.hi_closed else ")"
         return f"{lb}{self.lo},{self.hi}{rb}"
@@ -205,10 +178,7 @@ _INTERVAL_RE = re.compile(r"^([\[(])\s*([^,\s]+)\s*,\s*([^,\s\])]+)\s*([\])])$")
 
 def parse_interval(text: str) -> CircleInterval:
     """Inverse of ``str(CircleInterval)``."""
-    text = text.strip()
-    if text == "full":
-        return CircleInterval.full()
-    m = _INTERVAL_RE.match(text)
+    m = _INTERVAL_RE.match(text.strip())
     if m is None:
         raise ValueError(f"not an interval: {text!r}")
     lb, lo, hi, rb = m.groups()
@@ -227,7 +197,7 @@ class EvenExpansion:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(int(a) for a in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(map(operator.index, self.coeffs)))
         if len(self.coeffs) % 2 != 1:
             raise ValueError("even expansion must have odd length")
         if any(a == 0 or a % 2 != 0 for a in self.coeffs):
@@ -256,7 +226,7 @@ def cf_eval(coeffs: Iterable[int]) -> Slope:
     Evaluated projectively, so a vanishing tail contributes 1/0 = inf and
     a + inf = inf; the result is a reduced rational or ``inf``.
     """
-    coeffs = [int(a) for a in coeffs]
+    coeffs = [operator.index(a) for a in coeffs]
     if not coeffs:
         raise ValueError("empty continued fraction")
     if any(a == 0 for a in coeffs):
@@ -316,14 +286,3 @@ def even_expand(x) -> EvenExpansion:
         raise ValueError(f"|{x}| <= 1 admits no expansion with nonzero even entries")
     return EvenExpansion(tuple(even_entries(num, den)))
 
-
-def interval_between(a, b, avoid) -> CircleInterval:
-    """The closed arc from ``a`` to ``b`` that does not contain ``avoid``."""
-    a, b, avoid = Slope.of(a), Slope.of(b), Slope.of(avoid)
-    if a == b:
-        raise ValueError("endpoints must differ")
-    if avoid in (a, b):
-        raise ValueError("avoided point must differ from both endpoints")
-    if strictly_between(a, avoid, b):
-        return CircleInterval.closed(b, a)
-    return CircleInterval.closed(a, b)

@@ -140,7 +140,7 @@ class LinkAnalysis:
         or S²×S¹); fillings with b1 > 0 carry taut foliations for homological
         reasons; the rest split into L-spaces and non-L-spaces with taut
         foliations.  A finite filling has b1 > 0 exactly when x·y = lk²
-        (:func:`~tbsl.surgery.qhs_filling`): in row x ≠ 0 only at y = lk²/x.
+        (:func:`~tbsl.surgery.is_qhs`): in row x ≠ 0 only at y = lk²/x.
         """
         lspace = self.lspace  # rejects out-of-scope links before any slope is read
         lk2 = self.linking * self.linking
@@ -326,7 +326,8 @@ class CoverWitness:
 
 
 def cover_witnesses() -> tuple[CoverWitness, ...]:
-    """The constructive covers that must exactly fill their targets."""
+    """The constructive covers that must exactly fill their targets, each one the
+    finite plane ``(inf,inf) × (inf,inf)`` of its framing."""
     seifert_plane = Region2.finite_plane(Framing.SEIFERT)
     canonical_plane = Region2.finite_plane(Framing.CANONICAL)
     mixed_rivers = lemma_regions(SignCensus(1, 1, 1, 0))

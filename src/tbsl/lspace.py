@@ -20,18 +20,10 @@ propagation devices instead of trusting the closed form.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cmp_to_key
 from typing import Iterable
 
 from .errors import OutOfScope
-from .exactq import (
-    INFINITY,
-    CircleInterval,
-    Slope,
-    as_rat,
-    interval_between,
-    strictly_between,
-)
+from .exactq import INFINITY, CircleInterval, Slope, as_rat
 from .regions import Framing, Region2
 from .surgery import SurgeryDiagram, drilled_longitude, homological_longitude, rolfsen_fill
 from .twobridge import LinkClass, LinkFamily, TwoBridgeLink, classify, ln_link
@@ -42,28 +34,18 @@ def rr_propagate(known: Iterable, longitude) -> tuple[CircleInterval, ...]:
 
     Adds, for each pair of known slopes, the closed arc between them that
     avoids the longitude; the result is the minimal union of closed arcs,
-    which for a nonempty finite set is a single arc (or a single point).
+    which for a nonempty finite set is the one arc from the first to the last
+    known slope met walking up the circle from the longitude (a single point
+    when only one slope is known).
     """
     longitude = Slope.of(longitude)
-    points = []
-    for s in known:
-        s = Slope.of(s)
-        if s not in points:
-            points.append(s)
+    points = {Slope.of(s) for s in known}
     if not points:
         raise ValueError("need at least one known slope")
     if longitude in points:
         raise ValueError("longitude cannot be a known L-space slope")
-    if len(points) == 1:
-        return (CircleInterval.point(points[0]),)
-
-    def cmp(x: Slope, y: Slope) -> int:
-        if x == y:
-            return 0
-        return -1 if strictly_between(longitude, x, y) else 1
-
-    ordered = sorted(points, key=cmp_to_key(cmp))
-    return (interval_between(ordered[0], ordered[-1], longitude),)
+    ordered = sorted(points, key=lambda s: (s < longitude, s))
+    return (CircleInterval.closed(ordered[0], ordered[-1]),)
 
 
 def rect_propagate(seed: tuple, lk: int) -> Region2:

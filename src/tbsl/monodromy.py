@@ -10,6 +10,7 @@ the i-th expansion entry.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .exactq import EvenExpansion
@@ -22,7 +23,8 @@ class MonodromyWord:
     letters: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "letters", tuple((int(i), int(e)) for i, e in self.letters))
+        letters = tuple((operator.index(i), operator.index(e)) for i, e in self.letters)
+        object.__setattr__(self, "letters", letters)
         idx = [i for i, _ in self.letters]
         if sorted(idx) != list(range(1, len(idx) + 1)):
             raise ValueError("word must contain each index 1..n exactly once")

@@ -71,7 +71,7 @@ def _atom_runs(iv: CircleInterval, axis: _Axis) -> tuple[tuple[int, int], ...]:
     a punctured point) splits in two.
     """
     lo, hi, top = iv.lo.value, iv.hi.value, 2 * len(axis.keys)
-    if lo is None and hi is None and iv.lo_closed and not iv.full_circle:
+    if lo is None and hi is None and iv.lo_closed:
         return ()  # [inf,inf], the point at infinity
     first = 0 if lo is None else 2 * axis.index(lo) + (1 if iv.lo_closed else 2)
     last = top if hi is None else 2 * axis.index(hi) + (1 if iv.hi_closed else 0)
@@ -131,8 +131,9 @@ class Region2:
 
     @classmethod
     def finite_plane(cls, framing: Framing) -> "Region2":
-        """All of Q × Q."""
-        return cls(framing, ((CircleInterval.full(), CircleInterval.full()),))
+        """All of Q × Q: ``(inf,inf)`` holds every rational."""
+        whole = CircleInterval.punctured(INFINITY)
+        return cls(framing, ((whole, whole),))
 
     @classmethod
     def box(cls, ix: CircleInterval, iy: CircleInterval, framing: Framing) -> "Region2":
@@ -295,7 +296,7 @@ class SlopeFamily:
         if len(self.coeffs) != len(self.domain):
             raise ValueError("one coefficient per domain interval")
         for iv in self.domain:
-            if iv.full_circle or iv.lo_closed or iv.hi_closed:
+            if iv.lo_closed or iv.hi_closed:
                 raise ValueError("domain intervals must be open arcs")
             if None not in (iv.lo.value, iv.hi.value) and iv.lo.value >= iv.hi.value:
                 raise ValueError(f"domain interval {iv} wraps through inf")

@@ -3,13 +3,15 @@
 Every ``--json`` output of the command line validates against
 :data:`REPORT_SCHEMA`.  Rational data is rendered as exact fraction
 strings ("8/5", "-1/3", "2", "inf"); counts and integer invariants are
-JSON integers, so every report round-trips losslessly.  Regions are sets of
+JSON integers, so every report round-trips losslessly.  An interval is the
+text of a ``CircleInterval``, two endpoints in brackets such as ``[0,1)`` or
+``(inf,inf)``, the form ``parse_interval`` reads.  Regions are sets of
 finite multislopes, so a region's ``restrict_to_finite`` field is always
 ``true``; the schema accepts no other value.
 """
 
 _FRACTION = {"type": "string", "pattern": r"^(-?\d+(/\d+)?|inf)$"}
-_INTERVAL = {"type": "string", "pattern": r"^([\[(][^,]+,[^,]+[\])]|full)$"}
+_INTERVAL = {"type": "string", "pattern": r"^[\[(][^,]+,[^,]+[\])]$"}
 
 _REGION = {
     "type": "object",

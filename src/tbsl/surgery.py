@@ -16,6 +16,7 @@ off it, where the i-th slope is p_i/q_i; only |det| is meaningful.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -37,7 +38,7 @@ class SurgeryDiagram:
     framing: Framing
 
     def __post_init__(self):
-        lk = tuple(tuple(int(v) for v in row) for row in self.linking)
+        lk = tuple(tuple(operator.index(v) for v in row) for row in self.linking)
         object.__setattr__(self, "linking", lk)
         sl = tuple(None if s is None else Slope.of(s) for s in self.slopes)
         object.__setattr__(self, "slopes", sl)
@@ -186,24 +187,21 @@ def presentation_matrix(d: SurgeryDiagram) -> HomologyReport:
     return HomologyReport(matrix, _det(matrix))
 
 
-def qhs_filling(r1: Slope, r2: Slope, lk: int) -> bool:
-    """Does filling a two-component link of linking number ``lk`` at (r1, r2)
-    (canonical framing) give a rational homology sphere?
+def is_qhs(d: SurgeryDiagram) -> bool:
+    """Does a fully filled two-component diagram (canonical framing) give a
+    rational homology sphere?
 
     Fails exactly when the slopes are {0, inf} or when r1·r2 equals lk²;
-    agrees with a nonzero presentation determinant on finite slopes.
+    agrees with a nonzero presentation determinant.
     """
+    if d.n_components != 2 or not d.fully_filled():
+        raise ValueError("is_qhs expects a fully filled two-component diagram")
+    r1, r2 = d.slopes
     if r1.is_infinity or r2.is_infinity:
         other = r2 if r1.is_infinity else r1
         return other.is_infinity or other.value != 0
+    lk = d.linking[0][1]
     return r1.value * r2.value != lk * lk
-
-
-def is_qhs(d: SurgeryDiagram) -> bool:
-    """:func:`qhs_filling` for a fully filled two-component diagram."""
-    if d.n_components != 2 or not d.fully_filled():
-        raise ValueError("is_qhs expects a fully filled two-component diagram")
-    return qhs_filling(*d.slopes, d.linking[0][1])
 
 
 def homological_longitude(lk: int, r) -> Slope:
@@ -211,7 +209,7 @@ def homological_longitude(lk: int, r) -> Slope:
     r = as_rat(r)
     if r == 0:
         raise ValueError("the filled slope must be nonzero")
-    return Slope(Fraction(lk * lk) / r)
+    return Slope(as_rat(lk * lk) / r)
 
 
 def drilled_longitude(d: SurgeryDiagram, component: int) -> Slope:

@@ -10,6 +10,7 @@ produces byte-identical output.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from .exactq import CircleInterval
@@ -73,7 +74,7 @@ def region_svg(
     lspace: Region2, foliation: Region2, window: int, title: str = ""
 ) -> str:
     """Plot the L-space region (orange) and foliation region (blue)."""
-    w = max(1, int(window))
+    w = max(1, operator.index(window))
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE}" height="{_SIZE}" '
         f'viewBox="0 0 {_SIZE} {_SIZE}">',

@@ -188,7 +188,10 @@ def _alternating(halves: tuple[int, ...]) -> bool:
 
 
 def _family2_interior_shape(halves: tuple[int, ...]) -> bool:
-    # all rivers -1 and exactly one bridge -1, away from both ends
+    # all rivers -1 and exactly one bridge -1, away from both ends: the family's
+    # definition.  With the bridge at an end of a length-(2k+1) word the link is
+    # b(6k+2, -(2k+1)) or its reversal, which is Ln(k) since 3(2k+1) ≡ 1 mod 6k+2
+    # (the mirror for the negated word), so detect_Ln has already decided it.
     n = len(halves)
     if n < 5:
         return False

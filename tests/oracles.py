@@ -4,11 +4,12 @@ These deliberately avoid the library's own algorithms: expansions are found
 by exhaustive search (with provably sound pruning), fibered links by
 enumerating all ±2 sequences directly, region membership by testing
 every rectangle at a probe point of every grid atom, verdicts by the rules
-applied one point at a time, and determinants by Laplace expansion.  The
-link classifier is the one that expands every Schubert candidate in full
-before looking at its entries, and it tests the ``Ln`` residues and the
-family shapes from their definitions.  Only the candidate order is shared
-with the library, because it decides which ±2 expansion counts as first.
+applied one point at a time (b1 > 0 read off a Laplace determinant), and
+determinants by Laplace expansion.  The link classifier is the one that
+expands every Schubert candidate in full before looking at its entries, and
+it tests the ``Ln`` residues and the family shapes from their definitions.
+Only the candidate order is shared with the library, because it decides
+which ±2 expansion counts as first.
 """
 
 import itertools
@@ -16,7 +17,6 @@ from fractions import Fraction
 from math import gcd
 
 from tbsl import LinkClass, LinkFamily, Slope, TwoBridgeLink, Verdict, even_expand
-from tbsl.surgery import qhs_filling
 from tbsl.twobridge import _candidates
 
 
@@ -142,7 +142,11 @@ def verdict_by_rules(analysis, x, y) -> Verdict:
     """The verdict rules at one point, with brute-force L-space membership."""
     if x.is_infinity or y.is_infinity:
         return Verdict.INFINITY_FILLING
-    if not qhs_filling(x, y, analysis.linking):
+    # b1 > 0 exactly when the canonical-framing presentation, p_i on the
+    # diagonal and q_i·lk off it, is singular
+    (p1, q1), (p2, q2) = x.value.as_integer_ratio(), y.value.as_integer_ratio()
+    lk = analysis.linking
+    if laplace_det(((p1, q1 * lk), (q2 * lk, p2))) == 0:
         return Verdict.NOT_QHS_TAUT_BY_BETTI
     if member(analysis.lspace, (x, y)):
         return Verdict.L_SPACE

@@ -115,7 +115,7 @@ class TestSymmetries:
 
 _ENDPOINTS = [Slope(Fraction(v, 2)) for v in range(-4, 5)] + [INFINITY]
 _FINITE = [e for e in _ENDPOINTS if not e.is_infinity]
-_SHAPES = ("full", "point", "punctured", "arc", "wrap", "ray_from_inf", "ray_to_inf")
+_SHAPES = ("point", "punctured", "arc", "wrap", "ray_from_inf", "ray_to_inf")
 
 
 @st.composite
@@ -124,8 +124,6 @@ def interval_st(draw):
     (at ``inf`` too), increasing arcs, arcs that wrap through ``inf``, and
     rays with one end at ``inf``, each end open or closed."""
     shape = draw(st.sampled_from(_SHAPES))
-    if shape == "full":
-        return CircleInterval.full()
     if shape in ("point", "punctured"):
         a = draw(st.sampled_from(_ENDPOINTS))
         return CircleInterval(a, a, shape == "point", shape == "point")
@@ -253,7 +251,6 @@ def test_canonical_preserves_membership(a):
     for pt in _PROBES[:: 5]:
         assert canon.contains(pt) == a.contains(pt)
     for side in itertools.chain.from_iterable(canon.rects):
-        assert not side.full_circle
         assert not (side.lo.is_infinity and side.lo_closed)
         assert not (side.hi.is_infinity and side.hi_closed)
         if not (side.lo.is_infinity or side.hi.is_infinity):
@@ -285,10 +282,8 @@ def _rationals_st(dens, bound=6):
 
 @st.composite
 def mixed_interval_st(draw, ends):
-    """Any interval over ``ends`` (``inf`` among them): full, points and punctures,
+    """Any interval over ``ends`` (``inf`` among them): points and punctures,
     arcs, arcs through ``inf`` and rays, each end open or closed."""
-    if draw(st.integers(0, 9)) == 0:
-        return CircleInterval.full()
     lo, hi = draw(st.sampled_from(ends)), draw(st.sampled_from(ends))
     lo_closed = draw(st.booleans())
     return CircleInterval(lo, hi, lo_closed, lo_closed if lo == hi else draw(st.booleans()))
@@ -393,7 +388,7 @@ class TestFamilyImage:
         assert family_image(fam) == CircleInterval.punctured(INFINITY)
 
     @pytest.mark.parametrize(
-        "domain", ["[0,1]", "[0,1)", "(0,1]", "[inf,1)", "full", "(2,-2)", "(2,inf]", "(3,3)"]
+        "domain", ["[0,1]", "[0,1)", "(0,1]", "[inf,1)", "(2,-2)", "(2,inf]", "(3,3)"]
     )
     def test_domain_must_be_open_arcs_not_through_inf(self, domain):
         with pytest.raises(ValueError):

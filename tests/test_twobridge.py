@@ -239,6 +239,23 @@ class TestClassify:
         cls = classify(TwoBridgeLink(30, 19))
         assert cls.family is LinkFamily.FAMILY2_INTERIOR
 
+    def test_family2_end_bridge_shapes_are_ln(self):
+        # every river -1 and the one -1 bridge at an end of a length-(2k+1) word:
+        # b(6k+2, -(2k+1)) or its reversal, which is Ln(k) as 3(2k+1) ≡ 1 mod 6k+2
+        # (the mirror for the negated word), so detect_Ln decides the class before
+        # the family-2 shape and its end exclusion are read
+        for k in range(2, 100):
+            n, p = 2 * k + 1, 6 * k + 2
+            assert 3 * n % p == 1
+            for end in (0, n - 1):
+                word = tuple(-1 if i % 2 or i == end else 1 for i in range(n))
+                for sign, family in ((1, LinkFamily.LN), (-1, LinkFamily.LN_MIRROR)):
+                    link = parse_link(f"L({','.join(str(2 * sign * h) for h in word)})")
+                    assert schubert_unoriented_equal(link, TwoBridgeLink.normalized(p, -sign * n))
+                    assert detect_Ln(link) == (k, sign < 0)
+                    cls = classify(link)
+                    assert cls.family is family and cls.n == k
+
     def test_ln_mirror(self):
         cls = classify(ln_link(3).mirror())
         assert cls.family is LinkFamily.LN_MIRROR and cls.n == 3 and cls.mirrored
