@@ -11,7 +11,7 @@ import jsonschema
 import pytest
 from hypothesis import given, settings
 
-from test_golden import SVG_PATH, _run, corpus
+from test_golden import PARSER_GOLDEN, SVG_PATH, _run, corpus, parser_surface
 from tbsl import cli, foliation, ln_link
 from tbsl.cli import main
 from tbsl.exactq import CircleInterval
@@ -350,6 +350,13 @@ def test_unknown_subcommand_is_reported_on_stderr_only(capsys):
         assert err.startswith("error: ") and "invalid choice: 'bogus'" in err
 
 
+def test_parser_surface_is_pinned():
+    # help texts, defaults and choices of every argument, and one command per report kind
+    surface = parser_surface(cli.build_parser())
+    assert surface == json.loads(PARSER_GOLDEN.read_text())
+    assert [p["name"] for p in surface[1:]] == REPORT_SCHEMA["properties"]["command"]["enum"]
+
+
 def test_help_still_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--help"])
@@ -483,11 +490,12 @@ _SLOPES = st.one_of(
 _FRAMINGS = st.sampled_from(["seifert", "canonical", "bogus"])
 _WINDOWS = st.one_of(st.integers(-2, 20).map(str), st.just("abc"))
 _STEPS = st.sampled_from(["1", "1/2", "1/3", "3/2", "0", "-1", "1/0", "x", "1/1000000000"])
+_COMMANDS = [p["name"] for p in parser_surface(cli.build_parser())[1:]]
 
 
 @st.composite
 def argv_st(draw):
-    command = draw(st.sampled_from(list(cli._HANDLERS) + ["bogus"]))
+    command = draw(st.sampled_from(_COMMANDS + ["bogus"]))
     flags, args = [], []
     if command in ("classify", "region", "sweep", "bogus"):
         args = [draw(_SPECS)]
@@ -524,5 +532,5 @@ def test_any_command_line_ends_in_exit_code_0_or_1(argv):
     run = _run(argv)
     assert run["code"] in (0, 1)
     assert "Traceback" not in run["stderr"]
-    if argv[0] == "--json" and argv[1] in cli._HANDLERS:
+    if argv[0] == "--json" and argv[1] in _COMMANDS:
         jsonschema.validate(json.loads(run["stdout"]), REPORT_SCHEMA)

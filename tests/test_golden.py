@@ -4,11 +4,15 @@ Each corpus entry runs one command twice, as text and with ``--json``, and
 records the exit code, stdout and stderr of both runs; ``region --svg``
 entries also record the SVG file.  The JSON report's ``timing_ms`` field is
 dropped and SVG output paths are replaced by a placeholder, so every other
-byte is compared.  After an intended change of output, re-record with
+byte is compared.  The parser's surface (``cli_parser.json``: every
+subcommand with its help text and, per argument, what its declaration
+says) is pinned beside it, so help texts, defaults and choices stay put.
+After an intended change of output, re-record both files with
 
     PYTHONPATH=src python tests/test_golden.py --update
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -19,9 +23,10 @@ import tempfile
 
 import pytest
 
-from tbsl.cli import main
+from tbsl.cli import build_parser, main
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "cli_corpus.json"
+PARSER_GOLDEN = GOLDEN.with_name("cli_parser.json")
 SVG_PATH = "<svg-path>"
 
 LINKS = (
@@ -92,6 +97,31 @@ def record(argv: list[str]) -> dict:
     return entry
 
 
+def parser_surface(parser: argparse.ArgumentParser) -> list[dict]:
+    """The top-level parser, then each subcommand in order: its name, its help text and,
+    per action, the fields its declaration sets (the parsers' own defaults are left out)."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    helps = {a.dest: a.help for a in sub._choices_actions}
+    parsers = [(parser.prog, parser.description, parser)]
+    parsers += [(name, helps[name], p) for name, p in sub.choices.items()]
+    return [
+        {"name": name, "help": help_, "actions": [
+            {
+                "option_strings": a.option_strings,
+                "dest": a.dest,
+                "default": a.default,
+                "choices": None if a.choices is None else list(a.choices),
+                "help": a.help,
+                "metavar": a.metavar,
+                "required": a.required,
+                "type": None if a.type is None else a.type.__name__,
+            }
+            for a in p._actions
+        ]}
+        for name, help_, p in parsers
+    ]
+
+
 @pytest.fixture(scope="module")
 def golden() -> dict:
     return {tuple(e["argv"]): e for e in json.loads(GOLDEN.read_text())}
@@ -111,4 +141,5 @@ if __name__ == "__main__":
         sys.exit(__doc__)
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps([record(a) for a in corpus()], indent=1) + "\n")
-    print(f"wrote {GOLDEN}")
+    PARSER_GOLDEN.write_text(json.dumps(parser_surface(build_parser()), indent=1) + "\n")
+    print(f"wrote {GOLDEN} and {PARSER_GOLDEN}")
