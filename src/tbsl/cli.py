@@ -345,6 +345,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The command table: each subcommand's parser sets ``handler``, which returns its report body."""
     parser = _Parser(
         prog="tbsl",
         description="Exact L-space / taut-foliation surgery calculus for "
@@ -353,77 +354,59 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true", help="emit a JSON report")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_):
-        return sub.add_parser(name, help=help_)
+    def add(name, help_, handler, *positionals):
+        p = sub.add_parser(name, help=help_)
+        p.set_defaults(handler=handler)
+        for arg in positionals:
+            p.add_argument(arg)
+        return p
 
-    p = add("classify", "classify a two-bridge link")
+    def framing_option(p, flag="--framing", default="canonical", help_=None):
+        p.add_argument(flag, choices=[f.value for f in Framing], default=default, help=help_)
+
+    surgery_args = ("link", "r1", "r2")  # what _surgery reads, with --framing
+
+    p = add("classify", "classify a two-bridge link", _cmd_classify)
     p.add_argument("link", help='link spec: "b(p,q)", "L(a1,...,an)" or "p/q"')
 
-    p = add("expand", "all-even continued-fraction expansion of a fraction")
+    p = add("expand", "all-even continued-fraction expansion of a fraction", _cmd_expand)
     p.add_argument("fraction", help='fraction "p/q" or a link spec')
 
-    p = add("equal", "compare two links in Schubert normal form")
-    p.add_argument("link1")
-    p.add_argument("link2")
+    add("equal", "compare two links in Schubert normal form", _cmd_equal, "link1", "link2")
 
-    p = add("region", "L-space and foliation regions of a link")
-    p.add_argument("link")
-    p.add_argument("--framing", choices=["seifert", "canonical"], default="canonical")
+    p = add("region", "L-space and foliation regions of a link", _cmd_region, "link")
+    framing_option(p)
     p.add_argument("--svg", metavar="PATH", help="write an SVG plot")
     p.add_argument("--window", type=int, default=None, metavar="W")
 
-    p = add("verdict", "verdict for one surgery multislope")
-    p.add_argument("link")
-    p.add_argument("r1")
-    p.add_argument("r2")
-    p.add_argument("--framing", choices=["seifert", "canonical"], default="canonical")
+    framing_option(add("verdict", "verdict for one surgery multislope", _cmd_verdict, *surgery_args))
 
-    p = add("sweep", "verdicts over a grid of multislopes")
-    p.add_argument("link")
+    p = add("sweep", "verdicts over a grid of multislopes", _cmd_sweep, "link")
     p.add_argument("--window", type=int, default=None, metavar="W")
     p.add_argument("--step", default="1", metavar="S")
 
-    p = add("homology", "homology of a surgery, from its presentation matrix")
-    p.add_argument("link")
-    p.add_argument("r1")
-    p.add_argument("r2")
-    p.add_argument("--framing", choices=["seifert", "canonical"], default="canonical")
+    p = add("homology", "homology of a surgery, from its presentation matrix", _cmd_homology,
+            *surgery_args)
+    framing_option(p)
 
-    p = add("framing", "convert a multislope between framings")
-    p.add_argument("link")
-    p.add_argument("r1")
-    p.add_argument("r2")
-    p.add_argument("--framing", choices=["seifert", "canonical"], default="seifert",
-                   help="framing of the input slopes")
-    p.add_argument("--to", choices=["seifert", "canonical"], default="canonical")
+    p = add("framing", "convert a multislope between framings", _cmd_framing, *surgery_args)
+    framing_option(p, default="seifert", help_="framing of the input slopes")
+    framing_option(p, "--to")
 
-    p = add("verify-ln", "replay the quadrant derivation for the exceptional links")
+    p = add("verify-ln", "replay the quadrant derivation for the exceptional links", _cmd_verify_ln)
     p.add_argument("--max", type=int, default=25)
 
-    p = add("verify-covers", "check the constructive region covers")
+    p = add("verify-covers", "check the constructive region covers", _cmd_verify_covers)
     p.add_argument("--max", type=int, default=10)
 
     return parser
 
 
-_HANDLERS = {
-    "classify": _cmd_classify,
-    "expand": _cmd_expand,
-    "equal": _cmd_equal,
-    "region": _cmd_region,
-    "verdict": _cmd_verdict,
-    "sweep": _cmd_sweep,
-    "homology": _cmd_homology,
-    "framing": _cmd_framing,
-    "verify-ln": _cmd_verify_ln,
-    "verify-covers": _cmd_verify_covers,
-}
-
-
 def main(argv=None) -> int:
-    level = os.environ.get("TBSL_LOG")
-    if level:
-        logging.basicConfig(level=getattr(logging, level.upper(), logging.DEBUG))
+    name = os.environ.get("TBSL_LOG")
+    if name:
+        level = getattr(logging, name.upper(), None)  # BASIC_FORMAT is no level
+        logging.basicConfig(level=level if isinstance(level, int) else logging.DEBUG)
     # parse into our own namespace: after a usage error it still says which
     # subcommand was chosen and whether --json came before it
     args = argparse.Namespace(json=False, command=None)
@@ -432,7 +415,7 @@ def main(argv=None) -> int:
     code = 0
     try:
         build_parser().parse_args(argv, args)
-        report.update(_HANDLERS[args.command](args))
+        report.update(args.handler(args))
         if any(not c["ok"] for c in report.get("checks", [])):
             report["ok"] = False
             code = 1
@@ -444,7 +427,8 @@ def main(argv=None) -> int:
     report["command"] = args.command
     report["timing_ms"] = int((time.perf_counter() - t0) * 1000)
     try:
-        if args.json and args.command in _HANDLERS:
+        # an unknown subcommand is refused before ``command`` is set
+        if args.json and args.command is not None:
             _write_json(report, sys.stdout)
         elif "error" not in report:
             _print_text(report)

@@ -381,9 +381,10 @@ def test_closed_pipe_is_quiet(json_flag, window):
     assert b"Traceback" not in err and b"BrokenPipeError" not in err
 
 
-@pytest.mark.parametrize("level", [None, "debug", "verbose"])
+@pytest.mark.parametrize("level", [None, "debug", "verbose", "basic_format", "_styles"])
 def test_tbsl_log_records_a_failed_command_with_its_traceback(level):
-    # off unless TBSL_LOG is set; a level logging does not know, such as "verbose", means DEBUG
+    # off unless TBSL_LOG is set; a name that is no level of logging, such as "verbose"
+    # or "basic_format", means DEBUG
     src = Path(__file__).resolve().parent.parent / "src"
     env = {k: v for k, v in os.environ.items() if k != "TBSL_LOG"}
     env["PYTHONPATH"] = str(src)
