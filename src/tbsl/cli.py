@@ -345,7 +345,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The command table: each subcommand's parser sets ``handler``, which returns its report body."""
+    """The command table: each subparser sets ``handler``, which returns the report body."""
     parser = _Parser(
         prog="tbsl",
         description="Exact L-space / taut-foliation surgery calculus for "

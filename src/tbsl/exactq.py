@@ -107,7 +107,8 @@ class CircleInterval:
     The arc runs from ``lo`` to ``hi`` in the direction of increasing slope
     (wrapping at ``inf``).  ``lo == hi`` with both ends closed is the single
     point; with both ends open it is the punctured circle, so ``(inf,inf)``
-    holds every rational.
+    holds every rational.  Both ends are ``Slope``s; the named constructors
+    also take rationals and text.
     """
 
     lo: Slope
@@ -120,8 +121,6 @@ class CircleInterval:
     full_circle = False
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", Slope.of(self.lo))
-        object.__setattr__(self, "hi", Slope.of(self.hi))
         if self.lo == self.hi and self.lo_closed != self.hi_closed:
             raise ValueError(
                 "degenerate interval must be a point [a,a] or a punctured circle (a,a)"

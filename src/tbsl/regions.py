@@ -52,11 +52,6 @@ class _Axis:
     def __init__(self, keys: list[int], ends: dict[int, Fraction], den: int):
         self.keys, self.ends, self.den = keys, ends, den
 
-    def index(self, v: Fraction) -> int:
-        """The position of the endpoint ``v`` among the keys: ``v`` is on the grid."""
-        n, d = v.as_integer_ratio()
-        return bisect_left(self.keys, n * (self.den // d))
-
 
 #: An axis with no finite endpoint, whose one atom is the whole line.
 _NO_ENDS = _Axis([], {}, 1)
@@ -67,14 +62,15 @@ def _atom_runs(iv: CircleInterval, axis: _Axis) -> tuple[tuple[int, int], ...]:
 
     Atom ``2k + 1`` is endpoint ``k`` and atom ``2k`` is the open arc below it,
     so atom ``2 * len(keys)`` is the arc above the last endpoint; the ends of
-    ``iv`` are on the grid.  A run that would pass ``inf`` (a wrapping arc or
-    a punctured point) splits in two.
+    ``iv`` are on the grid, and an open end steps one atom inward from its
+    point.  A run that would pass ``inf`` (a wrapping arc or a punctured
+    point) splits in two.
     """
     lo, hi, top = iv.lo.value, iv.hi.value, 2 * len(axis.keys)
     if lo is None and hi is None and iv.lo_closed:
         return ()  # [inf,inf], the point at infinity
-    first = 0 if lo is None else 2 * axis.index(lo) + (1 if iv.lo_closed else 2)
-    last = top if hi is None else 2 * axis.index(hi) + (1 if iv.hi_closed else 0)
+    first = 0 if lo is None else _atom_of(axis, lo) + (0 if iv.lo_closed else 1)
+    last = top if hi is None else _atom_of(axis, hi) - (0 if iv.hi_closed else 1)
     return ((first, last),) if first <= last else ((first, top), (0, last))
 
 
@@ -187,10 +183,7 @@ class Region2:
 
     def complement(self) -> "Region2":
         """Complement within Q × Q."""
-        xaxis, yaxis = _joint_ends(self)
-        full = (1 << (2 * len(yaxis.keys) + 1)) - 1
-        cols = [full & ~c for c in self._columns(xaxis, yaxis)]
-        return _reassemble_region(xaxis, yaxis, cols, self.framing)
+        return Region2.finite_plane(self.framing).difference(self)
 
     def covers(self, target: "Region2") -> bool:
         _, _, ca, cb = _aligned_columns(self, target)

@@ -34,8 +34,8 @@ def _fixed(x: Fraction, places: int = 2) -> str:
     return f"{sign}{digits[:-places]}.{digits[-places:]}"
 
 
-def _interval_segments(iv: CircleInterval, w: int) -> list[tuple[Fraction, Fraction]]:
-    """Real segment of a canonical arc clipped to the window [-w, w].
+def _interval_segment(iv: CircleInterval, w: int) -> tuple[Fraction, Fraction] | None:
+    """Real segment of a canonical arc clipped to the window [-w, w], or ``None``.
 
     Canonical arcs never wrap through ``inf``: an ``inf`` endpoint is
     -infinity on the left and +infinity on the right, and an arc with two
@@ -44,7 +44,7 @@ def _interval_segments(iv: CircleInterval, w: int) -> list[tuple[Fraction, Fract
     win = Fraction(w)
     a = -win if iv.lo.is_infinity else max(iv.lo.value, -win)
     b = win if iv.hi.is_infinity else min(iv.hi.value, win)
-    return [(a, b)] if a < b else []
+    return (a, b) if a < b else None
 
 
 def _px(x: Fraction, w: int) -> Fraction:
@@ -58,15 +58,16 @@ def _py(y: Fraction, w: int) -> Fraction:
 def _shade(region: Region2, w: int, colour: str, opacity: str) -> list[str]:
     parts = []
     for ix, iy in region.canonical().rects:
-        for x0, x1 in _interval_segments(ix, w):
-            for y0, y1 in _interval_segments(iy, w):
-                px, py = _px(x0, w), _py(y1, w)
-                pw, ph = _px(x1, w) - px, _py(y0, w) - py
-                parts.append(
-                    f'<rect x="{_fixed(px)}" y="{_fixed(py)}" '
-                    f'width="{_fixed(pw)}" height="{_fixed(ph)}" '
-                    f'fill="{colour}" fill-opacity="{opacity}"/>'
-                )
+        xseg, yseg = _interval_segment(ix, w), _interval_segment(iy, w)
+        if xseg and yseg:
+            (x0, x1), (y0, y1) = xseg, yseg
+            px, py = _px(x0, w), _py(y1, w)
+            pw, ph = _px(x1, w) - px, _py(y0, w) - py
+            parts.append(
+                f'<rect x="{_fixed(px)}" y="{_fixed(py)}" '
+                f'width="{_fixed(pw)}" height="{_fixed(ph)}" '
+                f'fill="{colour}" fill-opacity="{opacity}"/>'
+            )
     return parts
 
 
