@@ -379,7 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svg", metavar="PATH", help="write an SVG plot")
     p.add_argument("--window", type=int, default=None, metavar="W")
 
-    framing_option(add("verdict", "verdict for one surgery multislope", _cmd_verdict, *surgery_args))
+    p = add("verdict", "verdict for one surgery multislope", _cmd_verdict, *surgery_args)
+    framing_option(p)
 
     p = add("sweep", "verdicts over a grid of multislopes", _cmd_sweep, "link")
     p.add_argument("--window", type=int, default=None, metavar="W")

@@ -107,8 +107,7 @@ class CircleInterval:
     The arc runs from ``lo`` to ``hi`` in the direction of increasing slope
     (wrapping at ``inf``).  ``lo == hi`` with both ends closed is the single
     point; with both ends open it is the punctured circle, so ``(inf,inf)``
-    holds every rational.  Both ends are ``Slope``s; the named constructors
-    also take rationals and text.
+    holds every rational.  Both ends are ``Slope``s.
     """
 
     lo: Slope

@@ -61,10 +61,9 @@ def _atom_runs(iv: CircleInterval, axis: _Axis) -> tuple[tuple[int, int], ...]:
     """The finite part of ``iv`` as at most two (first, last) runs of atoms.
 
     Atom ``2k + 1`` is endpoint ``k`` and atom ``2k`` is the open arc below it,
-    so atom ``2 * len(keys)`` is the arc above the last endpoint; the ends of
-    ``iv`` are on the grid, and an open end steps one atom inward from its
-    point.  A run that would pass ``inf`` (a wrapping arc or a punctured
-    point) splits in two.
+    so atom ``2 * len(keys)`` is the arc above the last endpoint.  The ends of
+    ``iv`` are on the grid; an open end starts one atom inside.  A run that
+    would pass ``inf`` (a wrapping arc or a punctured point) splits in two.
     """
     lo, hi, top = iv.lo.value, iv.hi.value, 2 * len(axis.keys)
     if lo is None and hi is None and iv.lo_closed:
