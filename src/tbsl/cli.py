@@ -11,17 +11,17 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import math
 import os
 import sys
 import time
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from . import foliation, lspace, surgery, twobridge
-from .exactq import Slope, cf_eval, even_expand
+from .exactq import Slope, cf_eval, even_expand, read_rational
 from .monodromy import sign_census, twist_word
 from .regions import Framing
 from .svgplot import region_svg
@@ -54,13 +54,13 @@ def _classification_dict(a: foliation.LinkAnalysis) -> dict:
 
 
 def _exact(parse, text: str, what: str):
-    """Command-line text read by ``parse`` (``Fraction`` or ``Slope.parse``).
+    """Command-line text read by ``parse`` (``read_rational`` or ``Slope.parse``).
 
     Every slope and fraction the commands take passes through here, so a
     zero denominator ends as a reported error rather than a traceback.
     """
     try:
-        return parse(text)
+        return parse(text, what)
     except ZeroDivisionError:
         raise ValueError(f"{what} {text!r} has a zero denominator") from None
 
@@ -114,7 +114,7 @@ def _cmd_expand(args) -> dict:
     if text.startswith(("b(", "L(")):
         frac = twobridge.parse_link(text).fraction()
     else:
-        frac = _exact(Fraction, text, "fraction")
+        frac = _exact(read_rational, text, "fraction")
     e = even_expand(frac)
     assert cf_eval(e.coeffs) == Slope(frac)
     return {
@@ -176,7 +176,7 @@ def _cmd_verdict(args) -> dict:
 def _cmd_sweep(args) -> dict:
     a = foliation.analyse(twobridge.parse_link(args.link))
     window = _window(args, a)
-    step = _exact(Fraction, args.step, "--step")
+    step = _exact(read_rational, args.step, "--step")
     if step <= 0:
         raise ValueError("--step must be positive")
     if args.window is None:
@@ -344,6 +344,7 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command table: each subparser sets ``handler``, which returns the report body."""
     parser = _Parser(

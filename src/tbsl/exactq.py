@@ -41,6 +41,19 @@ def as_rat(x) -> Fraction:
     return Fraction(x)
 
 
+_RATIONAL_RE = re.compile(r"(-?\d+)(?:/(\d+))?")
+
+
+def read_rational(text: str, what: str = "rational") -> Fraction:
+    """``text`` as ``[-]digits[/digits]``; ``Fraction`` also reads ``+``, decimals, ``_``
+    and exponents, computing ``1e10000000`` in full.  Other forms raise ``ValueError``
+    naming ``what``, and a zero denominator ``ZeroDivisionError``, as in ``Fraction``."""
+    m = _RATIONAL_RE.fullmatch(text.strip())
+    if m is None:
+        raise ValueError(f"{what} {text!r} is not of the form [-]digits[/digits]")
+    return Fraction(int(m[1]), int(m[2] or 1))
+
+
 @total_ordering
 @dataclass(frozen=True)
 class Slope:
@@ -65,11 +78,11 @@ class Slope:
         return cls(as_rat(x))
 
     @classmethod
-    def parse(cls, text: str) -> "Slope":
+    def parse(cls, text: str, what: str = "slope") -> "Slope":
         text = text.strip()
         if text == "inf":
             return INFINITY
-        return cls(Fraction(text))
+        return cls(read_rational(text, what))
 
     @property
     def is_infinity(self) -> bool:

@@ -9,9 +9,10 @@ foliation region is defined as the complement of the L-space region, and
 the constructive covers are kept as independent witnesses
 (``cover_witnesses``, ``ln_taut_witness_strips``) that reproduce it.
 Every realised interval is read off the weight families
-(``BUILTIN_WEIGHT_FAMILIES``), and one route, ``_route``, carries a
-companion link's realised boxes through the framing change and the twist
-fillings for all three families.
+(``BUILTIN_WEIGHT_FAMILIES``).  Each companion link is a constant linking
+matrix beside its table of realised boxes, and one route, ``_route``,
+builds the companion from it and carries the boxes through the framing
+change and the twist fillings for all three families.
 
 ``analyse`` builds one :class:`LinkAnalysis` per link; its ``verdict_rows``
 is the package's one verdict engine, and ``verdict`` is its 1×1 case.  A
@@ -190,18 +191,19 @@ def verdict(link: TwoBridgeLink, slope: tuple) -> Verdict:
 # constructive cover witnesses
 
 
-def _route(companion: SurgeryDiagram, boxes, filled: Region2 | None = None) -> Region2:
+def _route(linking, fills, boxes, filled: Region2 | None = None) -> Region2:
     """Canonical-framing region of a companion's realised boxes, and their swap.
 
-    ``companion`` is Seifert-framed with slope 0 on its first two components
-    and each further component at its filling slope; each box lists one
-    realised interval per component.  Every filling slope must lie in its
-    interval.  Converting the framing and twisting the further components
-    away, highest first, shifts the first two coordinates; the same probe
-    gives the filled link's linking number, which carries the
-    Seifert-framing region ``filled`` of the filled link to the canonical
-    framing.
+    The companion has linking matrix ``linking`` and is Seifert-framed with
+    slope 0 on its first two components and ``fills`` on the others; each
+    box lists one realised interval per component.  Every filling slope
+    must lie in its interval.  Converting the framing and twisting the
+    further components away, highest first, shifts the first two
+    coordinates; the same probe gives the filled link's linking number,
+    which carries the Seifert-framing region ``filled`` of the filled link
+    to the canonical framing.
     """
+    companion = SurgeryDiagram(linking, (0, 0, *fills), Framing.SEIFERT)
     for box in boxes:
         for s, iv in zip(companion.slopes[2:], box[2:]):
             if not iv.contains(s):
@@ -218,15 +220,9 @@ def _route(companion: SurgeryDiagram, boxes, filled: Region2 | None = None) -> R
     return routed
 
 
-def _family1_aux_diagram(a, b) -> SurgeryDiagram:
-    # three-component companion of the smallest all-negative link; the third
-    # component is filled at Seifert slope -1
-    return SurgeryDiagram(
-        linking=((0, -1, 1), (-1, 0, -1), (1, -1, 0)),
-        slopes=(Slope.of(a), Slope.of(b), Slope(-1)),
-        framing=Framing.SEIFERT,
-    )
-
+#: Three-component companion of the smallest all-negative link; its third
+#: component is filled at Seifert slope -1.
+_FAMILY1_LINKING = ((0, -1, 1), (-1, 0, -1), (1, -1, 0))
 
 #: Seifert-framing boxes of the two auxiliary branched surfaces on the
 #: family-1 companion, each with its realised third factor.
@@ -235,35 +231,16 @@ _FAMILY1_BOXES = (
     _realised("(inf,1)", "(inf,1)", "(inf,1)"),
 )
 
-
-def family1_small_route_region() -> Region2:
-    """Canonical-framing foliation region for the length-3 all-negative link.
-
-    The auxiliary boxes routed through the companion, plus the census
-    region of ``L(-2,-2,-2)`` moved by the linking number the route probes.
-    """
-    census = lemma_regions(SignCensus(1, 0, 0, 2))
-    return _route(_family1_aux_diagram(0, 0), _FAMILY1_BOXES, census)
-
-
-def family2_aux_diagram(a, b, k: int, h: int) -> SurgeryDiagram:
-    """Four-component companion of the rewritten interior links.
-
-    Linking data transcribed so that the framing change is (-1, -1, 0, 0)
-    and the two twists land on the published coefficients; see the tests
-    for the consistency checks pinning it down.
-    """
-    return SurgeryDiagram(
-        linking=(
-            (0, 1, 1, -1),
-            (1, 0, -1, 1),
-            (1, -1, 0, 0),
-            (-1, 1, 0, 0),
-        ),
-        slopes=(Slope.of(a), Slope.of(b), Slope(Fraction(-1, k)), Slope(Fraction(-1, h))),
-        framing=Framing.SEIFERT,
-    )
-
+#: Four-component companion of the rewritten interior links, filled at
+#: Seifert slopes -1/k and -1/h.  Linking data transcribed so that the
+#: framing change is (-1, -1, 0, 0) and the two twists land on the published
+#: coefficients; see the tests for the consistency checks pinning it down.
+_FAMILY2_LINKING = (
+    (0, 1, 1, -1),
+    (1, 0, -1, 1),
+    (1, -1, 0, 0),
+    (-1, 1, 0, 0),
+)
 
 #: Seifert-framing boxes (0, inf) × Q and (inf, 1)² of the family-2
 #: companion, with the realised third and fourth factors; any filling at
@@ -273,25 +250,9 @@ _FAMILY2_BOXES = (
     _realised("(inf,1)", "(inf,1)", "(inf,1)", "(inf,1)"),
 )
 
-
-def family2_route_region() -> Region2:
-    """Canonical-framing foliation region for the rewritten interior links.
-
-    The region is the whole plane for every (k, h); it is routed through
-    the companion filled at -1 and -1.
-    """
-    return _route(family2_aux_diagram(0, 0, 1, 1), _FAMILY2_BOXES)
-
-
-def _ln_aux_diagram(a, b, n: int) -> SurgeryDiagram:
-    # three-component companion of the exceptional links; third component
-    # filled at Seifert slope -1/n
-    return SurgeryDiagram(
-        linking=((0, 1, 1), (1, 0, -1), (1, -1, 0)),
-        slopes=(Slope.of(a), Slope.of(b), Slope(Fraction(-1, n))),
-        framing=Framing.SEIFERT,
-    )
-
+#: Three-component companion of the exceptional links; its third component
+#: is filled at Seifert slope -1/n.
+_LN_LINKING = ((0, 1, 1), (1, 0, -1), (1, -1, 0))
 
 #: Seifert-framing boxes realised by the four branched surfaces on the
 #: exceptional links' companion; first two coordinates, with the realised
@@ -315,29 +276,35 @@ def ln_taut_witness_strips(n: int) -> Region2:
     """
     if n < 2:
         raise ValueError("the strip cover needs n >= 2")
-    return _route(_ln_aux_diagram(0, 0, n), _LN_SURFACE_BOXES)
+    return _route(_LN_LINKING, (Fraction(-1, n),), _LN_SURFACE_BOXES)
 
 
 @dataclass(frozen=True)
 class CoverWitness:
     name: str
     region: Region2
-    target: Region2
+
+    @property
+    def target(self) -> Region2:
+        """The finite plane ``(inf,inf) × (inf,inf)`` of the witness's framing."""
+        return Region2.finite_plane(self.region.framing)
 
 
 def cover_witnesses() -> tuple[CoverWitness, ...]:
-    """The constructive covers that must exactly fill their targets, each one the
-    finite plane ``(inf,inf) × (inf,inf)`` of its framing."""
-    seifert_plane = Region2.finite_plane(Framing.SEIFERT)
-    canonical_plane = Region2.finite_plane(Framing.CANONICAL)
-    mixed_rivers = lemma_regions(SignCensus(1, 1, 1, 0))
-    river_bridge_mix = lemma_regions(SignCensus(1, 0, 1, 2))
+    """The constructive covers that must exactly fill their targets.
+
+    ``family1-small`` is the foliation region of the length-3 all-negative
+    link: the auxiliary boxes routed through the companion, plus the census
+    region of ``L(-2,-2,-2)`` moved by the linking number the route probes.
+    ``family2`` is that of the rewritten interior links, the whole plane for
+    every (k, h); it is routed through the companion filled at -1 and -1.
+    """
+    family1 = lemma_regions(SignCensus(1, 0, 0, 2))
     split = Region2(Framing.SEIFERT, (_realised("(inf,1)", "(0,inf)"),))
-    family1_generic = lemma_regions(SignCensus(1, 0, 0, 2)).union(split.union(split.swapped()))
     return (
-        CoverWitness("mixed-rivers", mixed_rivers, seifert_plane),
-        CoverWitness("positive-river-mixed-bridges", river_bridge_mix, seifert_plane),
-        CoverWitness("family1-generic", family1_generic, seifert_plane),
-        CoverWitness("family1-small", family1_small_route_region(), canonical_plane),
-        CoverWitness("family2", family2_route_region(), canonical_plane),
+        CoverWitness("mixed-rivers", lemma_regions(SignCensus(1, 1, 1, 0))),
+        CoverWitness("positive-river-mixed-bridges", lemma_regions(SignCensus(1, 0, 1, 2))),
+        CoverWitness("family1-generic", family1.union(split.union(split.swapped()))),
+        CoverWitness("family1-small", _route(_FAMILY1_LINKING, (-1,), _FAMILY1_BOXES, family1)),
+        CoverWitness("family2", _route(_FAMILY2_LINKING, (-1, -1), _FAMILY2_BOXES)),
     )

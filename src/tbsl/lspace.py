@@ -95,14 +95,10 @@ def classified_lspace_region(link: TwoBridgeLink, cls: LinkClass) -> Region2:
     return quadrant.negated() if cls.family is LinkFamily.LN_MIRROR else quadrant
 
 
-def _ln_seed_diagram(third_slope: Slope | None) -> SurgeryDiagram:
-    # three-component seed link: two unknots with linking 0, a third axial
-    # component linking each of them once; canonical-framing slopes (1, 1, .)
-    return SurgeryDiagram(
-        linking=((0, 0, 1), (0, 0, 1), (1, 1, 0)),
-        slopes=(Slope(1), Slope(1), third_slope),
-        framing=Framing.CANONICAL,
-    )
+#: Three-component seed link: two unknots with linking 0, a third axial
+#: component linking each of them once; canonical-framing slopes (1, 1) and
+#: the third component drilled.
+_LN_SEED = SurgeryDiagram(((0, 0, 1), (0, 0, 1), (1, 1, 0)), (1, 1, None), Framing.CANONICAL)
 
 
 def verify_ln_chain(n: int) -> bool:
@@ -117,13 +113,14 @@ def verify_ln_chain(n: int) -> bool:
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    if drilled_longitude(_ln_seed_diagram(None), 2) != Slope(2):
+    if drilled_longitude(_LN_SEED, 2) != Slope(2):
         return False
     arcs = rr_propagate({INFINITY, Slope(1)}, Slope(2))
     t = INFINITY if n == 1 else Slope(Fraction(-1, n - 1))
     if not any(arc.contains(t) for arc in arcs):
         return False
-    filled = rolfsen_fill(_ln_seed_diagram(t), 2)
+    seed = _LN_SEED.with_slope(2, t)
+    filled = rolfsen_fill(seed, 2)
     if filled.slopes != (Slope(n), Slope(n)):
         return False
     lk = filled.linking[0][1]
@@ -131,7 +128,7 @@ def verify_ln_chain(n: int) -> bool:
         return False
     # the coefficient map must be the same affine shift at any other seed
     a, b = 5, -3
-    other = _ln_seed_diagram(t).with_slope(0, Slope(a)).with_slope(1, Slope(b))
+    other = seed.with_slope(0, Slope(a)).with_slope(1, Slope(b))
     if rolfsen_fill(other, 2).slopes != (Slope(a + n - 1), Slope(b + n - 1)):
         return False
     region = rect_propagate((Fraction(n), Fraction(n)), abs(lk))

@@ -53,10 +53,6 @@ class _Axis:
         self.keys, self.ends, self.den = keys, ends, den
 
 
-#: An axis with no finite endpoint, whose one atom is the whole line.
-_NO_ENDS = _Axis([], {}, 1)
-
-
 def _atom_runs(iv: CircleInterval, axis: _Axis) -> tuple[tuple[int, int], ...]:
     """The finite part of ``iv`` as at most two (first, last) runs of atoms.
 
@@ -229,9 +225,6 @@ def _joint_ends(*regions: Region2) -> tuple[_Axis, _Axis]:
     for k in (0, 1):
         vals = [v for r in regions for rect in r.rects for s in (rect[k].lo, rect[k].hi)
                 if (v := s.value) is not None]
-        if not vals:  # the empty region and the plane: no holder to build
-            axes.append(_NO_ENDS)
-            continue
         den = math.lcm(*[v.denominator for v in vals])
         ends = {v.numerator * (den // v.denominator): v for v in vals}
         axes.append(_Axis(sorted(ends), ends, den))

@@ -25,7 +25,7 @@ from math import gcd
 from typing import Iterator
 
 from .errors import KnotNotLink
-from .exactq import EvenExpansion, as_rat, cf_eval, even_entries, even_expand
+from .exactq import EvenExpansion, as_rat, cf_eval, even_entries, even_expand, read_rational
 
 
 @dataclass(frozen=True)
@@ -304,7 +304,7 @@ def parse_link(text: str) -> TwoBridgeLink:
             raise ValueError(f"{text} evaluates to inf, not a link")
         return TwoBridgeLink.from_fraction(value.value)
     try:
-        frac = Fraction(text)
+        frac = read_rational(text)
     except ZeroDivisionError:
         raise ValueError(f"cannot parse link spec {text!r} (zero denominator)") from None
     except ValueError as exc:

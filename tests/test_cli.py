@@ -317,6 +317,12 @@ class TestVerifyCommands:
         # b(p,-3) has the candidate p - 3, whose expansion has about p/3 entries ±2
         (["classify", f"b({10**30},-3)"], "more than 1000000 entries"),
         (["expand", "2000002/2000001"], "more than 1000000 entries"),
+        # rationals are [-]digits[/digits]: Fraction reads these, and computes
+        # 1e10000000 in full, for seconds, before the digit limit refuses it
+        (["classify", "1e3"], "link spec '1e3' (unexpected input at position 1)"),
+        (["expand", "0.5"], "fraction '0.5' is not of the form [-]digits[/digits]"),
+        (["sweep", "b(8,5)", "--step", "1e0"], "--step '1e0' is not of the form"),
+        (["verdict", "b(8,5)", "1e10000000", "1"], "slope '1e10000000' is not of the form"),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else None,
 )

@@ -34,6 +34,12 @@ class TestSlope:
         for text in ["inf", "8/5", "-30/11", "2", "0", "-1/3"]:
             assert str(Slope.parse(text)) == text
 
+    @pytest.mark.parametrize("text", ["1e3", "1E3", "0.5", "+3", "1_000"])
+    def test_parse_reads_only_digits_over_digits(self, text):
+        # Fraction reads each of these, and computes 1e10000000 in full
+        with pytest.raises(ValueError, match=r"not of the form \[-\]digits\[/digits\]"):
+            Slope.parse(text)
+
     def test_negation_and_shift(self):
         assert -Slope(Fraction(8, 5)) == Slope(Fraction(-8, 5))
         assert -INFINITY == INFINITY

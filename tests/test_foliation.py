@@ -24,16 +24,16 @@ from tbsl import (
 from oracles import verdict_by_rules
 from tbsl.errors import OutOfScope
 from tbsl.foliation import (
+    _FAMILY1_LINKING,
     _FAMILY2_BOXES,
+    _FAMILY2_LINKING,
+    _LN_LINKING,
     _LN_SURFACE_BOXES,
-    _family1_aux_diagram,
-    _ln_aux_diagram,
     _route,
     analyse,
     cover_witnesses,
-    family2_aux_diagram,
 )
-from tbsl.surgery import framing_convert, presentation_matrix, rolfsen_fill
+from tbsl.surgery import SurgeryDiagram, framing_convert, presentation_matrix, rolfsen_fill
 from tbsl.twobridge import TwoBridgeLink, classify, linking_number, parse_link
 
 SEIFERT_PLANE = Region2.finite_plane(Framing.SEIFERT)
@@ -209,22 +209,23 @@ class TestRoute:
         # at n = 1 the third slope -1 is an endpoint of (-1,0): the Whitehead gap
         message = r"filling slope -1 leaves the realised interval \(-1,0\)"
         with pytest.raises(ValueError, match=message):
-            _route(_ln_aux_diagram(0, 0, 1), _LN_SURFACE_BOXES)
+            _route(_LN_LINKING, (-1,), _LN_SURFACE_BOXES)
 
     @pytest.mark.parametrize("k, h", [(1, 1), (2, 3), (5, 1), (7, 9)])
     def test_family2_boxes_cover_the_plane_for_every_twist(self, k, h):
-        assert _route(family2_aux_diagram(0, 0, k, h), _FAMILY2_BOXES).equals(CANONICAL_PLANE)
+        fills = (Fraction(-1, k), Fraction(-1, h))
+        assert _route(_FAMILY2_LINKING, fills, _FAMILY2_BOXES).equals(CANONICAL_PLANE)
 
     def test_family2_filling_must_lie_in_its_interval(self):
         message = r"filling slope 1 leaves the realised interval \(inf,0\)"
         with pytest.raises(ValueError, match=message):
-            _route(family2_aux_diagram(0, 0, -1, 1), _FAMILY2_BOXES)
+            _route(_FAMILY2_LINKING, (1, -1), _FAMILY2_BOXES)
 
     def test_filled_region_moves_by_the_linking_number(self):
         census = lemma_regions(SignCensus(1, 0, 0, 2))
         lk = analyse(parse_link("L(-2,-2,-2)")).linking
         expected = census.shifted(-lk, -lk).with_framing(Framing.CANONICAL)
-        assert _route(_family1_aux_diagram(0, 0), (), census).equals(expected)
+        assert _route(_FAMILY1_LINKING, (-1,), (), census).equals(expected)
 
 
 class TestFamily2Companion:
@@ -232,7 +233,9 @@ class TestFamily2Companion:
         # Seifert (a, b, -1/k, -1/h) becomes canonical (a-1, b-1, ...) and the
         # two twists land on (a-1+k+h, b-1+k+h)
         for k, h in [(1, 1), (1, 4), (3, 2), (5, 5)]:
-            d = family2_aux_diagram(7, -2, k, h)
+            d = SurgeryDiagram(
+                _FAMILY2_LINKING, (7, -2, Fraction(-1, k), Fraction(-1, h)), Framing.SEIFERT
+            )
             canonical = framing_convert(d, Framing.CANONICAL)
             assert canonical.slopes[0] == Slope(6)
             assert canonical.slopes[1] == Slope(-3)
@@ -246,17 +249,18 @@ class TestFamily2Companion:
         for k, h in [(1, 1), (2, 3)]:
             link = parse_link(f"L({-2 * k},-2,2,-2,{-2 * h})")
             e = classify(link).fibered_expansion
-            d = rolfsen_fill(
-                rolfsen_fill(
-                    framing_convert(family2_aux_diagram(0, 0, k, h), Framing.CANONICAL), 3
-                ),
-                2,
+            d = SurgeryDiagram(
+                _FAMILY2_LINKING, (0, 0, Fraction(-1, k), Fraction(-1, h)), Framing.SEIFERT
             )
+            d = rolfsen_fill(rolfsen_fill(framing_convert(d, Framing.CANONICAL), 3), 2)
             assert abs(linking_number(e)) == abs(d.linking[0][1]) == k + h - 1
 
     def test_homology_consistent_through_fills(self):
         for k, h in [(1, 2), (3, 1)]:
-            d = framing_convert(family2_aux_diagram(3, 5, k, h), Framing.CANONICAL)
+            d = SurgeryDiagram(
+                _FAMILY2_LINKING, (3, 5, Fraction(-1, k), Fraction(-1, h)), Framing.SEIFERT
+            )
+            d = framing_convert(d, Framing.CANONICAL)
             full = presentation_matrix(d)
             filled = presentation_matrix(rolfsen_fill(rolfsen_fill(d, 3), 2))
             assert filled.order == full.order
@@ -267,7 +271,8 @@ class TestFramingSquares:
         # Seifert (a, b, -1) on the companion reaches Seifert (a-1, b+1) on
         # the filled link through the canonical route
         for a, b in [(0, 0), (4, -7), (-3, 2)]:
-            d = framing_convert(_family1_aux_diagram(a, b), Framing.CANONICAL)
+            d = SurgeryDiagram(_FAMILY1_LINKING, (a, b, -1), Framing.SEIFERT)
+            d = framing_convert(d, Framing.CANONICAL)
             filled = rolfsen_fill(d, 2)
             back = framing_convert(filled, Framing.SEIFERT)
             assert back.slopes == (Slope(a - 1), Slope(b + 1))
@@ -277,7 +282,10 @@ class TestFramingSquares:
         # on the filled link
         for k, h in [(1, 1), (2, 5), (4, 3)]:
             for a, b in [(0, 0), (6, -1)]:
-                d = framing_convert(family2_aux_diagram(a, b, k, h), Framing.CANONICAL)
+                d = SurgeryDiagram(
+                    _FAMILY2_LINKING, (a, b, Fraction(-1, k), Fraction(-1, h)), Framing.SEIFERT
+                )
+                d = framing_convert(d, Framing.CANONICAL)
                 filled = rolfsen_fill(rolfsen_fill(d, 3), 2)
                 back = framing_convert(filled, Framing.SEIFERT)
                 assert back.slopes == (Slope(a), Slope(b))
