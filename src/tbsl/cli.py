@@ -53,24 +53,19 @@ def _classification_dict(a: foliation.LinkAnalysis) -> dict:
     return d
 
 
-def _exact(parse, text: str, what: str):
-    """Command-line text read by ``parse`` (``read_rational`` or ``Slope.parse``).
-
-    Every slope and fraction the commands take passes through here, so a
-    zero denominator ends as a reported error rather than a traceback.
-    """
-    try:
-        return parse(text, what)
-    except ZeroDivisionError:
-        raise ValueError(f"{what} {text!r} has a zero denominator") from None
-
-
 def _surgery(args, target: Framing) -> tuple[foliation.LinkAnalysis, surgery.SurgeryDiagram]:
     """``args.link`` analysed, and its surgery at slopes ``args.r1``, ``args.r2`` in
     ``args.framing`` converted to ``target``; a bad link is reported before a bad slope."""
     a = foliation.analyse(twobridge.parse_link(args.link))
-    s1, s2 = _exact(Slope.parse, args.r1, "slope"), _exact(Slope.parse, args.r2, "slope")
+    s1, s2 = Slope.parse(args.r1), Slope.parse(args.r2)
     return a, surgery.framing_convert(a.diagram(s1, s2, Framing(args.framing)), target)
+
+
+def _integer(text: str) -> int:
+    """An integer option, written ``[-]digits`` as the rationals are."""
+    if not text.strip().removeprefix("-").isdecimal():
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
 
 
 def _positive(value: int, flag: str, limit: int | None = None) -> int:
@@ -114,7 +109,7 @@ def _cmd_expand(args) -> dict:
     if text.startswith(("b(", "L(")):
         frac = twobridge.parse_link(text).fraction()
     else:
-        frac = _exact(read_rational, text, "fraction")
+        frac = read_rational(text, "fraction")
     e = even_expand(frac)
     assert cf_eval(e.coeffs) == Slope(frac)
     return {
@@ -176,7 +171,7 @@ def _cmd_verdict(args) -> dict:
 def _cmd_sweep(args) -> dict:
     a = foliation.analyse(twobridge.parse_link(args.link))
     window = _window(args, a)
-    step = _exact(read_rational, args.step, "--step")
+    step = read_rational(args.step, "--step")
     if step <= 0:
         raise ValueError("--step must be positive")
     if args.window is None:
@@ -378,13 +373,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("region", "L-space and foliation regions of a link", _cmd_region, "link")
     framing_option(p)
     p.add_argument("--svg", metavar="PATH", help="write an SVG plot")
-    p.add_argument("--window", type=int, default=None, metavar="W")
+    p.add_argument("--window", type=_integer, default=None, metavar="W")
 
     p = add("verdict", "verdict for one surgery multislope", _cmd_verdict, *surgery_args)
     framing_option(p)
 
     p = add("sweep", "verdicts over a grid of multislopes", _cmd_sweep, "link")
-    p.add_argument("--window", type=int, default=None, metavar="W")
+    p.add_argument("--window", type=_integer, default=None, metavar="W")
     p.add_argument("--step", default="1", metavar="S")
 
     p = add("homology", "homology of a surgery, from its presentation matrix", _cmd_homology,
@@ -396,10 +391,10 @@ def build_parser() -> argparse.ArgumentParser:
     framing_option(p, "--to")
 
     p = add("verify-ln", "replay the quadrant derivation for the exceptional links", _cmd_verify_ln)
-    p.add_argument("--max", type=int, default=25)
+    p.add_argument("--max", type=_integer, default=25)
 
     p = add("verify-covers", "check the constructive region covers", _cmd_verify_covers)
-    p.add_argument("--max", type=int, default=10)
+    p.add_argument("--max", type=_integer, default=10)
 
     return parser
 
@@ -421,7 +416,7 @@ def main(argv=None) -> int:
         if any(not c["ok"] for c in report.get("checks", [])):
             report["ok"] = False
             code = 1
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         log.debug("command failed", exc_info=True)
         report["ok"] = False
         report["error"] = str(exc)

@@ -35,10 +35,10 @@ from typing import Iterable, Iterator
 
 
 def as_rat(x) -> Fraction:
-    """Coerce to an exact rational; floats are rejected, not approximated."""
+    """Coerce to an exact rational; floats are rejected, text is read by :func:`read_rational`."""
     if isinstance(x, float):
         raise TypeError(f"floats are not exact slopes; pass a Fraction or string: {x!r}")
-    return Fraction(x)
+    return read_rational(x) if isinstance(x, str) else Fraction(x)
 
 
 _RATIONAL_RE = re.compile(r"(-?\d+)(?:/(\d+))?")
@@ -47,11 +47,14 @@ _RATIONAL_RE = re.compile(r"(-?\d+)(?:/(\d+))?")
 def read_rational(text: str, what: str = "rational") -> Fraction:
     """``text`` as ``[-]digits[/digits]``; ``Fraction`` also reads ``+``, decimals, ``_``
     and exponents, computing ``1e10000000`` in full.  Other forms raise ``ValueError``
-    naming ``what``, and a zero denominator ``ZeroDivisionError``, as in ``Fraction``."""
+    and a zero denominator ``ZeroDivisionError``, each naming ``what`` and ``text``."""
     m = _RATIONAL_RE.fullmatch(text.strip())
     if m is None:
         raise ValueError(f"{what} {text!r} is not of the form [-]digits[/digits]")
-    return Fraction(int(m[1]), int(m[2] or 1))
+    den = int(m[2] or 1)
+    if den == 0:
+        raise ZeroDivisionError(f"{what} {text!r} has a zero denominator")
+    return Fraction(int(m[1]), den)
 
 
 @total_ordering
@@ -79,8 +82,7 @@ class Slope:
 
     @classmethod
     def parse(cls, text: str, what: str = "slope") -> "Slope":
-        text = text.strip()
-        if text == "inf":
+        if text.strip() == "inf":
             return INFINITY
         return cls(read_rational(text, what))
 

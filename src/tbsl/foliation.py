@@ -15,10 +15,11 @@ builds the companion from it and carries the boxes through the framing
 change and the twist fillings for all three families.
 
 ``analyse`` builds one :class:`LinkAnalysis` per link; its ``verdict_rows``
-is the package's one verdict engine, and ``verdict`` is its 1×1 case.  A
-grid point costs a few integer operations: the L-space region is read one
-row at a time as a bitmask (``Region2.row_masks``), and the fillings that
-are not rational homology spheres are found per row, not per point.
+is the package's one verdict engine, and the free function ``verdict`` is
+its 1×1 case.  A grid point costs a few integer operations: the L-space
+region is read one row at a time as a bitmask (``Region2.row_masks``), and
+the fillings that are not rational homology spheres are found per row, not
+per point.
 """
 
 from __future__ import annotations
@@ -130,10 +131,6 @@ class LinkAnalysis:
         lk = self.linking
         return SurgeryDiagram(((0, lk), (lk, 0)), (s1, s2), framing)
 
-    def verdict(self, s1: Slope, s2: Slope) -> Verdict:
-        """Classify one surgery (canonical framing): the 1×1 grid of :meth:`verdict_rows`."""
-        return next(self.verdict_rows((s1,), (s2,)))[0]
-
     def verdict_rows(self, xs, ys):
         """Verdicts over the canonical-framing grid ``xs`` × ``ys``, one list per x.
 
@@ -184,7 +181,8 @@ def foliation_region(link: TwoBridgeLink) -> Region2:
 
 def verdict(link: TwoBridgeLink, slope: tuple) -> Verdict:
     """Verdict for the canonical-framing multislope ``slope`` of ``link``."""
-    return analyse(link).verdict(Slope.of(slope[0]), Slope.of(slope[1]))
+    xs, ys = (Slope.of(slope[0]),), (Slope.of(slope[1]),)
+    return next(analyse(link).verdict_rows(xs, ys))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -75,13 +75,9 @@ def framing_convert(d: SurgeryDiagram, target: Framing) -> SurgeryDiagram:
     if d.framing == target:
         return d
     sign = -1 if target == Framing.CANONICAL else 1
-    slopes = []
-    for i, s in enumerate(d.slopes):
-        if s is None or s.is_infinity:
-            slopes.append(s)
-        else:
-            slopes.append(s.shifted(sign * d.total_linking(i)))
-    return SurgeryDiagram(d.linking, tuple(slopes), target)
+    slopes = tuple(None if s is None else s.shifted(sign * d.total_linking(i))
+                   for i, s in enumerate(d.slopes))
+    return SurgeryDiagram(d.linking, slopes, target)
 
 
 def rolfsen_fill(d: SurgeryDiagram, component: int) -> SurgeryDiagram:
@@ -116,14 +112,9 @@ def rolfsen_fill(d: SurgeryDiagram, component: int) -> SurgeryDiagram:
         )
         for i in keep
     )
-    slopes = []
-    for i in keep:
-        s_i = d.slopes[i]
-        if s_i is None or s_i.is_infinity:
-            slopes.append(s_i)
-        else:
-            slopes.append(s_i.shifted(m * lk_c[i] ** 2))
-    return SurgeryDiagram(linking, tuple(slopes), Framing.CANONICAL)
+    slopes = tuple(None if s is None else s.shifted(m * lk_c[i] ** 2)
+                   for i, s in enumerate(d.slopes) if i != component)
+    return SurgeryDiagram(linking, slopes, Framing.CANONICAL)
 
 
 @dataclass(frozen=True)

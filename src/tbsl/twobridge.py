@@ -4,7 +4,8 @@ A two-component two-bridge link is written ``b(p, q)`` with ``p`` even and
 positive, ``q`` odd, ``-p < q < p`` and ``gcd(p, |q|) = 1``.  Oriented links
 ``b(p, q)`` and ``b(p', q')`` are isotopic exactly when ``p = p'`` and
 ``q' ≡ q^{±1} (mod 2p)``; forgetting orientations the condition relaxes to
-``q' ≡ q^{±1} (mod p)``.
+``q' ≡ q^{±1} (mod p)``.  Both relations are read off the candidate lift
+list, the odd ``q'`` in (-p, p) with ``q' ≡ q^{±1} (mod p)``.
 
 Fibered links are recognised through the all-even continued-fraction
 expansion: the link is fibered exactly when some Schubert-equivalent
@@ -22,7 +23,6 @@ from enum import Enum
 from fractions import Fraction
 from itertools import islice
 from math import gcd
-from typing import Iterator
 
 from .errors import KnotNotLink
 from .exactq import EvenExpansion, as_rat, cf_eval, even_entries, even_expand, read_rational
@@ -39,7 +39,7 @@ class TwoBridgeLink:
         p, q = self.p, self.q
         if p <= 0 or p % 2 != 0:
             raise ValueError(f"p must be a positive even integer, got {p}")
-        if q % 2 == 0 or q == 0 or not -p < q < p:
+        if q % 2 == 0 or not -p < q < p:
             raise ValueError(f"q must be odd, nonzero and in (-{p}, {p}), got {q}")
         if gcd(p, abs(q)) != 1:
             raise ValueError(f"p and q must be coprime, got ({p}, {q})")
@@ -48,7 +48,7 @@ class TwoBridgeLink:
     def normalized(cls, p: int, q: int) -> "TwoBridgeLink":
         """Reduce ``q`` modulo 2p into (-p, p); preserves the oriented class."""
         if p <= 0 or p % 2 != 0:
-            if p > 0 and p % 2 == 1:
+            if p > 0:
                 raise KnotNotLink(f"b({p},{q}) is a knot, not a link (odd p)")
             raise ValueError(f"p must be a positive even integer, got {p}")
         r = q % (2 * p)
@@ -91,28 +91,22 @@ class SchubertRelation(Enum):
 
 
 def schubert_oriented_equal(a: TwoBridgeLink, b: TwoBridgeLink) -> SchubertRelation:
-    """Compare oriented links via the mod-2p classification."""
-    if a.p != b.p:
+    """Compare oriented links via the mod-2p classification.
+
+    Mod 2p the lifts of q^{±1} mod p are q^{±1} and q^{±1} + p, so an
+    unoriented-equal pair that is not isotopic differs by a component reversal.
+    """
+    if not schubert_unoriented_equal(a, b):
         return SchubertRelation.DISTINCT
     m = 2 * a.p
     if (b.q - a.q) % m == 0 or (a.q * b.q - 1) % m == 0:
         return SchubertRelation.ISOTOPIC
-    if (b.q - a.q - a.p) % m == 0 or (a.q * b.q - 1 - a.p) % m == 0:
-        return SchubertRelation.COMPONENT_REVERSAL
-    return SchubertRelation.DISTINCT
+    return SchubertRelation.COMPONENT_REVERSAL
 
 
 def schubert_unoriented_equal(a: TwoBridgeLink, b: TwoBridgeLink) -> bool:
-    """Unoriented equivalence: q' ≡ q^{±1} (mod p).
-
-    This is the mod-p collapse of the four oriented clauses; the two odd
-    lifts of each residue are precisely the representatives the oriented
-    test would see.
-    """
-    if a.p != b.p:
-        return False
-    p = a.p
-    return (b.q - a.q) % p == 0 or (a.q * b.q - 1) % p == 0
+    """Unoriented equivalence, q' ≡ q^{±1} (mod p): ``b.q`` among the lifts of ``a``."""
+    return a.p == b.p and b.q in _candidates(a)
 
 
 def _candidates(link: TwoBridgeLink) -> list[int]:
@@ -137,14 +131,6 @@ def _pm2_halves(p: int, q: int) -> tuple[int, ...] | None:
             return None
         halves.append(a // 2)
     return tuple(halves)
-
-
-def _pm2_chains(link: TwoBridgeLink) -> Iterator[tuple[int, ...]]:
-    """Halves of each all-±2 candidate expansion, lazily, in candidate order."""
-    for c in _candidates(link):
-        halves = _pm2_halves(link.p, c)
-        if halves is not None:
-            yield halves
 
 
 def fibered_expansion(link: TwoBridgeLink) -> EvenExpansion | None:
@@ -204,11 +190,12 @@ def _family2_interior_shape(halves: tuple[int, ...]) -> bool:
 def detect_Ln(link: TwoBridgeLink) -> tuple[int, bool] | None:
     """Match against b(6n+2, -3) and its mirror b(6n+2, 3); (n, mirrored) on success.
 
-    For p ≥ 8 the link is unoriented-equal to b(p, ∓3) exactly when ∓3 is
-    among its Schubert lifts, the odd q' in (-p, p) that :func:`_candidates` lists.
+    The link is unoriented-equal to b(p, ∓3) exactly when ∓3 is among its
+    Schubert lifts, the odd q' in (-p, p) that :func:`_candidates` lists; for
+    p = 2 the lifts are ±1.
     """
     p = link.p
-    lifts = _candidates(link) if p % 6 == 2 and p >= 8 else ()
+    lifts = _candidates(link) if p % 6 == 2 else ()
     for r, mirrored in ((-3, False), (3, True)):
         if r in lifts:
             return ((p - 2) // 6, mirrored)
@@ -235,7 +222,7 @@ def classify(link: TwoBridgeLink) -> LinkClass:
     template matched only after negating the expansion.
     """
     hit = detect_Ln(link)
-    chains = _pm2_chains(link)
+    chains = (h for c in _candidates(link) if (h := _pm2_halves(link.p, c)) is not None)
     pm2 = list(islice(chains, 1) if hit is not None else chains)
     if not pm2:
         return LinkClass(LinkFamily.NON_FIBERED)

@@ -333,6 +333,24 @@ def test_bad_input_is_reported(capsys, argv, message):
 
 
 @pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["sweep", "b(8,5)", "--window", "1_0", "--step", "5"], "--window"),
+        (["sweep", "b(8,5)", "--window", "+5"], "--window"),
+        (["region", "b(8,5)", "--window", "1_0"], "--window"),
+        (["verify-ln", "--max", "1_0"], "--max"),
+        (["verify-covers", "--max", "+3"], "--max"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+)
+def test_integer_options_are_digits(capsys, argv, flag):
+    # int() also reads 1_0 and +5; the options take [-]digits, as the rationals do
+    code, report = run_json(capsys, *argv)
+    assert code == 1 and not report["ok"]
+    assert report["error"].startswith(f"argument {flag}: invalid int value: ")
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (["verdict", "b(8,5)", "-23/2", "1"], "required: r2"),

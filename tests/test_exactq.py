@@ -40,6 +40,31 @@ class TestSlope:
         with pytest.raises(ValueError, match=r"not of the form \[-\]digits\[/digits\]"):
             Slope.parse(text)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Slope("1e3"),
+            lambda: Slope(" +1_0 "),
+            lambda: Slope("0.5"),
+            lambda: CircleInterval.open(0, 1).shifted("1e2"),
+        ],
+        ids=["exponent", "plus-underscore", "decimal", "shifted-exponent"],
+    )
+    def test_text_values_read_only_digits_over_digits(self, build):
+        # as_rat reads text by the rule Slope.parse keeps, not by Fraction's
+        with pytest.raises(ValueError, match=r"not of the form \[-\]digits\[/digits\]"):
+            build()
+
+    def test_text_values_still_read(self):
+        assert Slope("1/2") == Slope(Fraction(1, 2))
+        assert Slope("-3") == Slope(-3)
+        assert CircleInterval.open(0, 1).shifted("-1/2") == CircleInterval.open("-1/2", "1/2")
+
+    def test_zero_denominator_is_named(self):
+        # the text is reported as given, padding included
+        with pytest.raises(ZeroDivisionError, match=r"^slope ' 1/0 ' has a zero denominator$"):
+            Slope.parse(" 1/0 ")
+
     def test_negation_and_shift(self):
         assert -Slope(Fraction(8, 5)) == Slope(Fraction(-8, 5))
         assert -INFINITY == INFINITY

@@ -29,6 +29,7 @@ from tbsl.foliation import (
     _FAMILY2_LINKING,
     _LN_LINKING,
     _LN_SURFACE_BOXES,
+    _RATIONAL_LINE,
     _route,
     analyse,
     cover_witnesses,
@@ -221,6 +222,34 @@ class TestRoute:
         with pytest.raises(ValueError, match=message):
             _route(_FAMILY2_LINKING, (1, -1), _FAMILY2_BOXES)
 
+    @staticmethod
+    def _points(framing, *pairs):
+        point = CircleInterval.point
+        return Region2(framing, tuple((point(x), point(y)) for x, y in pairs))
+
+    @pytest.mark.parametrize(
+        "linking, fills, c1, c2, lk",
+        [
+            pytest.param(_LN_LINKING, (Fraction(-1, n),), n - 2, n, 1 - n, id=f"Ln n={n}")
+            for n in (2, 3, 5, 9)
+        ]
+        + [pytest.param(_FAMILY1_LINKING, (-1,), 1, 3, -2, id="family1")]
+        + [
+            pytest.param(
+                _FAMILY2_LINKING, (Fraction(-1, k), Fraction(-1, h)), k + h - 1, k + h - 1,
+                1 - k - h, id=f"family2 k={k} h={h}",
+            )
+            for k, h in ((1, 1), (1, 2), (3, 1), (2, 5))
+        ],
+    )
+    def test_probe_shifts_and_linking_number(self, linking, fills, c1, c2, lk):
+        # a box of points at Seifert (0, 0) lands on the probed shift and its swap, and the
+        # filled link's point (0, 0) moves by minus its linking number
+        box = (CircleInterval.point(0), CircleInterval.point(0)) + (_RATIONAL_LINE,) * len(fills)
+        filled = self._points(Framing.SEIFERT, (0, 0))
+        expected = self._points(Framing.CANONICAL, (c1, c2), (c2, c1), (-lk, -lk))
+        assert _route(linking, fills, (box,), filled).equals(expected)
+
     def test_filled_region_moves_by_the_linking_number(self):
         census = lemma_regions(SignCensus(1, 0, 0, 2))
         lk = analyse(parse_link("L(-2,-2,-2)")).linking
@@ -354,4 +383,4 @@ def test_verdict_rows_match_the_rules_point_by_point(data):
     for x, row in zip(xs, rows):
         assert row == [verdict_by_rules(a, x, y) for y in ys], x
     x, y = data.draw(st.sampled_from(xs)), data.draw(st.sampled_from(ys))
-    assert a.verdict(x, y) is verdict_by_rules(a, x, y)
+    assert verdict(a.link, (x, y)) is verdict_by_rules(a, x, y)

@@ -56,6 +56,18 @@ class TestFromFraction:
             TwoBridgeLink(8, 9)  # out of range
         with pytest.raises(ValueError):
             TwoBridgeLink(10, 5)  # not coprime
+        with pytest.raises(ValueError, match="p must be a positive even integer, got 3"):
+            TwoBridgeLink(3, 1)  # odd p, though q is odd and in range
+
+    def test_normalized_refuses_p_zero_before_reducing(self):
+        # q is reduced mod 2p, so p = 0 must be refused first, and not as a knot
+        with pytest.raises(ValueError, match="p must be a positive even integer, got 0"):
+            TwoBridgeLink.normalized(0, 1)
+
+    @pytest.mark.parametrize("p", range(1, 100, 2))
+    def test_normalized_odd_p_is_a_knot(self, p):
+        with pytest.raises(KnotNotLink):
+            TwoBridgeLink.normalized(p, 1)
 
 
 class TestSchubert:
@@ -84,6 +96,21 @@ class TestSchubert:
         # q' = q + p: b(30,19) vs b(30,-11)
         rel = schubert_oriented_equal(TwoBridgeLink(30, 19), TwoBridgeLink(30, -11))
         assert rel is SchubertRelation.COMPONENT_REVERSAL
+
+    def test_oriented_relation_matches_the_mod_2p_clauses(self):
+        # Schubert's oriented classification written out, clause by clause
+        for p in range(2, 62, 2):
+            qs = [q for q in range(-p + 1, p, 2) if gcd(p, abs(q)) == 1]
+            m = 2 * p
+            for q1, q2 in itertools.product(qs, qs):
+                if (q2 - q1) % m == 0 or (q1 * q2 - 1) % m == 0:
+                    expected = SchubertRelation.ISOTOPIC
+                elif (q2 - q1 - p) % m == 0 or (q1 * q2 - 1 - p) % m == 0:
+                    expected = SchubertRelation.COMPONENT_REVERSAL
+                else:
+                    expected = SchubertRelation.DISTINCT
+                got = schubert_oriented_equal(TwoBridgeLink(p, q1), TwoBridgeLink(p, q2))
+                assert got is expected, (p, q1, q2)
 
     def test_unoriented_equals_oriented_clauses_over_lifts(self):
         # the mod-p test must equal the mod-2p clauses applied to both odd lifts
