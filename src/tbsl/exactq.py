@@ -81,10 +81,10 @@ class Slope:
         return cls(as_rat(x))
 
     @classmethod
-    def parse(cls, text: str, what: str = "slope") -> "Slope":
+    def parse(cls, text: str) -> "Slope":
         if text.strip() == "inf":
             return INFINITY
-        return cls(read_rational(text, what))
+        return cls(read_rational(text, "slope"))
 
     @property
     def is_infinity(self) -> bool:

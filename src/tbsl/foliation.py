@@ -93,7 +93,7 @@ class LinkAnalysis:
 
     link: TwoBridgeLink
     cls: LinkClass
-    linking: int | None = None
+    linking: int | None
 
     @cached_property
     def lspace(self) -> Region2:

@@ -58,9 +58,6 @@ class SurgeryDiagram:
     def n_components(self) -> int:
         return len(self.linking)
 
-    def total_linking(self, i: int) -> int:
-        return sum(self.linking[i][j] for j in range(self.n_components) if j != i)
-
     def with_slope(self, i: int, s: Slope | None) -> "SurgeryDiagram":
         slopes = list(self.slopes)
         slopes[i] = s
@@ -75,7 +72,8 @@ def framing_convert(d: SurgeryDiagram, target: Framing) -> SurgeryDiagram:
     if d.framing == target:
         return d
     sign = -1 if target == Framing.CANONICAL else 1
-    slopes = tuple(None if s is None else s.shifted(sign * d.total_linking(i))
+    # the diagonal is zero, so a row sums to the component's total linking
+    slopes = tuple(None if s is None else s.shifted(sign * sum(d.linking[i]))
                    for i, s in enumerate(d.slopes))
     return SurgeryDiagram(d.linking, slopes, target)
 

@@ -21,17 +21,17 @@ _MARGIN = 30
 _PLOT = _SIZE - 2 * _MARGIN
 
 
-def _fixed(x: Fraction, places: int = 2) -> str:
-    """Fixed-point decimal string of a rational, computed without floats."""
+def _fixed(x: Fraction) -> str:
+    """Two-place fixed-point decimal string of a rational, computed without floats."""
     x = Fraction(x)
     sign = "-" if x < 0 else ""
-    scaled = abs(x.numerator) * 10**places
+    scaled = abs(x.numerator) * 100
     q, r = divmod(scaled, x.denominator)
     # round half away from zero, deterministically
     if 2 * r >= x.denominator:
         q += 1
-    digits = str(q).rjust(places + 1, "0")
-    return f"{sign}{digits[:-places]}.{digits[-places:]}"
+    digits = str(q).rjust(3, "0")
+    return f"{sign}{digits[:-2]}.{digits[-2:]}"
 
 
 def _interval_segment(iv: CircleInterval, w: int) -> tuple[Fraction, Fraction] | None:

@@ -11,8 +11,10 @@ Fibered links are recognised through the all-even continued-fraction
 expansion: the link is fibered exactly when some Schubert-equivalent
 fraction expands with all entries ±2, and the shape of that expansion
 sorts the fibered hyperbolic links into the families used downstream.
-Each candidate is walked on integers up to its first entry other than ±2,
-and :func:`detect_Ln` finds the exceptional ``Ln`` links among the candidates.
+Only the two lifts of q are walked, each on integers up to its first entry
+other than ±2: reversing an odd-length expansion transposes its continuant
+matrix, so the ±2 expansions of the lifts of q^{-1} are theirs reversed.
+Torus links and the exceptional ``Ln`` links are recognised by residues.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import islice
 from math import gcd
 
 from .errors import KnotNotLink
@@ -110,15 +111,15 @@ def schubert_unoriented_equal(a: TwoBridgeLink, b: TwoBridgeLink) -> bool:
 
 
 def _candidates(link: TwoBridgeLink) -> list[int]:
-    """Odd q' in (-p, p) with q' ≡ q^{±1} (mod p), the link's own q first."""
+    """Odd q' in (-p, p) with q' ≡ q^{±1} (mod p): the two lifts of q, then of q^{-1}.
+
+    A lift of q^{-1} may repeat one of q.  Reversing an odd-length expansion
+    transposes its continuant matrix, so q^{-1}'s ±2 expansions are q's reversed.
+    """
     p, q = link.p, link.q
     second = q - p if q > 0 else q + p
     rinv = pow(q % p, -1, p)  # odd, since p is even and the inverse is odd mod 2
-    out = []
-    for c in (q, second, rinv, rinv - p):
-        if c not in out:
-            out.append(c)
-    return out
+    return [q, second, rinv, rinv - p]
 
 
 def _pm2_halves(p: int, q: int) -> tuple[int, ...] | None:
@@ -169,18 +170,12 @@ class LinkClass:
         return self.family.value
 
 
-def _alternating(halves: tuple[int, ...]) -> bool:
-    return all(halves[i] == halves[0] * (-1) ** i for i in range(len(halves)))
-
-
 def _family2_interior_shape(halves: tuple[int, ...]) -> bool:
     # all rivers -1 and exactly one bridge -1, away from both ends: the family's
     # definition.  With the bridge at an end of a length-(2k+1) word the link is
     # b(6k+2, -(2k+1)) or its reversal, which is Ln(k) since 3(2k+1) ≡ 1 mod 6k+2
     # (the mirror for the negated word), so detect_Ln has already decided it.
     n = len(halves)
-    if n < 5:
-        return False
     if any(halves[i] != -1 for i in range(1, n, 2)):
         return False
     minus = [i for i in range(0, n, 2) if halves[i] == -1]
@@ -212,18 +207,17 @@ def ln_link(n: int) -> TwoBridgeLink:
 def classify(link: TwoBridgeLink) -> LinkClass:
     """Sort a link into its surgery family.
 
-    Every all-±2 candidate is inspected (not just the first): the same link
-    can expand both in the canonical family shape and in a rewritten shape,
-    depending on which Schubert representative is used, and the
-    classification must not depend on that choice.  The exception is ``Ln``,
-    decided by :func:`detect_Ln` alone, so the walk stops at its first ±2
-    candidate; the torus shape (q ≡ ±1 mod p) cannot occur there, as
-    −3 ≢ ±1 (mod 6n+2) for n ≥ 1.  ``mirrored`` records when the family
-    template matched only after negating the expansion.
+    Two residue tests decide first: :func:`detect_Ln`, then the torus links
+    T(2, p) = b(p, ±1).  The family shapes are tested on every all-±2
+    expansion of the two lifts of q, not just the first, since a link can
+    expand both in the canonical shape and in a rewritten one.  The lifts of
+    q^{-1} need no walk: reversing an odd-length expansion transposes its
+    continuant matrix, so their ±2 expansions are those of q's lifts
+    reversed, and every shape tested is reversal-invariant.  ``mirrored``
+    records when the family template matched only after negating the expansion.
     """
     hit = detect_Ln(link)
-    chains = (h for c in _candidates(link) if (h := _pm2_halves(link.p, c)) is not None)
-    pm2 = list(islice(chains, 1) if hit is not None else chains)
+    pm2 = [h for c in _candidates(link)[:2] if (h := _pm2_halves(link.p, c)) is not None]
     if not pm2:
         return LinkClass(LinkFamily.NON_FIBERED)
     first = EvenExpansion(tuple(2 * h for h in pm2[0]))
@@ -231,7 +225,7 @@ def classify(link: TwoBridgeLink) -> LinkClass:
         n, mirrored = hit
         fam = LinkFamily.LN_MIRROR if mirrored else LinkFamily.LN
         return LinkClass(fam, n=n, fibered_expansion=first, mirrored=mirrored)
-    if any(_alternating(h) for h in pm2):
+    if link.q % link.p in (1, link.p - 1):
         return LinkClass(LinkFamily.TORUS, fibered_expansion=first)
     if any(all(x == -1 for x in h) for h in pm2):
         return LinkClass(LinkFamily.FAMILY1, fibered_expansion=first)

@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given, settings
 
 from test_golden import PARSER_GOLDEN, SVG_PATH, _run, corpus, parser_surface
-from tbsl import cli, foliation, ln_link
+from tbsl import cli, foliation, ln_link, lspace
 from tbsl.cli import main
-from tbsl.exactq import CircleInterval
+from tbsl.exactq import CircleInterval, Slope
 from tbsl.regions import Framing, Region2
 from tbsl.schema import REPORT_SCHEMA
 from tbsl.svgplot import region_svg
@@ -275,6 +275,12 @@ class TestVerifyCommands:
         assert code == 0
         assert out.count("ok") == 3
 
+    def test_verify_ln_reports_a_broken_step(self, capsys, monkeypatch):
+        monkeypatch.setattr(lspace, "drilled_longitude", lambda d, i: Slope(3))
+        code, out, _ = run(capsys, "verify-ln", "--max", "3")
+        assert code == 1
+        assert "FAIL  ln-chain n=1" in out
+
     @pytest.mark.parametrize("fault", ["gap", "overlap"])
     def test_strip_check_catches_a_gap_and_an_overlap(self, capsys, monkeypatch, fault):
         # (0, 0) is off every Ln quadrant [n, inf)^2 and (n, n) is its corner
@@ -302,6 +308,8 @@ class TestVerifyCommands:
         (["expand", "1/0"], "zero denominator"),
         (["sweep", "b(8,5)", "--step", "1/0"], "zero denominator"),
         (["classify", "1/0"], "zero denominator"),
+        (["classify", "L(2,1,-1)"], "evaluates to inf, not a link"),
+        (["sweep", "b(8,5)", "--step", "0"], "--step must be positive"),
         (["sweep", "b(8,5)", "--window", "0"], "--window"),
         (["sweep", "b(8,5)", "--window", "100", "--step", "1/1000000000"], "exceeds the limit"),
         (["sweep", "b(8,5)", "--window", "250"], "251001 points"),

@@ -249,6 +249,10 @@ class TestCircleInterval:
         ]:
             assert parse_interval(str(iv)) == iv
 
+    def test_parse_refuses_a_non_interval(self):
+        with pytest.raises(ValueError, match=r"not an interval: '\[1;2\]'"):
+            parse_interval("[1;2]")
+
     def test_negated(self):
         assert CircleInterval.open(INFINITY, 1).negated() == CircleInterval.open(-1, INFINITY)
         assert CircleInterval.closed(2, INFINITY).negated() == CircleInterval.closed(

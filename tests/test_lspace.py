@@ -10,6 +10,8 @@ from tbsl import (
     Framing,
     Region2,
     Slope,
+    SurgeryDiagram,
+    lspace,
     lspace_region,
     ln_link,
     rect_propagate,
@@ -33,6 +35,10 @@ class TestRrPropagate:
     def test_singleton(self):
         (arc,) = rr_propagate({Slope(5)}, Slope(0))
         assert arc == CircleInterval.point(5)
+
+    def test_no_known_slope_rejected(self):
+        with pytest.raises(ValueError, match="need at least one known slope"):
+            rr_propagate(set(), 2)
 
     def test_longitude_in_known_rejected(self):
         with pytest.raises(ValueError):
@@ -162,3 +168,39 @@ class TestVerifyLnChain:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             verify_ln_chain(0)
+
+
+def _moved(d):
+    """``d`` with its first slope moved up by one."""
+    return d.with_slope(0, d.slopes[0].shifted(1))
+
+
+def _relinked(d):
+    """``d`` with its slopes kept and its linking number one higher."""
+    lk = d.linking[0][1] + 1
+    return SurgeryDiagram(((0, lk), (lk, 0)), d.slopes, d.framing)
+
+
+#: One broken step of the replay each: (the name ``tbsl.lspace`` imports, the faulty
+#: version built from the real one).  Every fault must make the replay fail.
+BROKEN_STEPS = {
+    "longitude": ("drilled_longitude", lambda real: lambda d, i: Slope(3)),
+    # [1, 2] holds neither -1/(n-1) nor inf
+    "arc": ("rr_propagate", lambda real: lambda known, longitude: (CircleInterval.closed(1, 2),)),
+    "fill-slope": ("rolfsen_fill", lambda real: lambda d, i: _moved(real(d, i))),
+    "fill-linking": ("rolfsen_fill", lambda real: lambda d, i: _relinked(real(d, i))),
+    # right at the seed, whose first slope is 1, and wrong at the second seed
+    "fill-affine": (
+        "rolfsen_fill",
+        lambda real: lambda d, i: real(d, i) if d.slopes[0] == Slope(1) else _moved(real(d, i)),
+    ),
+    "quadrant": ("lspace_region", lambda real: lambda link: real(link).negated()),
+}
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("step", sorted(BROKEN_STEPS))
+def test_verify_ln_chain_fails_on_a_broken_step(monkeypatch, step, n):
+    name, broken = BROKEN_STEPS[step]
+    monkeypatch.setattr(lspace, name, broken(getattr(lspace, name)))
+    assert verify_ln_chain(n) is False

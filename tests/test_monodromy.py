@@ -34,6 +34,8 @@ class TestTwistWord:
             MonodromyWord(((1, 1), (3, -1), (2, 1)))  # bridges before a river
         with pytest.raises(ValueError):
             MonodromyWord(((2, 1), (1, 2), (3, 1)))  # exponent not ±1
+        with pytest.raises(ValueError, match="each index 1..n exactly once"):
+            MonodromyWord(((2, 1), (1, 1), (4, 1)))  # index 3 missing
 
 
 class TestSignCensus:

@@ -41,6 +41,8 @@ class TestDiagram:
             diagram(((0, 1), (2, 0)), (1, 1))  # asymmetric
         with pytest.raises(ValueError):
             diagram(((0, 1), (1, 0)), (1, 1, 1))  # slope count mismatch
+        with pytest.raises(ValueError, match="square and nonempty"):
+            SurgeryDiagram((), (), Framing.CANONICAL)  # no component
 
 
 class TestFramingConvert:
@@ -104,6 +106,8 @@ class TestRolfsenFill:
             rolfsen_fill(diagram(LN_SEED_LK, (1, 1, Fraction(2, 3))), 2)
         with pytest.raises(FramingMismatch):
             rolfsen_fill(diagram(LN_SEED_LK, (1, 1, -1), Framing.SEIFERT), 2)
+        with pytest.raises(ValueError, match="must carry a slope"):
+            rolfsen_fill(diagram(LN_SEED_LK, (1, 1, None)), 2)
 
     @pytest.mark.parametrize("lk", [LN_SEED_LK, FAMILY1_LK, LN_STRIP_LK])
     def test_fill_preserves_homology(self, lk):
@@ -130,6 +134,12 @@ class TestPresentation:
     def test_two_component_formula(self):
         d = diagram(((0, 3), (3, 0)), (Fraction(5, 2), Fraction(7, 4)))
         assert presentation_matrix(d).determinant in (5 * 7 - 2 * 4 * 9, -(5 * 7 - 2 * 4 * 9))
+
+    def test_refusals(self):
+        with pytest.raises(FramingMismatch):
+            presentation_matrix(diagram(LN_SEED_LK, (1, 1, 1), Framing.SEIFERT))
+        with pytest.raises(ValueError, match="fully filled"):
+            presentation_matrix(diagram(LN_SEED_LK, (1, 1, None)))
 
     def test_report_json(self):
         d = diagram(((0, 0), (0, 0)), (0, 5))
@@ -175,6 +185,10 @@ class TestQhs:
         for n in range(1, 20):
             lk = n - 1
             assert is_qhs(diagram(((0, lk), (lk, 0)), (n, n)))
+
+    def test_three_components_rejected(self):
+        with pytest.raises(ValueError, match="two-component"):
+            is_qhs(diagram(LN_SEED_LK, (1, 1, 1)))
 
     def test_zero_infinity_pair(self):
         assert not is_qhs(diagram(((0, 2), (2, 0)), (0, "inf")))
@@ -226,6 +240,18 @@ class TestLongitudes:
     def test_drilled_ln_seed(self):
         d = diagram(LN_SEED_LK, (1, 1, None))
         assert drilled_longitude(d, 2) == Slope(2)
+
+    def test_drilled_refusals(self):
+        with pytest.raises(ValueError, match="must be unfilled"):
+            drilled_longitude(diagram(LN_SEED_LK, (1, 1, 1)), 2)
+        with pytest.raises(ValueError, match="must be filled"):
+            drilled_longitude(diagram(LN_SEED_LK, (1, None, None)), 2)
+        with pytest.raises(ValueError, match="not a rational homology solid torus"):
+            drilled_longitude(diagram(((0, 0), (0, 0)), (0, None)), 1)
+
+    def test_drilled_longitude_at_infinity(self):
+        # lk = 1 and the other slope 0: the inf filling has determinant 0
+        assert drilled_longitude(diagram(((0, 1), (1, 0)), (0, None)), 1) == INFINITY
 
     def test_drilled_matches_det_zero(self):
         d = diagram(LN_SEED_LK, (1, 1, None))

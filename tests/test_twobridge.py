@@ -6,7 +6,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import assume, given
 
-from oracles import classify_by_expansion, ln_by_definition, unoriented_key
+from oracles import all_links, classify_by_expansion, ln_by_definition, unoriented_key
 from tbsl.errors import KnotNotLink
 from tbsl.twobridge import _candidates, _pm2_halves
 from tbsl import (
@@ -114,7 +114,7 @@ class TestSchubert:
 
     def test_unoriented_equals_oriented_clauses_over_lifts(self):
         # the mod-p test must equal the mod-2p clauses applied to both odd lifts
-        for p in range(2, 202, 2):
+        for p in range(2, 62, 2):
             qs = [q for q in range(-p + 1, p, 2) if q != 0 and gcd(p, abs(q)) == 1]
             for q1, q2 in itertools.product(qs[: len(qs) // 2 + 1], qs):
                 a, b = TwoBridgeLink(p, q1), TwoBridgeLink(p, q2)
@@ -126,16 +126,10 @@ class TestSchubert:
                 assert schubert_unoriented_equal(a, b) == oriented_any
 
     def test_candidates_are_the_lifts_that_decide_unoriented_equality(self, links_200):
-        for p, group in itertools.groupby(links_200, key=lambda L: L.p):
-            group = list(group)
-            for a in group:
-                lifts = _candidates(a)
-                brute = {
-                    c for c in range(-p + 1, p, 2) if (c - a.q) % p == 0 or (a.q * c - 1) % p == 0
-                }
-                assert set(lifts) == brute and lifts[0] == a.q, a
-                for b in group:
-                    assert schubert_unoriented_equal(a, b) == (b.q in lifts), (a, b)
+        for a in links_200:
+            p, lifts = a.p, _candidates(a)
+            brute = {c for c in range(-p + 1, p, 2) if (c - a.q) % p == 0 or (a.q * c - 1) % p == 0}
+            assert set(lifts) == brute and lifts[0] == a.q, a
 
 
 @st.composite
@@ -231,6 +225,16 @@ class TestFiberedExpansion:
             }
             assert found == expected
 
+    def test_inverse_lifts_expand_as_the_lifts_of_q_reversed(self, links_200):
+        # why classify walks only the two lifts of q: reversing an odd-length
+        # expansion transposes its continuant matrix, so it expands p/q' with
+        # q·q' ≡ 1 (mod p), and |q'| < p since ±2 continuants grow strictly
+        for L in links_200:
+            lifts = _candidates(L)
+            own = {h[::-1] for c in lifts[:2] if (h := _pm2_halves(L.p, c)) is not None}
+            inverse = {h for c in lifts[2:] if (h := _pm2_halves(L.p, c)) is not None}
+            assert inverse == own, L
+
 
 class TestClassify:
     def test_whitehead_is_l1(self):
@@ -303,8 +307,8 @@ class TestClassify:
 
 class TestClassifyAgainstFullExpansion:
     # LinkClass equality compares family, n, fibered_expansion and mirrored
-    def test_every_link_up_to_200(self, links_200):
-        for L in links_200:
+    def test_every_link_up_to_400(self):
+        for L in all_links(400):
             assert classify(L) == classify_by_expansion(L), L
 
     def test_ln_links_and_mirrors(self):
@@ -385,6 +389,10 @@ class TestDetectLn:
     def test_agrees_with_the_residue_definition(self, links_200):
         for L in links_200:
             assert detect_Ln(L) == ln_by_definition(L), L
+
+    def test_ln_link_refuses_a_nonpositive_index(self):
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            ln_link(0)
 
     def test_agrees_with_classify(self, links_200):
         for L in links_200:
