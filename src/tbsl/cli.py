@@ -3,8 +3,8 @@
 All mathematics is delegated to the library modules; this module parses
 arguments, assembles reports (a ``verdicts`` grid is ``(xs, ys, rows)``: slope texts
 and one row of ``Verdict`` per x) and renders them as text or exactly as
-``json.dump(report, indent=2)`` would (see :mod:`tbsl.schema`).  ``TBSL_LOG`` names
-a logging level.
+``json.dump(report, indent=2)`` would (see :mod:`tbsl.schema`), writing the JSON
+grid one row at a time.  ``TBSL_LOG`` names a logging level.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import math
 import os
 import sys
 import time
+from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from . import foliation, lspace, surgery, twobridge
@@ -183,7 +184,8 @@ def _cmd_sweep(args) -> dict:
             f"sweep of {n * n} points exceeds the limit of {MAX_SWEEP_POINTS}: "
             "narrow --window or widen --step"
         )
-    axis = [Slope(-window + k * step) for k in range(n)]
+    num, den = step.numerator, step.denominator
+    axis = [Slope(Fraction(k * num - window * den, den)) for k in range(n)]
     texts = [str(s) for s in axis]
     return {
         "input": {"link": args.link, "window": window, "step": str(step)},
@@ -250,8 +252,9 @@ def _print_sweep_table(xs: list[str], ys: list[str], rows: list[list]) -> None:
     """The grid with y rising up the page; both axes come ascending."""
     width = max(map(len, xs))
     label = max(map(len, ys))
+    glyph = {v: g.rjust(width) for v, g in _VERDICT_GLYPH.items()}
     for y, line in reversed(list(zip(ys, zip(*rows)))):
-        print(f"{y:>{label}} | {' '.join(_VERDICT_GLYPH[v].rjust(width) for v in line)}")
+        print(f"{y:>{label}} | {' '.join([glyph[v] for v in line])}")
     print(f"{'':>{label}} +-{'-' * (len(xs) * (width + 1) - 1)}")
     print(f"{'':>{label}}   {' '.join(x.rjust(width) for x in xs)}")
     print("L = L-space, f = taut foliation (not L-space), b = b1 > 0 (taut by homology)")
@@ -306,17 +309,9 @@ def _print_text(body: dict) -> None:
         print(f"{'ok  ' if c['ok'] else 'FAIL'}  {c['name']}")
 
 
-#: A ``verdicts`` entry, comma first, as ``json.dump(..., indent=2)`` lays it out; tails by verdict.
-_ENTRY = ',\n    {\n      "slope": [\n        %s,\n        %s\n      ],\n%s    }'
-_ENTRY_TAIL = {
-    v: f'      "verdict": "{v.value}",\n      "witness_region": {json.dumps(_WITNESS.get(v))}\n'
-    for v in foliation.Verdict
-}
-
-
 def _write_json(report: dict, out) -> None:
     """``json.dump(report, out, indent=2)`` and a newline, byte for byte; ``json`` encodes
-    in pure Python under ``indent``, so verdict entries are formatted from ``_ENTRY``."""
+    in pure Python under ``indent``, so each grid row is one ``str.join`` and one write."""
     verdicts = report.get("verdicts")
     if not verdicts:
         out.write(json.dumps(report, indent=2) + "\n")
@@ -325,10 +320,16 @@ def _write_json(report: dict, out) -> None:
     enc = encode_basestring_ascii
     xs, ys, rows = verdicts
     eys = [enc(y) for y in ys]
-    entries = (_ENTRY % (ex, ey, _ENTRY_TAIL[v])
-               for ex, row in zip(map(enc, xs), rows) for ey, v in zip(eys, row))
-    out.write(head + '\n  "verdicts": [' + next(entries)[1:])
-    out.writelines(entries)
+    after = {}  # an entry after its x slope, by verdict and y
+    for v in foliation.Verdict:
+        rest = (f'\n      ],\n      "verdict": "{v.value}",\n'
+                f'      "witness_region": {json.dumps(_WITNESS.get(v))}\n    }}')
+        after[v] = [',\n        ' + ey + rest for ey in eys]
+    out.write(head + '\n  "verdicts": [')
+    for i, (x, row) in enumerate(zip(xs, rows)):
+        sep = ',\n    {\n      "slope": [\n        ' + enc(x)  # an entry up to its x slope
+        # the first entry has no comma before it
+        out.write(sep[i == 0:] + sep.join([after[v][j] for j, v in enumerate(row)]))
     out.write("\n  ]" + tail + "\n")
 
 

@@ -31,6 +31,12 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def handler_body(*argv) -> dict:
+    """The body a subcommand's handler returns, ``verdicts`` as ``(xs, ys, rows)``."""
+    args = cli.build_parser().parse_args(argv)
+    return args.handler(args)
+
+
 def run_json(capsys, *argv):
     code, out, _ = run(capsys, "--json", *argv)
     report = json.loads(out)
@@ -194,6 +200,14 @@ class TestSweep:
         for entry in report["verdicts"]:
             s1, s2 = (Fraction(s) for s in entry["slope"])
             assert verdict(link, (s1, s2)).value == entry["verdict"]
+
+    @pytest.mark.parametrize("step", ["1", "1/2", "1/3", "2/3", "3/2", "5/7"])
+    def test_axis_is_the_fraction_grid(self, step):
+        window = 4
+        body = handler_body("sweep", "b(14,-3)", "--window", str(window), "--step", step)
+        xs, ys, _ = body["verdicts"]
+        n = 2 * window // Fraction(step) + 1
+        assert xs == ys == [str(-window + k * Fraction(step)) for k in range(n)]
 
 
 class TestSweepDefaultWindow:
@@ -438,6 +452,67 @@ def test_tbsl_log_records_a_failed_command_with_its_traceback(level):
 def test_json_report_has_the_json_dump_layout(argv, tmp_path):
     argv = [str(tmp_path / "plot.svg") if a == SVG_PATH else a for a in argv]
     assert has_json_dump_layout(_run(["--json", *argv])["stdout"])
+
+
+class WriteRecorder:
+    """A stream that keeps each ``write`` apart."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+
+def json_dump_form(report: dict) -> dict:
+    """``report`` with its ``(xs, ys, rows)`` grid spelled out as the list of entries."""
+    xs, ys, rows = report["verdicts"]
+    witness = {"LSpace": "lspace", "NLSWithTautFoliation": "foliation"}
+    entries = [
+        {"slope": [x, y], "verdict": v.value, "witness_region": witness.get(v.value)}
+        for x, row in zip(xs, rows) for y, v in zip(ys, row)
+    ]
+    return {**report, "verdicts": entries}
+
+
+def writes_of(report: dict) -> list[str]:
+    out = WriteRecorder()
+    cli._write_json(report, out)
+    return out.writes
+
+
+V = foliation.Verdict
+
+
+@pytest.mark.parametrize(
+    "xs, ys, rows",
+    [
+        (["0"], ["1/2"], [[V.L_SPACE]]),
+        (["-1", "0", "1"], ["inf", "2"], [[V.INFINITY_FILLING, V.L_SPACE],
+                                           [V.NOT_QHS_TAUT_BY_BETTI, V.NLS_WITH_TAUT_FOLIATION],
+                                           [V.INFINITY_FILLING, V.INFINITY_FILLING]]),
+        (['"a\u00e9"', "-7/3"], ["1", "2", "3", "4"], [list(V), list(V)[::-1]]),
+    ],
+    ids=["1x1", "3x2", "2x4-every-verdict"],
+)
+def test_json_writer_matches_json_dump(xs, ys, rows):
+    report = {"command": "sweep", "ok": True, "input": {"link": "b(8,5)"},
+              "verdicts": (xs, ys, rows), "timing_ms": 3}
+    assert "".join(writes_of(report)) == json.dumps(json_dump_form(report), indent=2) + "\n"
+
+
+def test_json_writer_streams_one_grid_row_per_write():
+    # a W = 100 report is megabytes: it is written a row at a time, never joined whole
+    body = handler_body("sweep", "b(62,-3)", "--window", "100")
+    report = {"command": "sweep", "ok": True, **body, "timing_ms": 0}
+    xs, ys, _ = report["verdicts"]
+    assert len(xs) == len(ys) == 201
+    writes = writes_of(report)
+    same = "".join(writes) == json.dumps(json_dump_form(report), indent=2) + "\n"
+    assert same  # a bool: pytest would diff two 5.7 MB strings for minutes
+    # the head, then exactly one row of entries per write, then the tail
+    assert len(writes) == len(xs) + 2
+    assert [w.count('"slope": [') for w in writes] == [0, *[len(ys)] * len(xs), 0]
 
 
 _SWEEP_LINKS = ("b(8,5)", "b(20,-3)", "b(20,3)", "L(-2,-2,-2)", "b(30,-11)", "b(14,-3)", "b(62,-3)")
