@@ -38,7 +38,6 @@ from .surgery import (
     SurgeryDiagram,
     drilled_longitude,
     framing_convert,
-    homological_longitude,
     is_qhs,
     presentation_matrix,
     rolfsen_fill,

@@ -293,7 +293,7 @@ def even_expand(x) -> EvenExpansion:
     num, den = x.numerator, x.denominator
     if num == 0:
         raise ValueError("cannot expand 0")
-    if num % 2 != 0 or den % 2 == 0:
+    if num % 2 != 0:  # an even numerator of a reduced fraction has an odd denominator
         raise ValueError(f"{x} does not have even numerator and odd denominator")
     if abs(num) <= den:
         raise ValueError(f"|{x}| <= 1 admits no expansion with nonzero even entries")

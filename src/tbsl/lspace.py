@@ -25,7 +25,7 @@ from typing import Iterable
 from .errors import OutOfScope
 from .exactq import INFINITY, CircleInterval, Slope, as_rat
 from .regions import Framing, Region2
-from .surgery import SurgeryDiagram, drilled_longitude, homological_longitude, rolfsen_fill
+from .surgery import SurgeryDiagram, drilled_longitude, rolfsen_fill
 from .twobridge import LinkClass, LinkFamily, TwoBridgeLink, classify, ln_link
 
 
@@ -60,13 +60,9 @@ def rect_propagate(seed: tuple, lk: int) -> Region2:
         raise ValueError(f"seed ({r1},{r2}) does not satisfy r1*r2 > lk^2 = {lk * lk}")
     if r1 < 0:
         return rect_propagate((-r1, -r2), lk).negated()
+    # sound since each arc avoids the longitude lk²/r of the torus left by filling
+    # the other coordinate at r: r1·r2 > lk² puts lk²/r1 below r2 and lk²/r2 below r1
     rect = (CircleInterval.closed(r1, INFINITY), CircleInterval.closed(r2, INFINITY))
-    # the propagation is sound because each arc avoids the homological
-    # longitude of the torus left by filling the other coordinate
-    if rect[1].contains(homological_longitude(lk, r1)) or rect[0].contains(
-        homological_longitude(lk, r2)
-    ):
-        raise AssertionError("quadrant arcs reached a homological longitude")
     return Region2(Framing.CANONICAL, (rect,))
 
 
@@ -113,9 +109,10 @@ def verify_ln_chain(n: int) -> bool:
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    if drilled_longitude(_LN_SEED, 2) != Slope(2):
+    longitude = drilled_longitude(_LN_SEED, 2)
+    if longitude != Slope(2):
         return False
-    arcs = rr_propagate({INFINITY, Slope(1)}, Slope(2))
+    arcs = rr_propagate({INFINITY, Slope(1)}, longitude)
     t = INFINITY if n == 1 else Slope(Fraction(-1, n - 1))
     if not any(arc.contains(t) for arc in arcs):
         return False

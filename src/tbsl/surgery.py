@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import FramingMismatch, UnsupportedSlope
-from .exactq import INFINITY, Slope, as_rat
+from .exactq import INFINITY, Slope
 from .regions import Framing
 
 
@@ -191,14 +191,6 @@ def is_qhs(d: SurgeryDiagram) -> bool:
         return other.is_infinity or other.value != 0
     lk = d.linking[0][1]
     return r1.value * r2.value != lk * lk
-
-
-def homological_longitude(lk: int, r) -> Slope:
-    """Longitude slope lk²/r of the solid torus left by filling one component."""
-    r = as_rat(r)
-    if r == 0:
-        raise ValueError("the filled slope must be nonzero")
-    return Slope(as_rat(lk * lk) / r)
 
 
 def drilled_longitude(d: SurgeryDiagram, component: int) -> Slope:

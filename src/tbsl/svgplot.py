@@ -22,16 +22,13 @@ _PLOT = _SIZE - 2 * _MARGIN
 
 
 def _fixed(x: Fraction) -> str:
-    """Two-place fixed-point decimal string of a rational, computed without floats."""
-    x = Fraction(x)
-    sign = "-" if x < 0 else ""
-    scaled = abs(x.numerator) * 100
-    q, r = divmod(scaled, x.denominator)
-    # round half away from zero, deterministically
+    """Two-place fixed-point decimal of a nonnegative rational, computed without floats."""
+    q, r = divmod(x.numerator * 100, x.denominator)
+    # round half up, deterministically
     if 2 * r >= x.denominator:
         q += 1
     digits = str(q).rjust(3, "0")
-    return f"{sign}{digits[:-2]}.{digits[-2:]}"
+    return f"{digits[:-2]}.{digits[-2:]}"
 
 
 def _interval_segment(iv: CircleInterval, w: int) -> tuple[Fraction, Fraction] | None:
@@ -48,11 +45,11 @@ def _interval_segment(iv: CircleInterval, w: int) -> tuple[Fraction, Fraction] |
 
 
 def _px(x: Fraction, w: int) -> Fraction:
-    return _MARGIN + (Fraction(x) + w) * _PLOT / (2 * w)
+    return _MARGIN + (x + w) * _PLOT / (2 * w)
 
 
 def _py(y: Fraction, w: int) -> Fraction:
-    return _SIZE - _MARGIN - (Fraction(y) + w) * _PLOT / (2 * w)
+    return _SIZE - _MARGIN - (y + w) * _PLOT / (2 * w)
 
 
 def _shade(region: Region2, w: int, colour: str, opacity: str) -> list[str]:

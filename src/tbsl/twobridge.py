@@ -174,12 +174,12 @@ def _family2_interior_shape(halves: tuple[int, ...]) -> bool:
     # all rivers -1 and exactly one bridge -1, away from both ends: the family's
     # definition.  With the bridge at an end of a length-(2k+1) word the link is
     # b(6k+2, -(2k+1)) or its reversal, which is Ln(k) since 3(2k+1) ≡ 1 mod 6k+2
-    # (the mirror for the negated word), so detect_Ln has already decided it.
+    # (the mirror for the negated word): detect_Ln has decided it, so no end is excluded.
     n = len(halves)
     if any(halves[i] != -1 for i in range(1, n, 2)):
         return False
     minus = [i for i in range(0, n, 2) if halves[i] == -1]
-    return len(minus) == 1 and minus[0] not in (0, n - 1)
+    return len(minus) == 1
 
 
 def detect_Ln(link: TwoBridgeLink) -> tuple[int, bool] | None:
@@ -274,7 +274,7 @@ def parse_link(text: str) -> TwoBridgeLink:
         p, q = int(m.group(1)), int(m.group(2))
         if p % 2 == 1:
             raise KnotNotLink(f"b({p},{q}) is a knot, not a link (odd p)")
-        if gcd(p, abs(q)) != 1 or q % 2 == 0:
+        if gcd(p, abs(q)) != 1:  # p is even here, so this refuses every even q too
             raise ValueError(f"invalid Schubert pair b({p},{q})")
         return TwoBridgeLink.normalized(p, q)
     m = _L_RE.match(text)

@@ -9,7 +9,9 @@ determinants by Laplace expansion.  The link classifier is the one that
 expands every Schubert candidate in full before looking at its entries, and
 it tests the ``Ln`` residues and the family shapes from their definitions.
 Only the candidate order is shared with the library, because it decides
-which ±2 expansion counts as first.
+which ±2 expansion counts as first.  Fibering, fiber size and linking number
+are also read off the link group, by Fox calculus on Schubert's presentation,
+without any continued fraction.
 """
 
 import itertools
@@ -239,3 +241,34 @@ def classify_by_expansion(link: TwoBridgeLink) -> LinkClass:
     return LinkClass(
         LinkFamily.GENERIC_FIBERED, fibered_expansion=first, mirrored=rivers_all_negative
     )
+
+
+def schubert_signs(p: int, q: int) -> list[int]:
+    """The exponents ε_i = (-1)^⌊iq/p⌋, i = 1..p-1, of Schubert's word for b(p, q)."""
+    return [1 - 2 * (i * q // p & 1) for i in range(1, p)]
+
+
+def alexander_by_fox(p: int, q: int) -> dict[tuple[int, int], int]:
+    """Two-variable Alexander polynomial of b(p, q), up to units: {(i, j): coefficient
+    of t1^i t2^j}.
+
+    The link group is ⟨a, b | a w = w a⟩ with w = b^ε1 a^ε2 b^ε3 ... b^ε(p-1)
+    (Schubert 1956).  The Fox derivative of the relator by b is (a - 1)·∂w/∂b, so
+    ∂w/∂b abelianised (a ↦ t1, b ↦ t2) is Δ(t1, t2).  The derivative of b^±1 at
+    letter i is ±(prefix), with the prefix b^-1 more for b^-1.
+    """
+    poly: dict[tuple[int, int], int] = {}
+    ea = eb = 0  # exponents of a and b in the prefix
+    for i, e in enumerate(schubert_signs(p, q), start=1):
+        if i % 2 == 0:
+            ea += e
+            continue
+        key = (ea, eb if e == 1 else eb - 1)
+        poly[key] = poly.get(key, 0) + e
+        eb += e
+    return {k: c for k, c in poly.items() if c}
+
+
+def schubert_linking(p: int, q: int) -> int:
+    """The signed sum of the b-exponents ε_i (i odd) of Schubert's word for b(p, q)."""
+    return sum(schubert_signs(p, q)[0::2])

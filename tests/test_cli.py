@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 
 from test_golden import PARSER_GOLDEN, SVG_PATH, _run, corpus, parser_surface
-from tbsl import cli, foliation, ln_link, lspace
+from tbsl import cli, foliation, ln_link, lspace, svgplot
 from tbsl.cli import main
 from tbsl.exactq import CircleInterval, Slope
 from tbsl.regions import Framing, Region2
@@ -152,6 +152,32 @@ class TestRegion:
         assert region_svg(region, region, window).count("<line") == 2 * ticks
 
 
+class TestSvgPlot:
+    @pytest.mark.parametrize(
+        "x, text",
+        [
+            (Fraction(1, 200), "0.01"),  # half a hundredth rounds up
+            (Fraction(1, 3), "0.33"),
+            (Fraction(2, 3), "0.67"),
+            (Fraction(0), "0.00"),
+            (Fraction(5), "5.00"),
+        ],
+    )
+    def test_fixed_point(self, x, text):
+        assert svgplot._fixed(x) == text
+
+    def test_box_outside_the_window_is_not_drawn(self):
+        inside, beyond = CircleInterval.closed(0, 1), CircleInterval.closed(10, 20)
+        box = Region2(Framing.CANONICAL, ((inside, beyond),))
+        empty = Region2.empty(Framing.CANONICAL)
+        assert "fill-opacity" not in region_svg(box, empty, 5)
+        assert region_svg(box, empty, 20).count("fill-opacity") == 1
+
+    def test_window_one_is_labelled(self):
+        empty = Region2.empty(Framing.CANONICAL)
+        assert "[-1, 1]^2" in region_svg(empty, empty, 1)
+
+
 class TestVerdict:
     @pytest.mark.parametrize(
         "r1, r2, expected",
@@ -284,6 +310,9 @@ class TestVerifyCommands:
         assert code == 0
         assert all(c["ok"] for c in report["checks"])
 
+    def test_max_at_the_limit_is_accepted(self):
+        assert cli._positive(1000, "--max", 1000) == 1000
+
     def test_text_output(self, capsys):
         code, out, _ = run(capsys, "verify-ln", "--max", "3")
         assert code == 0
@@ -327,6 +356,8 @@ class TestVerifyCommands:
         (["sweep", "b(8,5)", "--window", "0"], "--window"),
         (["sweep", "b(8,5)", "--window", "100", "--step", "1/1000000000"], "exceeds the limit"),
         (["sweep", "b(8,5)", "--window", "250"], "251001 points"),
+        # so fine a step fits no window: the default is narrowed to 1, never below
+        (["sweep", "b(8,5)", "--step", "1/1000"], "4004001 points exceeds the limit of 250000"),
         (["region", "b(8,5)", "--svg", os.devnull, "--window", "-2"], "--window"),
         (["region", "b(8,5)", "--window", "-2"], "--window must be a positive integer"),
         (["region", "b(8,5)", "--window", "0", "--framing", "seifert"], "--window"),

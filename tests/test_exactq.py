@@ -17,7 +17,6 @@ from tbsl import (
     SurgeryDiagram,
     cf_eval,
     even_expand,
-    homological_longitude,
     parse_interval,
     rr_propagate,
 )
@@ -91,7 +90,6 @@ _EMPTY = Region2.empty(Framing.CANONICAL)
         lambda: SurgeryDiagram(((0, 1.7), (1.2, 0)), (None, None), Framing.CANONICAL),
         lambda: MonodromyWord(((2, -1.0), (1.5, 1))),
         lambda: region_svg(_EMPTY, _EMPTY, 10.5),
-        lambda: homological_longitude(0.1, 2),
     ],
     ids=[
         "EvenExpansion",
@@ -99,7 +97,6 @@ _EMPTY = Region2.empty(Framing.CANONICAL)
         "SurgeryDiagram",
         "MonodromyWord",
         "region_svg",
-        "homological_longitude",
     ],
 )
 def test_floats_rejected_where_integers_are_read(build):
@@ -155,6 +152,19 @@ class TestEvenExpand:
         with pytest.raises(ValueError):
             even_expand(bad)
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (Fraction(0), "cannot expand 0"),
+            (Fraction(3, 2), "3/2 does not have even numerator and odd denominator"),
+            (Fraction(5), "5 does not have even numerator and odd denominator"),
+            (Fraction(2, 3), r"\|2/3\| <= 1 admits no expansion"),
+        ],
+    )
+    def test_each_refusal_names_its_reason(self, bad, message):
+        with pytest.raises(ValueError, match=message):
+            even_expand(bad)
+
     def test_small_values_rejected(self):
         # |x| <= 1 admits no expansion with nonzero even entries
         with pytest.raises(ValueError):
@@ -167,6 +177,14 @@ class TestEvenExpand:
         assert len(even_expand(Fraction(p, p - 1)).coeffs) == p - 1
         with pytest.raises(ValueError, match="more than 1000000 entries"):
             even_expand(Fraction(2 * p + 2, 2 * p + 1))
+
+    def test_large_denominators_expand_in_full(self):
+        # the entry counter runs only for denominators above MAX_EVEN_ENTRIES, and must
+        # neither stop a short expansion nor cut a long one below the bound
+        for coeffs in [(2,) * 19, (2,) * 4 + (2, -2) * 300_000 + (2,)]:
+            value = cf_eval(coeffs).value
+            assert value.denominator > MAX_EVEN_ENTRIES
+            assert even_expand(value).coeffs == coeffs
 
 
 @st.composite
@@ -284,6 +302,12 @@ class TestIntervalBetween:
 
 
 _POINTS = [Slope(Fraction(n, d)) for n in range(-4, 5) for d in (1, 2, 3)] + [INFINITY]
+
+
+@given(st.sampled_from(_POINTS), st.sampled_from(_POINTS))
+def test_slope_order_is_strict_and_total(a, b):
+    assert not a < a
+    assert [a < b, a == b, b < a].count(True) == 1
 
 
 @given(

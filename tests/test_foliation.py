@@ -111,6 +111,11 @@ class TestFoliationRegion:
         with pytest.raises(OutOfScope, match="fibered"):
             foliation_region(TwoBridgeLink(10, 3))
 
+    def test_default_window_shows_the_quadrant_corner(self):
+        # at least 5, and two past the corner (n, n) of Ln(n)'s quadrant
+        assert [analyse(ln_link(n)).window for n in (1, 3, 4, 10)] == [5, 5, 6, 12]
+        assert analyse(parse_link("L(-2,-2,-2)")).window == 5
+
 
 class TestVerdict:
     def test_poincare_corner(self):
@@ -187,8 +192,9 @@ class TestCoverWitnesses:
         assert foliation_region(ln_link(n)).covers(strips)
 
     def test_strips_need_n_at_least_two(self):
-        with pytest.raises(ValueError):
-            ln_taut_witness_strips(1)
+        for n in (1, 0):
+            with pytest.raises(ValueError, match="needs n >= 2"):
+                ln_taut_witness_strips(n)
 
     def test_lemma_regions_fit_inside_foliation_region(self, links_200):
         from tbsl.monodromy import sign_census, twist_word

@@ -26,7 +26,7 @@ class TestTwistWord:
         assert w.letters == ((2, 1), (1, 1), (3, 1))
 
     def test_rejects_non_pm2(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="requires a ±2 expansion"):
             twist_word(EvenExpansion((4, -2, 2)))
 
     def test_word_shape_validation(self):
@@ -36,6 +36,10 @@ class TestTwistWord:
             MonodromyWord(((2, 1), (1, 2), (3, 1)))  # exponent not ±1
         with pytest.raises(ValueError, match="each index 1..n exactly once"):
             MonodromyWord(((2, 1), (1, 1), (4, 1)))  # index 3 missing
+        with pytest.raises(ValueError, match="each block ascending"):
+            MonodromyWord(((4, 1), (2, 1), (1, 1), (3, 1)))  # rivers out of order
+        with pytest.raises(ValueError, match="each block ascending"):
+            MonodromyWord(((2, 1), (4, 1), (3, 1), (1, 1)))  # bridges out of order
 
 
 class TestSignCensus:

@@ -12,7 +12,6 @@ from tbsl import (
     SurgeryDiagram,
     drilled_longitude,
     framing_convert,
-    homological_longitude,
     is_qhs,
     presentation_matrix,
     rolfsen_fill,
@@ -43,6 +42,8 @@ class TestDiagram:
             diagram(((0, 1), (1, 0)), (1, 1, 1))  # slope count mismatch
         with pytest.raises(ValueError, match="square and nonempty"):
             SurgeryDiagram((), (), Framing.CANONICAL)  # no component
+        with pytest.raises(ValueError, match="square and nonempty"):
+            diagram(((0, 1), (1, 0, 0)), (1, 1))  # a row too long
 
 
 class TestFramingConvert:
@@ -190,6 +191,10 @@ class TestQhs:
         with pytest.raises(ValueError, match="two-component"):
             is_qhs(diagram(LN_SEED_LK, (1, 1, 1)))
 
+    def test_drilled_component_rejected(self):
+        with pytest.raises(ValueError, match="fully filled"):
+            is_qhs(diagram(((0, 1), (1, 0)), (1, None)))
+
     def test_zero_infinity_pair(self):
         assert not is_qhs(diagram(((0, 2), (2, 0)), (0, "inf")))
         assert is_qhs(diagram(((0, 2), (2, 0)), (1, "inf")))
@@ -225,18 +230,6 @@ class TestQhs:
 
 
 class TestLongitudes:
-    def test_formula(self):
-        assert homological_longitude(0, Fraction(5)) == Slope(0)
-        assert homological_longitude(3, Fraction(-2)) == Slope(Fraction(-9, 2))
-        for n in range(2, 10):
-            assert homological_longitude(n - 1, Fraction(n)) == Slope(
-                Fraction((n - 1) ** 2, n)
-            )
-
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            homological_longitude(2, Fraction(0))
-
     def test_drilled_ln_seed(self):
         d = diagram(LN_SEED_LK, (1, 1, None))
         assert drilled_longitude(d, 2) == Slope(2)
@@ -248,6 +241,10 @@ class TestLongitudes:
             drilled_longitude(diagram(LN_SEED_LK, (1, None, None)), 2)
         with pytest.raises(ValueError, match="not a rational homology solid torus"):
             drilled_longitude(diagram(((0, 0), (0, 0)), (0, None)), 1)
+
+    def test_drilled_longitude_at_zero(self):
+        # unlinked: the inf filling has determinant 3 and the 0 filling 0
+        assert drilled_longitude(diagram(((0, 0), (0, 0)), (3, None)), 1) == Slope(0)
 
     def test_drilled_longitude_at_infinity(self):
         # lk = 1 and the other slope 0: the inf filling has determinant 0

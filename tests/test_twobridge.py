@@ -6,7 +6,14 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import assume, given
 
-from oracles import all_links, classify_by_expansion, ln_by_definition, unoriented_key
+from oracles import (
+    alexander_by_fox,
+    all_links,
+    classify_by_expansion,
+    ln_by_definition,
+    schubert_linking,
+    unoriented_key,
+)
 from tbsl.errors import KnotNotLink
 from tbsl.twobridge import _candidates, _pm2_halves
 from tbsl import (
@@ -46,11 +53,15 @@ class TestFromFraction:
         ) is SchubertRelation.ISOTOPIC
 
     def test_knot_rejected(self):
-        with pytest.raises(KnotNotLink):
+        with pytest.raises(KnotNotLink, match="3/2 has odd numerator"):
             TwoBridgeLink.from_fraction(Fraction(3, 2))
 
+    def test_zero_rejected(self):
+        with pytest.raises(ValueError, match="0 is not a two-bridge fraction"):
+            TwoBridgeLink.from_fraction(0)
+
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="q must be odd"):
             TwoBridgeLink(8, 4)  # even q
         with pytest.raises(ValueError):
             TwoBridgeLink(8, 9)  # out of range
@@ -58,6 +69,10 @@ class TestFromFraction:
             TwoBridgeLink(10, 5)  # not coprime
         with pytest.raises(ValueError, match="p must be a positive even integer, got 3"):
             TwoBridgeLink(3, 1)  # odd p, though q is odd and in range
+        with pytest.raises(ValueError, match="p must be a positive even integer, got -4"):
+            TwoBridgeLink(-4, 1)  # even p, but negative
+        with pytest.raises(ValueError, match="p must be a positive even integer, got 0"):
+            TwoBridgeLink(0, 1)
 
     def test_normalized_refuses_p_zero_before_reducing(self):
         # q is reduced mod 2p, so p = 0 must be refused first, and not as a knot
@@ -372,6 +387,35 @@ class TestLinkingNumber:
             assert abs(linking_number(e)) == abs(linking_number(em))
 
 
+def _at_inverse(poly):
+    """Δ(t, t^-1) of a two-variable polynomial {(i, j): c}, as {degree: c}."""
+    out = {}
+    for (i, j), c in poly.items():
+        out[i - j] = out.get(i - j, 0) + c
+    return {d: c for d, c in out.items() if c}
+
+
+def test_fox_calculus_decides_fibering_fiber_size_and_linking(links_200):
+    # Two-bridge links are alternating, so fibered ⇔ the Alexander polynomial is monic
+    # (Murasugi 1963; Gabai 1986), for some orientation: every Schubert candidate is
+    # tried.  The fiber of a ±2 expansion of length n has 1 - χ = n, the span of
+    # (t - 1)Δ(t, t^-1); |Δ(1, 1)| = |lk| (Torres 1953); and at the candidate c of the
+    # kept expansion, p/c, the signed Schubert sum is the linking number.
+    for L in links_200:
+        r = L.q % L.p
+        s = pow(r, -1, L.p)
+        polys = [_at_inverse(alexander_by_fox(L.p, c)) for c in (r, r - L.p, s, s - L.p)]
+        spans = {max(d) - min(d) for d in polys if abs(d[min(d)]) == abs(d[max(d)]) == 1}
+        e = classify(L).fibered_expansion
+        assert (e is not None) == bool(spans), L
+        if e is None:
+            continue
+        assert spans == {len(e) - 1}, L
+        c = L.p / cf_eval(e.coeffs).value
+        assert schubert_linking(L.p, int(c)) == linking_number(e), L
+        assert abs(sum(alexander_by_fox(L.p, int(c)).values())) == abs(linking_number(e)), L
+
+
 class TestDetectLn:
     def test_whitehead(self):
         assert detect_Ln(TwoBridgeLink(8, 5)) == (1, False)
@@ -422,5 +466,17 @@ class TestParseRender:
     def test_parse_errors(self):
         with pytest.raises(KnotNotLink):
             parse_link("b(7,3)")
+        with pytest.raises(KnotNotLink):
+            parse_link("b(7,2)")
+        with pytest.raises(KnotNotLink):
+            parse_link("b(9,3)")  # odd p is named before the common factor
+        with pytest.raises(ValueError, match=r"invalid Schubert pair b\(8,4\)"):
+            parse_link("b(8,4)")
+        with pytest.raises(ValueError, match=r"invalid Schubert pair b\(8,10\)"):
+            parse_link("b(8,10)")  # q beyond p, which normalising would reduce
+        with pytest.raises(ValueError, match=r"invalid Schubert pair b\(10,5\)"):
+            parse_link("b(10,5)")  # odd q, not coprime
+        with pytest.raises(ValueError, match="evaluates to inf"):
+            parse_link("L(2,1,-1)")
         with pytest.raises(ValueError):
             parse_link("wibble")
