@@ -411,9 +411,9 @@ def test_fox_calculus_decides_fibering_fiber_size_and_linking(links_200):
         if e is None:
             continue
         assert spans == {len(e) - 1}, L
-        c = L.p / cf_eval(e.coeffs).value
-        assert schubert_linking(L.p, int(c)) == linking_number(e), L
-        assert abs(sum(alexander_by_fox(L.p, int(c)).values())) == abs(linking_number(e)), L
+        c = int(L.p / cf_eval(e.coeffs).value)
+        assert schubert_linking(L.p, c) == linking_number(e), L
+        assert abs(sum(alexander_by_fox(L.p, c).values())) == abs(linking_number(e)), L
 
 
 class TestDetectLn:
