@@ -16,13 +16,14 @@ import json
 import logging
 import math
 import os
+import re
 import sys
 import time
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from . import foliation, lspace, surgery, twobridge
-from .exactq import Slope, cf_eval, even_expand, read_rational
+from .exactq import DIGITS, Slope, cf_eval, even_expand, read_rational
 from .monodromy import sign_census, twist_word
 from .regions import Framing
 from .svgplot import region_svg
@@ -64,7 +65,7 @@ def _surgery(args, target: Framing) -> tuple[foliation.LinkAnalysis, surgery.Sur
 
 def _integer(text: str) -> int:
     """An integer option, written ``[-]digits`` as the rationals are."""
-    if not text.strip().removeprefix("-").isdecimal():
+    if not re.fullmatch(f"-?{DIGITS}", text.strip()):
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
     return int(text)
 

@@ -41,7 +41,9 @@ def as_rat(x) -> Fraction:
     return read_rational(x) if isinstance(x, str) else Fraction(x)
 
 
-_RATIONAL_RE = re.compile(r"(-?\d+)(?:/(\d+))?")
+#: The digits of every integer read from text: ASCII only, where ``\d`` takes any decimal digit.
+DIGITS = "[0-9]+"
+_RATIONAL_RE = re.compile(f"(-?{DIGITS})(?:/({DIGITS}))?")
 
 
 def read_rational(text: str, what: str = "rational") -> Fraction:
@@ -268,18 +270,17 @@ def even_entries(num: int, den: int) -> Iterator[int]:
     reduced input :func:`even_expand` checks for: even ``num``, odd
     ``den > 0`` and ``|num| > den``.
     """
-    # an expansion has fewer entries than its denominator: only a larger one is counted
-    left = den > MAX_EVEN_ENTRIES and MAX_EVEN_ENTRIES
-    while den != 1:
+    for _ in range(MAX_EVEN_ENTRIES):
+        if den == 1:
+            yield num
+            return
         f = num // den  # floor; exactly one of f, f+1 is even
         a = f if f % 2 == 0 else f + 1
         yield a
         num, den = den, num - a * den
         if den < 0:
             num, den = -num, -den
-        if left and not (left := left - 1):
-            raise ValueError(f"the all-even expansion has more than {MAX_EVEN_ENTRIES} entries")
-    yield num
+    raise ValueError(f"the all-even expansion has more than {MAX_EVEN_ENTRIES} entries")
 
 
 def even_expand(x) -> EvenExpansion:

@@ -28,9 +28,7 @@ class MonodromyWord:
         idx = [i for i, _ in self.letters]
         if sorted(idx) != list(range(1, len(idx) + 1)):
             raise ValueError("word must contain each index 1..n exactly once")
-        evens = [i for i in idx if i % 2 == 0]
-        odds = [i for i in idx if i % 2 == 1]
-        if idx != evens + odds or evens != sorted(evens) or odds != sorted(odds):
+        if idx != sorted(idx, key=lambda i: (i % 2, i)):  # rivers before bridges, each ascending
             raise ValueError("even indices must precede odd ones, each block ascending")
         if any(e not in (1, -1) for _, e in self.letters):
             raise ValueError("exponents must be ±1")
@@ -51,14 +49,10 @@ def twist_word(e: EvenExpansion) -> MonodromyWord:
     """Twist word of a ±2 expansion."""
     if not e.all_plus_minus_two:
         raise ValueError("monodromy word requires a ±2 expansion")
-    halves = e.halves()
-    n = len(halves)
-    letters = []
-    for i in range(2, n + 1, 2):
-        letters.append((i, -halves[i - 1]))
-    for i in range(1, n + 1, 2):
-        letters.append((i, halves[i - 1]))
-    return MonodromyWord(tuple(letters))
+    h = e.halves()
+    rivers = [(i + 1, -h[i]) for i in range(1, len(h), 2)]
+    bridges = [(i + 1, h[i]) for i in range(0, len(h), 2)]
+    return MonodromyWord(tuple(rivers + bridges))
 
 
 def sign_census(w: MonodromyWord) -> SignCensus:

@@ -10,7 +10,7 @@ finite multislopes, so a region's ``restrict_to_finite`` field is always
 ``true``; the schema accepts no other value.
 """
 
-_FRACTION = {"type": "string", "pattern": r"^(-?\d+(/\d+)?|inf)$"}
+_FRACTION = {"type": "string", "pattern": r"^(-?[0-9]+(/[0-9]+)?|inf)$"}
 _INTERVAL = {"type": "string", "pattern": r"^[\[(][^,]+,[^,]+[\])]$"}
 
 _REGION = {

@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import KnotNotLink
-from .exactq import EvenExpansion, as_rat, cf_eval, even_entries, even_expand, read_rational
+from .exactq import DIGITS, EvenExpansion, as_rat, cf_eval, even_entries, even_expand, read_rational
 
 
 @dataclass(frozen=True)
@@ -122,16 +122,16 @@ def _candidates(link: TwoBridgeLink) -> list[int]:
     return [q, second, rinv, rinv - p]
 
 
-def _pm2_halves(p: int, q: int) -> tuple[int, ...] | None:
-    """Halves of the even expansion of ``p/q``; ``None`` at its first entry not ±2."""
+def _pm2_chain(p: int, q: int) -> tuple[int, ...] | None:
+    """The even expansion of ``p/q`` if every entry is ±2; ``None`` at its first other entry."""
     if q < 0:
         p, q = -p, -q
-    halves = []
+    chain = []
     for a in even_entries(p, q):
         if a != 2 and a != -2:
             return None
-        halves.append(a // 2)
-    return tuple(halves)
+        chain.append(a)
+    return tuple(chain)
 
 
 def fibered_expansion(link: TwoBridgeLink) -> EvenExpansion | None:
@@ -170,16 +170,20 @@ class LinkClass:
         return self.family.value
 
 
-def _family2_interior_shape(halves: tuple[int, ...]) -> bool:
-    # all rivers -1 and exactly one bridge -1, away from both ends: the family's
-    # definition.  With the bridge at an end of a length-(2k+1) word the link is
-    # b(6k+2, -(2k+1)) or its reversal, which is Ln(k) since 3(2k+1) ≡ 1 mod 6k+2
-    # (the mirror for the negated word): detect_Ln has decided it, so no end is excluded.
-    n = len(halves)
-    if any(halves[i] != -1 for i in range(1, n, 2)):
-        return False
-    minus = [i for i in range(0, n, 2) if halves[i] == -1]
-    return len(minus) == 1
+def _family2_interior_shape(chain: tuple[int, ...], r: int) -> bool:
+    # every river r and exactly one bridge r.  For r = -2 the family's definition also keeps
+    # that bridge away from both ends; with it at an end of a length-(2k+1) word the link is
+    # b(6k+2, -(2k+1)) or its reversal, which is Ln(k) since 3(2k+1) ≡ 1 mod 6k+2 (the
+    # mirror for r = 2): detect_Ln has decided it, so no end is excluded.
+    return all(x == r for x in chain[1::2]) and chain[0::2].count(r) == 1
+
+
+#: The paper's family templates, in test order.  Each shape is matched on a ±2 chain with
+#: r = -2 where the template's halves are -1, or with r = 2 for the mirror.
+_FAMILY_SHAPES = (
+    (LinkFamily.FAMILY1, lambda chain, r: all(x == r for x in chain)),
+    (LinkFamily.FAMILY2_INTERIOR, _family2_interior_shape),
+)
 
 
 def detect_Ln(link: TwoBridgeLink) -> tuple[int, bool] | None:
@@ -214,33 +218,25 @@ def classify(link: TwoBridgeLink) -> LinkClass:
     q^{-1} need no walk: reversing an odd-length expansion transposes its
     continuant matrix, so their ±2 expansions are those of q's lifts
     reversed, and every shape tested is reversal-invariant.  ``mirrored``
-    records when the family template matched only after negating the expansion.
+    records when a shape of :data:`_FAMILY_SHAPES` matched only with the sign swapped.
     """
     hit = detect_Ln(link)
-    pm2 = [h for c in _candidates(link)[:2] if (h := _pm2_halves(link.p, c)) is not None]
+    pm2 = [h for c in _candidates(link)[:2] if (h := _pm2_chain(link.p, c)) is not None]
     if not pm2:
         return LinkClass(LinkFamily.NON_FIBERED)
-    first = EvenExpansion(tuple(2 * h for h in pm2[0]))
+    first = EvenExpansion(pm2[0])
     if hit is not None:
         n, mirrored = hit
         fam = LinkFamily.LN_MIRROR if mirrored else LinkFamily.LN
         return LinkClass(fam, n=n, fibered_expansion=first, mirrored=mirrored)
     if link.q % link.p in (1, link.p - 1):
         return LinkClass(LinkFamily.TORUS, fibered_expansion=first)
-    if any(all(x == -1 for x in h) for h in pm2):
-        return LinkClass(LinkFamily.FAMILY1, fibered_expansion=first)
-    if any(all(x == 1 for x in h) for h in pm2):
-        return LinkClass(LinkFamily.FAMILY1, fibered_expansion=first, mirrored=True)
-    if any(_family2_interior_shape(h) for h in pm2):
-        return LinkClass(LinkFamily.FAMILY2_INTERIOR, fibered_expansion=first)
-    if any(_family2_interior_shape(tuple(-x for x in h)) for h in pm2):
-        return LinkClass(
-            LinkFamily.FAMILY2_INTERIOR, fibered_expansion=first, mirrored=True
-        )
-    rivers_all_negative = all(x == 1 for x in pm2[0][1::2])
-    return LinkClass(
-        LinkFamily.GENERIC_FIBERED, fibered_expansion=first, mirrored=rivers_all_negative
-    )
+    for family, shape in _FAMILY_SHAPES:
+        for r in (-2, 2):
+            if any(shape(h, r) for h in pm2):
+                return LinkClass(family, fibered_expansion=first, mirrored=r == 2)
+    mirrored = all(x == 2 for x in pm2[0][1::2])  # every river twist is negative
+    return LinkClass(LinkFamily.GENERIC_FIBERED, fibered_expansion=first, mirrored=mirrored)
 
 
 def linking_number(e: EvenExpansion) -> int:
@@ -251,11 +247,11 @@ def linking_number(e: EvenExpansion) -> int:
     """
     if not e.all_plus_minus_two:
         raise ValueError("linking number is only computed from ±2 expansions")
-    return sum(e.halves()[0::2])
+    return sum(e.coeffs[0::2]) // 2
 
 
-_B_RE = re.compile(r"^b\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)$")
-_L_RE = re.compile(r"^L\(\s*(-?\d+(?:\s*,\s*-?\d+)*)\s*\)$")
+_B_RE = re.compile(rf"^b\(\s*(-?{DIGITS})\s*,\s*(-?{DIGITS})\s*\)$")
+_L_RE = re.compile(rf"^L\(\s*(-?{DIGITS}(?:\s*,\s*-?{DIGITS})*)\s*\)$")
 
 
 def _bad_position(text: str) -> int:

@@ -376,6 +376,14 @@ class TestVerifyCommands:
         (["expand", "0.5"], "fraction '0.5' is not of the form [-]digits[/digits]"),
         (["sweep", "b(8,5)", "--step", "1e0"], "--step '1e0' is not of the form"),
         (["verdict", "b(8,5)", "1e10000000", "1"], "slope '1e10000000' is not of the form"),
+        # digits are ASCII 0-9: \d and str.isdecimal also read these Arabic-Indic ones
+        (["classify", "b(٨,٥)"], "link spec 'b(٨,٥)' (unexpected input at position 2)"),
+        (["classify", "L(٢,-٢,-٢)"], "link spec 'L(٢,-٢,-٢)' (unexpected input at position 2)"),
+        (["verdict", "b(8,5)", "١", "1"], "slope '١' is not of the form"),
+        (["expand", "٣٠/١١"], "fraction '٣٠/١١' is not of the form"),
+        (["sweep", "b(8,5)", "--window", "٣"], "argument --window: invalid int value: '٣'"),
+        (["verify-ln", "--max", "٣"], "argument --max: invalid int value: '٣'"),
+        (["sweep", "b(8,5)", "--step", "١"], "--step '١' is not of the form"),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else None,
 )

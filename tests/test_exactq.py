@@ -20,6 +20,7 @@ from tbsl import (
     parse_interval,
     rr_propagate,
 )
+from tbsl import exactq
 from tbsl.exactq import MAX_EVEN_ENTRIES
 from tbsl.svgplot import region_svg
 
@@ -33,7 +34,7 @@ class TestSlope:
         for text in ["inf", "8/5", "-30/11", "2", "0", "-1/3"]:
             assert str(Slope.parse(text)) == text
 
-    @pytest.mark.parametrize("text", ["1e3", "1E3", "0.5", "+3", "1_000"])
+    @pytest.mark.parametrize("text", ["1e3", "1E3", "0.5", "+3", "1_000", "١٢/٥", "１２"])
     def test_parse_reads_only_digits_over_digits(self, text):
         # Fraction reads each of these, and computes 1e10000000 in full
         with pytest.raises(ValueError, match=r"not of the form \[-\]digits\[/digits\]"):
@@ -178,9 +179,23 @@ class TestEvenExpand:
         with pytest.raises(ValueError, match="more than 1000000 entries"):
             even_expand(Fraction(2 * p + 2, 2 * p + 1))
 
+    @pytest.mark.parametrize("bound", [4, 5, 6, 7])
+    def test_bound_refuses_exactly_the_longer_words(self, monkeypatch, bound):
+        # words of length 3 to 9, all +2, alternating and all -2: each expands exactly
+        # when it is no longer than the bound, whatever its denominator
+        monkeypatch.setattr(exactq, "MAX_EVEN_ENTRIES", bound)
+        for n in (3, 5, 7, 9):
+            for word in [(2,) * n, tuple(2 * (-1) ** i for i in range(n)), (-2,) * n]:
+                value = cf_eval(word).value
+                if n <= bound:
+                    assert even_expand(value).coeffs == word
+                else:
+                    with pytest.raises(ValueError, match=f"more than {bound} entries"):
+                        even_expand(value)
+
     def test_large_denominators_expand_in_full(self):
-        # the entry counter runs only for denominators above MAX_EVEN_ENTRIES, and must
-        # neither stop a short expansion nor cut a long one below the bound
+        # a denominator above MAX_EVEN_ENTRIES must neither stop a short expansion
+        # nor cut a long one below the bound
         for coeffs in [(2,) * 19, (2,) * 4 + (2, -2) * 300_000 + (2,)]:
             value = cf_eval(coeffs).value
             assert value.denominator > MAX_EVEN_ENTRIES

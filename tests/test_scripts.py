@@ -66,8 +66,41 @@ def test_mutation_probe_reports_the_one_survivor(tmp_path):
     ).stdout
     assert time.perf_counter() - start < 5
     assert out.splitlines() == [
-        "mod.py:6  delete  drop `a` from or  survived",
+        "mod.py:6:11  #2  delete  drop `a` from or  survived",
         "flip: 2/2 killed",
         "delete: 1/2 killed",
     ]
     assert (tmp_path / "mod.py").read_text().endswith("return a or b\n")  # probed in a copy
+
+
+def test_mutation_probe_tells_same_line_mutants_apart(tmp_path):
+    # both < of the chain -> <= survive, since no test passes an end point; one line,
+    # one column and one label, so only the index in sites() tells them apart
+    (tmp_path / "mod.py").write_text("def between(a, q, b):\n    return a < q < b\n")
+    (tmp_path / "test_mod.py").write_text(
+        "from mod import between\n\n\ndef test_between():\n"
+        "    assert between(0, 1, 2) and not between(0, 3, 2)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, str(SCRIPTS / "mutation_probe.py"), "mod.py", "test_mod.py"],
+        cwd=tmp_path, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.splitlines() == [
+        "mod.py:2:11  #0  flip  < -> <=  survived",
+        "mod.py:2:11  #1  flip  < -> <=  survived",
+        "flip: 0/2 killed",
+        "delete: 0/0 killed",
+    ]
+
+
+def test_mutation_probe_names_the_test_that_fails_unmutated(tmp_path):
+    (tmp_path / "mod.py").write_text("def one():\n    return 2\n")
+    (tmp_path / "test_mod.py").write_text(
+        "from mod import one\n\n\ndef test_one():\n    assert one() == 1\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "mutation_probe.py"), "mod.py", "test_mod.py"],
+        cwd=tmp_path, capture_output=True, text=True,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == "the tests fail on the unmutated module: test_mod.py::test_one\n"

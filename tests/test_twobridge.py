@@ -15,7 +15,7 @@ from oracles import (
     unoriented_key,
 )
 from tbsl.errors import KnotNotLink
-from tbsl.twobridge import _candidates, _pm2_halves
+from tbsl.twobridge import _candidates, _pm2_chain
 from tbsl import (
     EvenExpansion,
     LinkFamily,
@@ -228,15 +228,13 @@ class TestFiberedExpansion:
         from fractions import Fraction as F
 
         from oracles import pm2_census_by_key
-        from tbsl.twobridge import _candidates, _pm2_halves
+        from tbsl.twobridge import _candidates, _pm2_chain
 
         by_key = pm2_census_by_key(200)
         for L in links_200:
             expected = by_key.get(unoriented_key(L), set())
             found = {
-                tuple(2 * h for h in halves)
-                for c in _candidates(L)
-                if (halves := _pm2_halves(L.p, c)) is not None
+                chain for c in _candidates(L) if (chain := _pm2_chain(L.p, c)) is not None
             }
             assert found == expected
 
@@ -246,8 +244,8 @@ class TestFiberedExpansion:
         # q·q' ≡ 1 (mod p), and |q'| < p since ±2 continuants grow strictly
         for L in links_200:
             lifts = _candidates(L)
-            own = {h[::-1] for c in lifts[:2] if (h := _pm2_halves(L.p, c)) is not None}
-            inverse = {h for c in lifts[2:] if (h := _pm2_halves(L.p, c)) is not None}
+            own = {h[::-1] for c in lifts[:2] if (h := _pm2_chain(L.p, c)) is not None}
+            inverse = {h for c in lifts[2:] if (h := _pm2_chain(L.p, c)) is not None}
             assert inverse == own, L
 
 
@@ -352,14 +350,14 @@ def even_over_odd(draw):
 
 
 @given(even_over_odd())
-def test_pm2_halves_matches_full_expansion(pq):
+def test_pm2_chain_matches_full_expansion(pq):
     p, q = pq
     e = even_expand(Fraction(p, q))
-    halves = _pm2_halves(p, q)
+    chain = _pm2_chain(p, q)
     if e.all_plus_minus_two:
-        assert halves == e.halves()
+        assert chain == e.coeffs
     else:
-        assert halves is None
+        assert chain is None
 
 
 class TestLinkingNumber:
