@@ -137,7 +137,7 @@ class CircleInterval:
     full_circle = False
 
     def __post_init__(self):
-        if self.lo == self.hi and self.lo_closed != self.hi_closed:
+        if self.lo_closed != self.hi_closed and self.lo == self.hi:
             raise ValueError(
                 "degenerate interval must be a point [a,a] or a punctured circle (a,a)"
             )
@@ -215,15 +215,14 @@ class EvenExpansion:
         object.__setattr__(self, "coeffs", tuple(map(operator.index, self.coeffs)))
         if len(self.coeffs) % 2 != 1:
             raise ValueError("even expansion must have odd length")
-        if any(a == 0 or a % 2 != 0 for a in self.coeffs):
+        sizes = set(map(abs, self.coeffs))
+        if 0 in sizes or any(a % 2 != 0 for a in sizes):
             raise ValueError("even expansion entries must be nonzero even integers")
+        # whether every entry is ±2, read off the one walk above; not a field
+        object.__setattr__(self, "all_plus_minus_two", sizes == {2})
 
     def halves(self) -> tuple[int, ...]:
         return tuple(a // 2 for a in self.coeffs)
-
-    @property
-    def all_plus_minus_two(self) -> bool:
-        return all(abs(a) == 2 for a in self.coeffs)
 
     def negated(self) -> "EvenExpansion":
         return EvenExpansion(tuple(-a for a in self.coeffs))

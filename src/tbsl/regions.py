@@ -13,9 +13,12 @@ interval's atoms are one or two runs of indices found by ``bisect`` on those
 integers, so no ``Fraction`` is compared or hashed.  A region on the grid is
 one ``int`` mask of y-atoms per x-atom, so set operations are bitwise, and
 the normal form reads rectangles off runs of equal adjacent columns, with
-their exact endpoints.  Membership builds the region's own grid on each
-call: ``row_masks`` then costs one integer ``bisect`` per grid slope, and a
-point (``contains``) is its 1×1 case.
+their exact endpoints.  Each region keeps its grid, built once from its
+rectangles or handed on by the operation that made it.  An operation merges
+the two operands' integer keys and remaps each operand's columns onto the
+joint grid on integers, so no operand is rebuilt from its rectangles;
+``row_masks`` reads the kept grid at one integer ``bisect`` per grid slope,
+and a point (``contains``) is its 1×1 case.
 
 Weight families are linear forms over open boxes; :func:`family_image`
 gives the open arc of slopes each one realises.
@@ -30,6 +33,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import FramingMismatch
 from .exactq import INFINITY, CircleInterval, Slope, as_rat
@@ -91,6 +95,27 @@ def _bit_runs(mask: int):
         i += ones
 
 
+def _merged(a: _Axis, b: _Axis) -> _Axis:
+    """The axis of the endpoints of both: an operand's own axis when it already holds them all
+    (its ``den`` is then the lcm)."""
+    den = math.lcm(a.den, b.den)
+    ends = {k * (den // axis.den): v for axis in (a, b) for k, v in axis.ends.items()}
+    for axis in (a, b):
+        if len(axis.keys) == len(ends):
+            return axis
+    return _Axis(sorted(ends), ends, den)
+
+
+def _atom_starts(axis: _Axis, joint: _Axis) -> list[int]:
+    """Per atom of ``axis``, the first atom of the finer ``joint`` inside it, then the end."""
+    scale, starts = joint.den // axis.den, [0]
+    for k in axis.keys:
+        j = 2 * bisect_left(joint.keys, k * scale) + 1
+        starts += (j, j + 1)
+    starts.append(2 * len(joint.keys) + 1)
+    return starts
+
+
 def _run_to_interval(axis: _Axis, first: int, last: int) -> CircleInterval:
     """The interval made of the atoms ``first`` to ``last``, with exact endpoints."""
     lo = Slope(axis.ends[axis.keys[(first - 1) // 2]]) if first else INFINITY
@@ -137,8 +162,7 @@ class Region2:
     def row_masks(self, xs, ys):
         """Yield, per slope x of the sequence ``xs``, an ``int`` whose bit ``j`` says whether
         ``(x, ys[j])`` lies in the region (0 for an ``inf`` x)."""
-        xaxis, yaxis = _joint_ends(self)
-        cols = self._columns(xaxis, yaxis)
+        xaxis, yaxis, cols = self._grid
         atom_bits = [0] * (2 * len(yaxis.keys) + 1)
         for j, y in enumerate(ys):
             if not y.is_infinity:
@@ -150,8 +174,11 @@ class Region2:
 
     # -- grid machinery ----------------------------------------------------
 
-    def _columns(self, xaxis: _Axis, yaxis: _Axis) -> list[int]:
-        """One mask of the y-atoms in the region per x-atom."""
+    @cached_property
+    def _grid(self) -> tuple[_Axis, _Axis, list[int]]:
+        """Axes holding every endpoint of the region, and one mask of its y-atoms per x-atom.
+        Not a field: a region made by an operation is handed the grid it was computed on."""
+        xaxis, yaxis = _own_axis(self, 0), _own_axis(self, 1)
         cols = [0] * (2 * len(xaxis.keys) + 1)
         for ix, iy in self.rects:
             ymask = 0
@@ -160,10 +187,10 @@ class Region2:
             if ymask:
                 for a, b in _atom_runs(ix, xaxis):
                     cols[a : b + 1] = [c | ymask for c in cols[a : b + 1]]
-        return cols
+        return xaxis, yaxis, cols
 
     def is_empty(self) -> bool:
-        return not any(self._columns(*_joint_ends(self)))
+        return not any(self._grid[2])
 
     # -- set operations ----------------------------------------------------
 
@@ -207,9 +234,8 @@ class Region2:
         return Region2(framing, self.rects)
 
     def canonical(self) -> "Region2":
-        """Normal form: rectangles reassembled on the region's own grid."""
-        xaxis, yaxis = _joint_ends(self)
-        return _reassemble_region(xaxis, yaxis, self._columns(xaxis, yaxis), self.framing)
+        """Normal form: rectangles reassembled on the region's grid."""
+        return _reassemble_region(*self._grid, self.framing)
 
     def to_json_dict(self) -> dict:
         return {
@@ -219,16 +245,29 @@ class Region2:
         }
 
 
-def _joint_ends(*regions: Region2) -> tuple[_Axis, _Axis]:
-    """The finite endpoints of every rectangle, on each axis, as integer keys."""
-    axes = []
-    for k in (0, 1):
-        vals = [v for r in regions for rect in r.rects for s in (rect[k].lo, rect[k].hi)
-                if (v := s.value) is not None]
-        den = math.lcm(*[v.denominator for v in vals])
-        ends = {v.numerator * (den // v.denominator): v for v in vals}
-        axes.append(_Axis(sorted(ends), ends, den))
-    return axes[0], axes[1]
+def _own_axis(region: Region2, k: int) -> _Axis:
+    """The finite endpoints of every rectangle side ``k`` (0 for x, 1 for y), as integer keys."""
+    vals = [v for rect in region.rects for s in (rect[k].lo, rect[k].hi)
+            if (v := s.value) is not None]
+    den = math.lcm(*[v.denominator for v in vals])
+    ends = {v.numerator * (den // v.denominator): v for v in vals}
+    return _Axis(sorted(ends), ends, den)
+
+
+def _remapped(grid, xaxis: _Axis, yaxis: _Axis) -> list[int]:
+    """The columns of ``grid`` on the joint axes, which hold its endpoints: each y-run of a
+    distinct column and each x-atom spread over the joint atoms inside it.  An axis with as
+    many endpoints as the joint one has the same atoms."""
+    gx, gy, cols = grid
+    if len(gy.keys) < len(yaxis.keys):
+        ys = _atom_starts(gy, yaxis)
+        masks = {c: sum((1 << ys[b + 1]) - (1 << ys[a]) for a, b in _bit_runs(c))
+                 for c in set(cols)}
+        cols = [masks[c] for c in cols]
+    if len(gx.keys) < len(xaxis.keys):
+        xs = _atom_starts(gx, xaxis)
+        cols = [c for c, lo, hi in zip(cols, xs, xs[1:]) for _ in range(hi - lo)]
+    return cols
 
 
 def _aligned_columns(a: Region2, b: Region2):
@@ -236,8 +275,9 @@ def _aligned_columns(a: Region2, b: Region2):
         raise FramingMismatch(
             f"cannot combine regions framed {a.framing.value} and {b.framing.value}"
         )
-    xaxis, yaxis = _joint_ends(a, b)
-    return xaxis, yaxis, a._columns(xaxis, yaxis), b._columns(xaxis, yaxis)
+    ga, gb = a._grid, b._grid
+    xaxis, yaxis = _merged(ga[0], gb[0]), _merged(ga[1], gb[1])
+    return xaxis, yaxis, _remapped(ga, xaxis, yaxis), _remapped(gb, xaxis, yaxis)
 
 
 def _combine(a: Region2, b: Region2, op) -> Region2:
@@ -255,7 +295,9 @@ def _reassemble_region(xaxis: _Axis, yaxis: _Axis, cols: list[int], framing: Fra
             xiv = _run_to_interval(xaxis, x, x + width - 1)
             rects.extend((xiv, _run_to_interval(yaxis, lo, hi)) for lo, hi in _bit_runs(col))
         x += width
-    return Region2(framing, tuple(rects))
+    region = Region2(framing, tuple(rects))
+    object.__setattr__(region, "_grid", (xaxis, yaxis, cols))
+    return region
 
 
 # ---------------------------------------------------------------------------

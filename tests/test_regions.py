@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -314,6 +315,57 @@ def test_mixed_denominators_match_membership_oracle(pair, off_grid):
     for region in (a, results["difference"][0]):
         xs, ys = ([*dict.fromkeys(p[k] for p in probes), *extra, INFINITY] for k in (0, 1))
         _check_row_masks_against_oracle(region, xs, ys)
+
+
+_BINARY_OPS = ("union", "intersect", "difference")
+
+
+@st.composite
+def op_chain_st(draw):
+    """Two regions, then two to four set operations: each step's first operand is the last
+    result and its second any earlier region, so most operands carry a grid they were handed."""
+    pairs = st.one_of(st.tuples(region_st(), region_st()), mixed_pair_st().map(lambda t: t[1:]))
+    start = draw(pairs)
+    steps = []
+    for n in range(draw(st.integers(2, 4))):
+        name = draw(st.sampled_from(_BINARY_OPS + ("complement", "canonical")))
+        steps.append((name, draw(st.integers(0, n + 1))))
+    return start, steps
+
+
+def _run_chain(start, steps, operand):
+    pool = list(start)
+    for name, j in steps:
+        a = operand(pool[-1])
+        op = getattr(a, name)
+        pool.append(op(operand(pool[j])) if name in _BINARY_OPS else op())
+    return pool
+
+
+def _without_grid(region):
+    return Region2(region.framing, region.rects)
+
+
+@settings(max_examples=80)
+@given(op_chain_st())
+def test_kept_grids_agree_with_regions_built_from_rectangles(chain):
+    assert "_grid" not in {f.name for f in dataclasses.fields(Region2)}
+    kept = _run_chain(*chain, operand=lambda r: r)
+    built = _run_chain(*chain, operand=_without_grid)
+    assert all("_grid" in vars(r) for r in kept[2:])  # every result was handed its grid
+    probes = grid_probes(*kept)
+    xs, ys = ([*dict.fromkeys(p[k] for p in probes), INFINITY] for k in (0, 1))
+    for r, b in zip(kept, map(_without_grid, built)):
+        bare = _without_grid(r)
+        assert (r == bare, hash(r), repr(r)) == (True, hash(bare), repr(bare))
+        assert r.rects == b.rects
+        assert r.canonical().rects == b.canonical().rects
+        assert r.to_json_dict() == b.to_json_dict()
+        assert r.is_empty() == b.is_empty()
+        assert list(r.row_masks(xs, ys)) == list(b.row_masks(xs, ys))
+        for r2, b2 in zip(kept, built):
+            assert r.covers(r2) == b.covers(_without_grid(b2))
+            assert r.equals(r2) == b.equals(_without_grid(b2))
 
 
 def _mixed_boxes(count):

@@ -1,9 +1,9 @@
 import pathlib
+import resource
 import runpy
 import subprocess
 import sys
 import textwrap
-import time
 
 import pytest
 
@@ -14,6 +14,12 @@ def run_script(monkeypatch, capsys, name, *argv):
     monkeypatch.setattr(sys, "argv", [name, *argv])
     runpy.run_path(str(SCRIPTS / name), run_name="__main__")
     return capsys.readouterr().out
+
+
+def _children_cpu_s() -> float:
+    """User and system CPU seconds of every finished child process so far."""
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
 
 
 def test_fibered_census(monkeypatch, capsys):
@@ -59,12 +65,13 @@ def test_mutation_probe_reports_the_one_survivor(tmp_path):
         def test_either():
             assert either(0, 2) == 2
     """))
-    start = time.perf_counter()
+    # the budget is CPU time, which a busy machine does not stretch as it does wall time
+    start = _children_cpu_s()
     out = subprocess.run(
         [sys.executable, str(SCRIPTS / "mutation_probe.py"), "mod.py", "test_mod.py", "--seed", "1"],
         cwd=tmp_path, capture_output=True, text=True, check=True,
     ).stdout
-    assert time.perf_counter() - start < 5
+    assert _children_cpu_s() - start < 5
     assert out.splitlines() == [
         "mod.py:6:11  #2  delete  drop `a` from or  survived",
         "flip: 2/2 killed",

@@ -11,6 +11,7 @@ from oracles import (
     all_links,
     classify_by_expansion,
     ln_by_definition,
+    pm2_census_by_key,
     schubert_linking,
     unoriented_key,
 )
@@ -225,11 +226,6 @@ class TestFiberedExpansion:
     def test_candidate_search_finds_every_expansion(self, links_200):
         # independent enumeration: group all ±2 sequences by unoriented
         # class and compare against the Schubert-representative search
-        from fractions import Fraction as F
-
-        from oracles import pm2_census_by_key
-        from tbsl.twobridge import _candidates, _pm2_chain
-
         by_key = pm2_census_by_key(200)
         for L in links_200:
             expected = by_key.get(unoriented_key(L), set())
