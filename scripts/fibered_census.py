@@ -2,9 +2,10 @@
 """Census of two-bridge links up to a numerator bound.
 
 Tabulates how many unoriented classes fall into each surgery family, lists
-the exceptional quadrant links found, and cross-checks that the L-space and
+the exceptional quadrant links found, and checks that the L-space and
 foliation regions partition the finite multislope plane for every
-hyperbolic fibered class.
+hyperbolic fibered class.  The partition holds by construction today: the
+foliation region is defined as the complement of the L-space region.
 """
 
 import argparse

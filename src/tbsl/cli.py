@@ -218,18 +218,15 @@ def _cmd_framing(args) -> dict:
 
 
 def _cmd_verify_ln(args) -> dict:
-    checks = []
-    for n in range(1, _positive(args.max, "--max", MAX_VERIFY_INDEX) + 1):
-        ok = lspace.verify_ln_chain(n)
-        checks.append({"name": f"ln-chain n={n}", "ok": ok})
+    top = _positive(args.max, "--max", MAX_VERIFY_INDEX)
+    checks = [{"name": f"ln-chain n={n}", "ok": lspace.verify_ln_chain(n)}
+              for n in range(1, top + 1)]
     return {"input": {"max": args.max}, "checks": checks}
 
 
 def _cmd_verify_covers(args) -> dict:
-    checks = []
-    for witness in foliation.cover_witnesses():
-        ok = witness.region.equals(witness.target)
-        checks.append({"name": f"cover {witness.name}", "ok": ok})
+    checks = [{"name": f"cover {w.name}", "ok": w.region.equals(w.target)}
+              for w in foliation.cover_witnesses()]
     for n in range(2, _positive(args.max, "--max", MAX_VERIFY_INDEX) + 1):
         # foliation is the quadrant's complement: equal means no gap and no overlap
         strips = foliation.ln_taut_witness_strips(n)
@@ -414,6 +411,9 @@ def main(argv=None) -> int:
     code = 0
     try:
         build_parser().parse_args(argv, args)
+        # argparse hands a positional that follows a second "--" over as an empty list
+        if empty := [name for name, value in vars(args).items() if value == []]:
+            raise ValueError(f"argument {empty[0]}: expected one argument")
         report.update(args.handler(args))
         if any(not c["ok"] for c in report.get("checks", [])):
             report["ok"] = False

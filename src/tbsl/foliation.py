@@ -31,22 +31,20 @@ from functools import cached_property
 
 from .errors import OutOfScope
 from .exactq import INFINITY, CircleInterval, Slope
-from .lspace import classified_lspace_region
 from .monodromy import SignCensus
 from .regions import BUILTIN_WEIGHT_FAMILIES, Framing, Region2, family_image
 from .surgery import SurgeryDiagram, framing_convert, rolfsen_fill
-from .twobridge import LinkClass, TwoBridgeLink, classify, linking_number
+from .twobridge import LinkClass, LinkFamily, TwoBridgeLink, classify, linking_number
 
 
-#: Realised slope intervals, keyed by their text: the weight-family images.
+#: Realised slope intervals, keyed by their text: the weight-family images, and
+#: ``Q``, the rational line, the one that is not a weight-family image.
 _REALISED = {key: family_image(f) for key, f in BUILTIN_WEIGHT_FAMILIES.items()}
-_RATIONAL_LINE = CircleInterval.punctured(INFINITY)
+_REALISED["Q"] = CircleInterval.punctured(INFINITY)
 
 
 def _realised(*keys: str) -> tuple[CircleInterval, ...]:
-    """Realised intervals by key; ``Q``, the rational line, is the one that
-    is not a weight-family image."""
-    return tuple(_RATIONAL_LINE if k == "Q" else _REALISED[k] for k in keys)
+    return tuple(_REALISED[k] for k in keys)
 
 
 def lemma_regions(census: SignCensus) -> Region2:
@@ -84,21 +82,42 @@ class Verdict(Enum):
 class LinkAnalysis:
     """A classified link and the facts the verdict engine reads about it.
 
-    :func:`analyse` computes the classification and the signed linking
-    number once; the twist word and its sign census are left to the code
-    that reports them.  The regions are computed on first use and kept;
-    reading them, or asking for a verdict, rejects torus and non-fibered
-    links.
+    :func:`analyse` classifies the link once; every other fact (the signed
+    linking number, the regions) is computed on first use and kept, so a
+    view computes only what it reads.  The twist word and its sign census
+    are left to the code that reports them.  Reading the regions, or asking
+    for a verdict, rejects torus and non-fibered links.
     """
 
     link: TwoBridgeLink
     cls: LinkClass
-    linking: int | None
+
+    @cached_property
+    def linking(self) -> int | None:
+        """Signed linking number, read off the fibered expansion; ``None`` without one."""
+        e = self.cls.fibered_expansion
+        return None if e is None else linking_number(e)
 
     @cached_property
     def lspace(self) -> Region2:
-        """Finite L-space multislopes, canonical framing."""
-        return classified_lspace_region(self.link, self.cls)
+        """Finite L-space multislopes, canonical framing.
+
+        The quadrant [n, inf)² for the n-th exceptional link, its negation for
+        the mirror, empty for every other fibered hyperbolic link.  This is the
+        scope gate of the package: torus and non-fibered links are rejected.
+        """
+        family = self.cls.family
+        if family is LinkFamily.TORUS:
+            raise OutOfScope(
+                f"{self.link} is a torus link: out of scope (surgeries are graph manifolds)"
+            )
+        if family is LinkFamily.NON_FIBERED:
+            raise OutOfScope(f"{self.link} is not fibered")
+        if family not in (LinkFamily.LN, LinkFamily.LN_MIRROR):
+            return Region2.empty(Framing.CANONICAL)
+        arc = CircleInterval.closed(self.cls.n, INFINITY)
+        quadrant = Region2(Framing.CANONICAL, ((arc, arc),))
+        return quadrant.negated() if family is LinkFamily.LN_MIRROR else quadrant
 
     @cached_property
     def foliation(self) -> Region2:
@@ -168,10 +187,8 @@ class LinkAnalysis:
 
 
 def analyse(link: TwoBridgeLink) -> LinkAnalysis:
-    """Classify a link once and read its linking number off it."""
-    cls = classify(link)
-    e = cls.fibered_expansion
-    return LinkAnalysis(link, cls, None if e is None else linking_number(e))
+    """Classify a link once; its other facts are read off the classification on demand."""
+    return LinkAnalysis(link, classify(link))
 
 
 def foliation_region(link: TwoBridgeLink) -> Region2:
@@ -181,8 +198,7 @@ def foliation_region(link: TwoBridgeLink) -> Region2:
 
 def verdict(link: TwoBridgeLink, slope: tuple) -> Verdict:
     """Verdict for the canonical-framing multislope ``slope`` of ``link``."""
-    xs, ys = (Slope.of(slope[0]),), (Slope.of(slope[1]),)
-    return next(analyse(link).verdict_rows(xs, ys))[0]
+    return next(analyse(link).verdict_rows((Slope.of(slope[0]),), (Slope.of(slope[1]),)))[0]
 
 
 # ---------------------------------------------------------------------------

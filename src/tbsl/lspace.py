@@ -13,7 +13,8 @@ Two propagation devices drive everything:
 For the exceptional family b(6n+2, -3) the quadrant [n, inf) × [n, inf) is
 the exact finite L-space set; its mirror gets the negated quadrant; every
 other fibered hyperbolic two-bridge link has no finite L-space surgery at
-all.  ``verify_ln_chain`` replays the derivation of the quadrant from the
+all.  That closed form is ``LinkAnalysis.lspace`` and ``lspace_region`` reads
+it; ``verify_ln_chain`` replays the derivation of the quadrant from the
 propagation devices instead of trusting the closed form.
 """
 
@@ -22,11 +23,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import OutOfScope
 from .exactq import INFINITY, CircleInterval, Slope, as_rat
+from .foliation import analyse
 from .regions import Framing, Region2
 from .surgery import SurgeryDiagram, drilled_longitude, rolfsen_fill
-from .twobridge import LinkClass, LinkFamily, TwoBridgeLink, classify, ln_link
+from .twobridge import TwoBridgeLink, ln_link
 
 
 def rr_propagate(known: Iterable, longitude) -> tuple[CircleInterval, ...]:
@@ -68,27 +69,7 @@ def rect_propagate(seed: tuple, lk: int) -> Region2:
 
 def lspace_region(link: TwoBridgeLink) -> Region2:
     """Exact set of finite L-space multislopes, canonical framing."""
-    return classified_lspace_region(link, classify(link))
-
-
-def classified_lspace_region(link: TwoBridgeLink, cls: LinkClass) -> Region2:
-    """``lspace_region`` of a link already classified as ``cls``.
-
-    The quadrant [n, inf)² for the n-th exceptional link, its negation for
-    the mirror, empty for every other fibered hyperbolic link.  This is the
-    scope gate of the package: torus and non-fibered links are rejected.
-    """
-    if cls.family is LinkFamily.TORUS:
-        raise OutOfScope(
-            f"{link} is a torus link: out of scope (surgeries are graph manifolds)"
-        )
-    if cls.family is LinkFamily.NON_FIBERED:
-        raise OutOfScope(f"{link} is not fibered")
-    if cls.family not in (LinkFamily.LN, LinkFamily.LN_MIRROR):
-        return Region2.empty(Framing.CANONICAL)
-    arc = CircleInterval.closed(cls.n, INFINITY)
-    quadrant = Region2(Framing.CANONICAL, ((arc, arc),))
-    return quadrant.negated() if cls.family is LinkFamily.LN_MIRROR else quadrant
+    return analyse(link).lspace
 
 
 #: Three-component seed link: two unknots with linking 0, a third axial

@@ -96,13 +96,9 @@ def _bit_runs(mask: int):
 
 
 def _merged(a: _Axis, b: _Axis) -> _Axis:
-    """The axis of the endpoints of both: an operand's own axis when it already holds them all
-    (its ``den`` is then the lcm)."""
+    """The axis of the endpoints of both, over the lcm of their denominators."""
     den = math.lcm(a.den, b.den)
     ends = {k * (den // axis.den): v for axis in (a, b) for k, v in axis.ends.items()}
-    for axis in (a, b):
-        if len(axis.keys) == len(ends):
-            return axis
     return _Axis(sorted(ends), ends, den)
 
 

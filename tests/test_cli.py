@@ -384,6 +384,10 @@ class TestVerifyCommands:
         (["sweep", "b(8,5)", "--window", "٣"], "argument --window: invalid int value: '٣'"),
         (["verify-ln", "--max", "٣"], "argument --max: invalid int value: '٣'"),
         (["sweep", "b(8,5)", "--step", "١"], "--step '١' is not of the form"),
+        # argparse hands a positional after a second "--" over as an empty list
+        (["verdict", "b(8,5)", "--", "0", "--"], "argument r2: expected one argument"),
+        (["homology", "b(8,5)", "1", "--", "--"], "argument r2: expected one argument"),
+        (["equal", "b(8,5)", "--", "--"], "argument link2: expected one argument"),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else None,
 )
@@ -623,7 +627,9 @@ def test_non_ascii_input_is_escaped_as_json_dump_does():
 # ---------------------------------------------------------------------------
 # argument fuzz: every command line ends with exit code 0 or 1, no traceback
 
+# "--" is a branch of its own: argparse hands a positional after a second "--" over as []
 _SPECS = st.one_of(
+    st.just("--"),
     st.sampled_from([
         "b(8,5)", "b(20,-3)", "L(-2,-2,-2)", "b(30,-11)", "b(62,-59)", "L(2)", "b(10,3)",
         "b(7,3)", "b(8;5)", "L()", "b(", "8/5", "b(0,1)", "1/0", "\u00fc", "b(" + "8" * 5000 + ",1)",
@@ -631,6 +637,7 @@ _SPECS = st.one_of(
     st.builds("b({},{})".format, st.integers(-(10**30), 10**30), st.integers(-(10**30), 10**30)),
 )
 _SLOPES = st.one_of(
+    st.just("--"),
     st.sampled_from(["inf", "1/0", "0", "-23/2", "1/2", "3", "1e3", "abc", "\u00bd", ""]),
     st.integers(-(10**40), 10**40).map(str),
 )

@@ -29,7 +29,7 @@ from tbsl.foliation import (
     _FAMILY2_LINKING,
     _LN_LINKING,
     _LN_SURFACE_BOXES,
-    _RATIONAL_LINE,
+    _REALISED,
     _route,
     analyse,
     cover_witnesses,
@@ -160,6 +160,35 @@ class TestVerdict:
             assert foliation_region(link).contains((0, 0))
             assert verdict(link, (0, 0)) is Verdict.NLS_WITH_TAUT_FOLIATION
 
+    def test_region_views_classify_once_and_read_no_linking_number(self, monkeypatch):
+        # a region view computes only what it reads: every alias of linking_number
+        # raises, and every alias of classify counts its calls
+        def refuse(*args):
+            raise AssertionError("the linking number was computed")
+
+        calls = []
+
+        def counted(link, classify=classify):
+            calls.append(link)
+            return classify(link)
+
+        tbsl_modules = [m for k, m in sys.modules.items() if k == "tbsl" or k.startswith("tbsl.")]
+        for module in tbsl_modules:
+            for name, stand_in in (("linking_number", refuse), ("classify", counted)):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, stand_in)
+        views = (lspace_region, foliation_region, lambda link: analyse(link).lspace)
+        for spec in ("b(20,-3)", "b(20,3)", "L(2,-2,-2,2,-2)", "L(-2,-2,-2)", "b(30,-11)"):
+            link = parse_link(spec)
+            regions = []
+            for view in views:
+                calls.clear()
+                regions.append(view(link))
+                assert calls == [link], spec
+            ls, fol, analysed = regions
+            assert ls.equals(analysed) and fol.equals(ls.complement()), spec
+            assert fol.contains((0, 0)), spec
+
     def test_consistent_with_regions(self):
         from itertools import product
 
@@ -251,7 +280,7 @@ class TestRoute:
     def test_probe_shifts_and_linking_number(self, linking, fills, c1, c2, lk):
         # a box of points at Seifert (0, 0) lands on the probed shift and its swap, and the
         # filled link's point (0, 0) moves by minus its linking number
-        box = (CircleInterval.point(0), CircleInterval.point(0)) + (_RATIONAL_LINE,) * len(fills)
+        box = (CircleInterval.point(0), CircleInterval.point(0)) + (_REALISED["Q"],) * len(fills)
         filled = self._points(Framing.SEIFERT, (0, 0))
         expected = self._points(Framing.CANONICAL, (c1, c2), (c2, c1), (-lk, -lk))
         assert _route(linking, fills, (box,), filled).equals(expected)

@@ -19,7 +19,7 @@ from tbsl import (
 )
 from oracles import grid_probes, member
 from tbsl.errors import FramingMismatch
-from tbsl.regions import BUILTIN_WEIGHT_FAMILIES
+from tbsl.regions import BUILTIN_WEIGHT_FAMILIES, _atom_starts
 
 
 def box(ix, iy):
@@ -366,6 +366,14 @@ def test_kept_grids_agree_with_regions_built_from_rectangles(chain):
         for r2, b2 in zip(kept, built):
             assert r.covers(r2) == b.covers(_without_grid(b2))
             assert r.equals(r2) == b.equals(_without_grid(b2))
+
+
+@given(st.one_of(region_st(), mixed_pair_st().map(lambda t: t[1])))
+def test_an_axis_remaps_onto_itself_atom_for_atom(region):
+    # why _remapped may skip an axis as long as the joint one: the joint axis then holds
+    # the same endpoints, and each atom of an axis starts at the same atom of itself
+    for axis in region._grid[:2]:
+        assert _atom_starts(axis, axis) == list(range(2 * len(axis.keys) + 2))
 
 
 def _mixed_boxes(count):

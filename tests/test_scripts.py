@@ -111,3 +111,54 @@ def test_mutation_probe_names_the_test_that_fails_unmutated(tmp_path):
     )
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr == "the tests fail on the unmutated module: test_mod.py::test_one\n"
+
+
+_COUNTED_MODULE = '''\
+"""A module docstring
+over two lines."""
+
+# a comment
+import os
+
+
+def f(x):
+    """A function docstring."""
+    return (x +
+            1)  # a trailing comment
+'''
+
+
+def test_line_count_table_against_a_base(tmp_path):
+    # mod.py: 8 non-blank lines, 4 of them code (the import, the def and the two-line
+    # return); the head adds a class of 3 non-blank lines, 2 of them code, drops gone.py
+    # and adds new.py, which holds a comment only
+    src = tmp_path / "src" / "tbsl"
+    src.mkdir(parents=True)
+    (src / "mod.py").write_text(_COUNTED_MODULE)
+    (src / "gone.py").write_text("x = 1\n")
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@example.com"]
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "base"]):
+        subprocess.run([*git, *args], cwd=tmp_path, check=True)
+    (src / "mod.py").write_text(_COUNTED_MODULE + "\n\nclass C:\n    '''Doc.'''\n\n    y = os.sep\n")
+    (src / "gone.py").unlink()
+    (src / "new.py").write_text("\n# only a comment\n")
+
+    def table(*argv):
+        return subprocess.run(
+            [sys.executable, str(SCRIPTS / "line_count.py"), *argv],
+            cwd=tmp_path, capture_output=True, text=True, check=True,
+        ).stdout.splitlines()
+
+    head = ["| module | base | head | delta | code base | code head | code delta |",
+            "| --- | ---: | ---: | ---: | ---: | ---: | ---: |"]
+    assert table("HEAD") == head + [
+        "| `src/tbsl/gone.py` | 1 | 0 | -1 | 1 | 0 | -1 |",
+        "| `src/tbsl/mod.py` | 8 | 11 | +3 | 4 | 6 | +2 |",
+        "| `src/tbsl/new.py` | 0 | 1 | +1 | 0 | 0 | +0 |",
+        "| **total** | 9 | 12 | +3 | 5 | 6 | +1 |",
+    ]
+    assert table() == table("n/a") == head + [
+        "| `src/tbsl/mod.py` | n/a | 11 | n/a | n/a | 6 | n/a |",
+        "| `src/tbsl/new.py` | n/a | 1 | n/a | n/a | 0 | n/a |",
+        "| **total** | n/a | 12 | n/a | n/a | 6 | n/a |",
+    ]
