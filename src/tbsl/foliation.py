@@ -24,6 +24,7 @@ per point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -161,9 +162,10 @@ class LinkAnalysis:
         """
         lspace = self.lspace  # rejects out-of-scope links before any slope is read
         lk2 = self.linking * self.linking
-        positions: dict[Fraction | None, list[int]] = {}
+        positions: dict[tuple[int, int] | None, list[int]] = {}  # y's (numerator, denominator)
         for j, y in enumerate(ys):
-            positions.setdefault(y.value, []).append(j)
+            key = None if y.is_infinity else y.value.as_integer_ratio()
+            positions.setdefault(key, []).append(j)
         infinite = positions.pop(None, [])
         by_membership = (Verdict.NLS_WITH_TAUT_FOLIATION, Verdict.L_SPACE)
         bases: dict[int, list[Verdict]] = {}
@@ -178,7 +180,9 @@ class LinkAnalysis:
                 bases[mask] = base
             row = bases[mask].copy()
             if x.value:
-                betti = positions.get(lk2 / x.value, ())
+                n, d = x.value.as_integer_ratio()
+                g = math.gcd(lk2 * d, n) * (1 if n > 0 else -1)  # lk²/x = lk²·d/n, reduced
+                betti = positions.get((lk2 * d // g, n // g), ())
             else:
                 betti = [j for js in positions.values() for j in js] if lk2 == 0 else ()
             for j in betti:

@@ -16,7 +16,9 @@ the normal form reads rectangles off runs of equal adjacent columns, with
 their exact endpoints.  Each region keeps its grid, built once from its
 rectangles or handed on by the operation that made it.  An operation merges
 the two operands' integer keys and remaps each operand's columns onto the
-joint grid on integers, so no operand is rebuilt from its rectangles;
+joint grid on integers, so no operand is rebuilt from its rectangles, and its
+result keeps only its grid: the rectangles are read off it on first use and
+kept, so a chain of operations and identity checks builds none.
 ``row_masks`` reads the kept grid at one integer ``bisect`` per grid slope,
 and a point (``contains``) is its 1×1 case.
 
@@ -128,7 +130,7 @@ class Region2:
     """Finite union of interval rectangles, intersected with Q × Q."""
 
     framing: Framing
-    rects: tuple[tuple[CircleInterval, CircleInterval], ...]
+    rects: tuple[tuple[CircleInterval, CircleInterval], ...]  # see _grid_rects for results
 
     #: Every region is a set of finite multislopes; the JSON form keeps the
     #: field, always ``true``.
@@ -282,7 +284,15 @@ def _combine(a: Region2, b: Region2, op) -> Region2:
 
 
 def _reassemble_region(xaxis: _Axis, yaxis: _Axis, cols: list[int], framing: Framing) -> Region2:
-    """Rectangles over each run of equal adjacent nonempty columns."""
+    """The region of a grid, holding only the grid until its rectangles are read."""
+    region = object.__new__(Region2)
+    region.__dict__.update(framing=framing, _grid=(xaxis, yaxis, cols))
+    return region
+
+
+def _grid_rects(region: Region2) -> tuple[tuple[CircleInterval, CircleInterval], ...]:
+    """Rectangles over each run of equal adjacent nonempty columns of the region's grid."""
+    xaxis, yaxis, cols = region._grid
     rects = []
     x = 0
     for col, run in itertools.groupby(cols):
@@ -291,9 +301,14 @@ def _reassemble_region(xaxis: _Axis, yaxis: _Axis, cols: list[int], framing: Fra
             xiv = _run_to_interval(xaxis, x, x + width - 1)
             rects.extend((xiv, _run_to_interval(yaxis, lo, hi)) for lo, hi in _bit_runs(col))
         x += width
-    region = Region2(framing, tuple(rects))
-    object.__setattr__(region, "_grid", (xaxis, yaxis, cols))
-    return region
+    return tuple(rects)
+
+
+# A region built from rectangles holds them as the field ``rects``; one made by an operation
+# does not, and this non-data descriptor reads them off its grid on first use and keeps them.
+# No ``__getattr__`` is involved, so an ``AttributeError`` inside ``_grid`` is never hidden.
+Region2.rects = cached_property(_grid_rects)
+Region2.rects.__set_name__(Region2, "rects")
 
 
 # ---------------------------------------------------------------------------

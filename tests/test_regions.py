@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -19,6 +20,7 @@ from tbsl import (
 )
 from oracles import grid_probes, member
 from tbsl.errors import FramingMismatch
+from tbsl import regions
 from tbsl.regions import BUILTIN_WEIGHT_FAMILIES, _atom_starts
 
 
@@ -323,22 +325,28 @@ _BINARY_OPS = ("union", "intersect", "difference")
 @st.composite
 def op_chain_st(draw):
     """Two regions, then two to four set operations: each step's first operand is the last
-    result and its second any earlier region, so most operands carry a grid they were handed."""
+    result and its second any earlier region, so most operands carry a grid they were handed.
+    Each result's rectangles are first read after a random later step, or right away."""
     pairs = st.one_of(st.tuples(region_st(), region_st()), mixed_pair_st().map(lambda t: t[1:]))
     start = draw(pairs)
+    count = draw(st.integers(2, 4))
     steps = []
-    for n in range(draw(st.integers(2, 4))):
+    for n in range(count):
         name = draw(st.sampled_from(_BINARY_OPS + ("complement", "canonical")))
-        steps.append((name, draw(st.integers(0, n + 1))))
+        steps.append((name, draw(st.integers(0, n + 1)), draw(st.integers(n, count))))
     return start, steps
 
 
 def _run_chain(start, steps, operand):
     pool = list(start)
-    for name, j in steps:
+    for n, (name, j, _) in enumerate(steps):
         a = operand(pool[-1])
         op = getattr(a, name)
         pool.append(op(operand(pool[j])) if name in _BINARY_OPS else op())
+        assert "rects" not in vars(pool[-1])  # a result holds only its grid
+        for k, step in enumerate(steps):
+            if step[2] == n:
+                assert pool[k + 2].rects is pool[k + 2].rects  # read once, then kept
     return pool
 
 
@@ -355,9 +363,11 @@ def test_kept_grids_agree_with_regions_built_from_rectangles(chain):
     assert all("_grid" in vars(r) for r in kept[2:])  # every result was handed its grid
     probes = grid_probes(*kept)
     xs, ys = ([*dict.fromkeys(p[k] for p in probes), INFINITY] for k in (0, 1))
-    for r, b in zip(kept, map(_without_grid, built)):
+    for i, (r, b) in enumerate(zip(kept, map(_without_grid, built))):
         bare = _without_grid(r)
         assert (r == bare, hash(r), repr(r)) == (True, hash(bare), repr(bare))
+        if i >= 2:  # a result's rectangles, read off its grid, are its normal form
+            assert bare.equals(r) and r.rects == bare.canonical().rects
         assert r.rects == b.rects
         assert r.canonical().rects == b.canonical().rects
         assert r.to_json_dict() == b.to_json_dict()
@@ -388,6 +398,47 @@ def _mixed_boxes(count):
         return CircleInterval(lo, hi, lo_closed, lo_closed if lo == hi else rng.random() < 0.5)
 
     return [(interval(), interval()) for _ in range(count)]
+
+
+@pytest.mark.parametrize("count", [2, 5, 12, 24])
+def test_set_operations_build_no_rectangle_until_one_is_read(monkeypatch, count):
+    built = []
+    rebuild = regions._run_to_interval
+    monkeypatch.setattr(regions, "_run_to_interval", lambda *a: built.append(a) or rebuild(*a))
+    boxes = [Region2(Framing.SEIFERT, (rect,)) for rect in _mixed_boxes(count)]
+    u = functools.reduce(Region2.union, boxes)
+    uc = u.complement()
+    checks = (
+        u.union(uc).equals(PLANE),
+        u.intersect(uc).is_empty(),
+        all(map(u.covers, boxes)),
+        uc.complement().equals(u),
+        u.difference(boxes[0]).union(boxes[0]).equals(u),
+    )
+    assert checks == (True,) * 5
+    assert not built and not any("rects" in vars(r) for r in (u, uc))
+    probes = grid_probes(PLANE, *boxes)  # reads the boxes' own rectangles only
+    for r in (u, uc):
+        rects = r.rects
+        assert r.rects is rects  # read once, then kept
+        bare = Region2(r.framing, rects)
+        assert bare.equals(r) and rects == bare.canonical().rects
+        assert [member(bare, p) for p in probes] == [r.contains(p) for p in probes]
+    assert built
+
+
+def test_an_attribute_error_inside_the_grid_or_the_rectangle_reader_is_not_hidden(monkeypatch):
+    u = box("[0,1]", "(0,2)").union(box("[1,3)", "[1,inf)"))
+
+    def broken(*args):
+        raise AttributeError("raised inside")
+
+    monkeypatch.setattr(regions, "_run_to_interval", broken)
+    with pytest.raises(AttributeError, match="raised inside"):
+        u.rects
+    monkeypatch.setattr(regions, "_own_axis", broken)
+    with pytest.raises(AttributeError, match="raised inside"):
+        box("[0,1]", "[0,1]").is_empty()
 
 
 def _kernel_outputs(boxes, xs, ys):
