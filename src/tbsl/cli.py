@@ -149,7 +149,7 @@ def _cmd_region(args) -> dict:
             for f, (ls, fol) in pairs.items()
         },
     }
-    if args.svg:
+    if args.svg is not None:
         svg = region_svg(*pairs[framing], window, title=f"{a.link} [{framing.value}]")
         try:
             with open(args.svg, "w") as fh:

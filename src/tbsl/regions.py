@@ -7,13 +7,13 @@ decided elsewhere.  All set operations are decided exactly by refining both
 operands over the grid of all finite interval endpoints: the grid cuts each
 axis into a linear list of point atoms and open arcs, from the arc below
 the first endpoint to the arc above the last, and every interval involved
-is a union of atoms.  Atoms are index positions, never evaluated: each axis
-keeps its endpoints as integers over the lcm of their denominators, and an
-interval's atoms are one or two runs of indices found by ``bisect`` on those
-integers, so no ``Fraction`` is compared or hashed.  A region on the grid is
+is a union of atoms.  Atoms are index positions, never evaluated: an axis is
+only its endpoints as sorted integers over the lcm of their denominators; an
+interval's atoms are one or two runs of indices found by ``bisect`` on them,
+and no ``Fraction`` is kept in a grid or compared.  A region on the grid is
 one ``int`` mask of y-atoms per x-atom, so set operations are bitwise, and
-the normal form reads rectangles off runs of equal adjacent columns, with
-their exact endpoints.  Each region keeps its grid, built once from its
+the normal form reads rectangles off runs of equal adjacent columns, each end
+read as ``key / den``.  Each region keeps its grid, built once from its
 rectangles or handed on by the operation that made it.  An operation merges
 the two operands' integer keys and remaps each operand's columns onto the
 joint grid on integers, so no operand is rebuilt from its rectangles, and its
@@ -51,12 +51,12 @@ class Framing(Enum):
 
 
 class _Axis:
-    """``keys``: the sorted endpoints times ``den``, the lcm of their denominators."""
+    """Only the sorted endpoints, as integer ``keys`` over ``den``, their denominators' lcm."""
 
-    __slots__ = ("keys", "ends", "den")
+    __slots__ = ("keys", "den")
 
-    def __init__(self, keys: list[int], ends: dict[int, Fraction], den: int):
-        self.keys, self.ends, self.den = keys, ends, den
+    def __init__(self, keys: list[int], den: int):
+        self.keys, self.den = keys, den
 
 
 def _atom_runs(iv: CircleInterval, axis: _Axis) -> tuple[tuple[int, int], ...]:
@@ -100,8 +100,7 @@ def _bit_runs(mask: int):
 def _merged(a: _Axis, b: _Axis) -> _Axis:
     """The axis of the endpoints of both, over the lcm of their denominators."""
     den = math.lcm(a.den, b.den)
-    ends = {k * (den // axis.den): v for axis in (a, b) for k, v in axis.ends.items()}
-    return _Axis(sorted(ends), ends, den)
+    return _Axis(sorted({k * (den // axis.den) for axis in (a, b) for k in axis.keys}), den)
 
 
 def _atom_starts(axis: _Axis, joint: _Axis) -> list[int]:
@@ -116,8 +115,8 @@ def _atom_starts(axis: _Axis, joint: _Axis) -> list[int]:
 
 def _run_to_interval(axis: _Axis, first: int, last: int) -> CircleInterval:
     """The interval made of the atoms ``first`` to ``last``, with exact endpoints."""
-    lo = Slope(axis.ends[axis.keys[(first - 1) // 2]]) if first else INFINITY
-    hi = Slope(axis.ends[axis.keys[last // 2]]) if last < 2 * len(axis.keys) else INFINITY
+    lo = Slope(Fraction(axis.keys[(first - 1) // 2], axis.den)) if first else INFINITY
+    hi = Slope(Fraction(axis.keys[last // 2], axis.den)) if last < 2 * len(axis.keys) else INFINITY
     return CircleInterval(lo, hi, first % 2 == 1, last % 2 == 1)
 
 
@@ -248,8 +247,7 @@ def _own_axis(region: Region2, k: int) -> _Axis:
     vals = [v for rect in region.rects for s in (rect[k].lo, rect[k].hi)
             if (v := s.value) is not None]
     den = math.lcm(*[v.denominator for v in vals])
-    ends = {v.numerator * (den // v.denominator): v for v in vals}
-    return _Axis(sorted(ends), ends, den)
+    return _Axis(sorted({v.numerator * (den // v.denominator) for v in vals}), den)
 
 
 def _remapped(grid, xaxis: _Axis, yaxis: _Axis) -> list[int]:

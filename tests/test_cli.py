@@ -363,6 +363,7 @@ class TestVerifyCommands:
         (["region", "b(8,5)", "--window", "0", "--framing", "seifert"], "--window"),
         (["region", "b(8,5)", "--svg", MISSING_DIR_SVG], "cannot write"),
         (["region", "b(8,5)", "--svg", DIRECTORY_SVG], "cannot write"),
+        (["region", "b(8,5)", "--svg", ""], "cannot write"),
         (["verify-ln", "--max", "0"], "--max must be a positive integer, got 0"),
         (["verify-covers", "--max", "-5"], "--max must be a positive integer, got -5"),
         (["verify-ln", "--max", "1001"], "--max must be at most 1000, got 1001"),
@@ -673,7 +674,8 @@ def argv_st(draw):
         if draw(st.booleans()):
             flags += ["--framing", draw(_FRAMINGS)]
         if draw(st.booleans()):
-            flags += ["--svg", draw(st.sampled_from([os.devnull, MISSING_DIR_SVG, DIRECTORY_SVG]))]
+            svg = draw(st.sampled_from([os.devnull, MISSING_DIR_SVG, DIRECTORY_SVG, ""]))
+            flags += ["--svg", svg]
     if command == "sweep" and draw(st.booleans()):
         flags += ["--step", draw(_STEPS)]
     json_flag = ["--json"] if draw(st.booleans()) else []

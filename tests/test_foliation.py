@@ -219,6 +219,7 @@ class TestCoverWitnesses:
         assert strips.union(quadrant).equals(CANONICAL_PLANE)
         assert strips.intersect(quadrant).is_empty()
         assert foliation_region(ln_link(n)).covers(strips)
+        assert strips.equals(ln_taut_witness_strips(2).shifted(n - 2, n - 2))
 
     def test_strips_need_n_at_least_two(self):
         for n in (1, 0):

@@ -68,6 +68,9 @@ def test_census_counts_every_curve(e):
     assert c.pos_rivers + c.neg_rivers == (n - 1) // 2
     assert c.pos_bridges + c.neg_bridges == (n + 1) // 2
     assert sum(astuple(c)) == n
+    # the census is a count of ±2 entries: rivers at odd positions, bridges at even ones
+    r, b = e.coeffs[1::2], e.coeffs[0::2]
+    assert astuple(c) == (r.count(-2), r.count(2), b.count(2), b.count(-2))
 
 
 @given(pm2_expansion())

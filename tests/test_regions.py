@@ -378,6 +378,33 @@ def test_kept_grids_agree_with_regions_built_from_rectangles(chain):
             assert r.equals(r2) == b.equals(_without_grid(b2))
 
 
+def _grid_values(region):
+    """Every value reachable from the kept grid: each axis's slots and the column list,
+    walked through any container they hold."""
+    xaxis, yaxis, cols = region._grid
+    assert not any(hasattr(axis, "__dict__") for axis in (xaxis, yaxis))  # so its slots are all it holds
+    todo = [getattr(axis, s) for axis in (xaxis, yaxis) for s in type(axis).__slots__]
+    todo.append(cols)
+    while todo:
+        v = todo.pop()
+        if isinstance(v, dict):
+            todo += [*v, *v.values()]
+        elif isinstance(v, (list, tuple, set, frozenset)):
+            todo += v
+        else:
+            yield v
+
+
+@settings(max_examples=40)
+@given(op_chain_st())
+def test_grids_hold_only_integers(chain):
+    # an axis is its integer keys over one denominator: no Fraction or Slope is kept, in
+    # regions built from rectangles or in the results of set operations
+    for region in _run_chain(*chain, operand=lambda r: r):
+        values = list(_grid_values(region))
+        assert values and all(type(v) is int for v in values)
+
+
 @given(st.one_of(region_st(), mixed_pair_st().map(lambda t: t[1])))
 def test_an_axis_remaps_onto_itself_atom_for_atom(region):
     # why _remapped may skip an axis as long as the joint one: the joint axis then holds
