@@ -20,8 +20,9 @@ of every interval, including the arcs that pass through infinity:
 
 The module also provides continued-fraction evaluation and the unique
 all-even continued-fraction expansion used to normalise two-bridge data.
-Its greedy loop, :func:`even_entries`, yields integer entries one at a
-time, so the fibered test can stop at the first entry other than ±2.
+Its greedy loop, :func:`even_entries`, yields a run at a time, one entry or an
+alternating ±2 stretch taken in one step, so the fibered test can stop at the
+first entry other than ±2 and a too-long run is refused before it is built.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
+from itertools import chain
 from typing import Iterable, Iterator
 
 
@@ -259,27 +261,39 @@ def cf_eval(coeffs: Iterable[int]) -> Slope:
 MAX_EVEN_ENTRIES = 10**6
 
 
-def even_entries(num: int, den: int) -> Iterator[int]:
-    """The entries of the all-even expansion of ``num/den``, in order.
+def even_entries(num: int, den: int) -> Iterator[tuple[int, ...]]:
+    """The entries of the all-even expansion of ``num/den``, in order, a run at a time.
 
     Greedy: each step takes the unique even integer within distance one of
     the current value; parity guarantees existence and uniqueness, and the
-    denominators strictly decrease, so this terminates with odd length;
-    past ``MAX_EVEN_ENTRIES`` entries it raises ``ValueError``.  Expects the
-    reduced input :func:`even_expand` checks for: even ``num``, odd
+    denominators strictly decrease, so this terminates with odd length.  A run is
+    one entry ``(a,)`` or ``(2, -2) * k``: while x = num/den lies in (1, 5/3), each
+    pair 2, -2 lowers t = den/(num - den) by 2, so one division finds the k pairs
+    down to t <= 3/2, and t = 0 ends the expansion (``(-2, 2) * k`` for -x).  Past
+    ``MAX_EVEN_ENTRIES`` entries it raises ``ValueError`` before building the run.
+    Expects the reduced input :func:`even_expand` checks for: even ``num``, odd
     ``den > 0`` and ``|num| > den``.
     """
-    for _ in range(MAX_EVEN_ENTRIES):
-        if den == 1:
-            yield num
-            return
+    left = MAX_EVEN_ENTRIES
+    while den:
         f = num // den  # floor; exactly one of f, f+1 is even
-        a = f if f % 2 == 0 else f + 1
-        yield a
-        num, den = den, num - a * den
+        d = abs(num) - den
+        # the pairs that bring t = den/d to 3/2 or below; > 0 exactly when 1 < |x| < 5/3
+        pairs = (2 * den + d - 1) // (4 * d) if f == 1 or f == -2 else 0
+        left -= 2 * pairs or 1
+        if left < 0:
+            raise ValueError(f"the all-even expansion has more than {MAX_EVEN_ENTRIES} entries")
+        if pairs:
+            a = 2 if f == 1 else -2
+            den -= 2 * pairs * d
+            num = den + d if f == 1 else -den - d
+            yield (a, -a) * pairs
+        else:
+            a = f if f % 2 == 0 else f + 1
+            yield (a,)
+            num, den = den, num - a * den
         if den < 0:
             num, den = -num, -den
-    raise ValueError(f"the all-even expansion has more than {MAX_EVEN_ENTRIES} entries")
 
 
 def even_expand(x) -> EvenExpansion:
@@ -297,5 +311,5 @@ def even_expand(x) -> EvenExpansion:
         raise ValueError(f"{x} does not have even numerator and odd denominator")
     if abs(num) <= den:
         raise ValueError(f"|{x}| <= 1 admits no expansion with nonzero even entries")
-    return EvenExpansion(tuple(even_entries(num, den)))
+    return EvenExpansion(tuple(chain.from_iterable(even_entries(num, den))))
 

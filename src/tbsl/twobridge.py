@@ -11,9 +11,10 @@ Fibered links are recognised through the all-even continued-fraction
 expansion: the link is fibered exactly when some Schubert-equivalent
 fraction expands with all entries ±2, and the shape of that expansion
 sorts the fibered hyperbolic links into the families used downstream.
-Only the two lifts of q are walked, each on integers up to its first entry
-other than ±2: reversing an odd-length expansion transposes its continuant
-matrix, so the ±2 expansions of the lifts of q^{-1} are theirs reversed.
+Only the two lifts of q are walked, each on integers a run at a time up to
+its first entry other than ±2: reversing an odd-length expansion transposes
+its continuant matrix, so the ±2 expansions of the lifts of q^{-1} are theirs
+reversed.  A run is one entry or an alternating ±2 stretch taken in one step.
 Torus links and the exceptional ``Ln`` links are recognised by residues.
 """
 
@@ -127,10 +128,10 @@ def _pm2_chain(p: int, q: int) -> tuple[int, ...] | None:
     if q < 0:
         p, q = -p, -q
     chain = []
-    for a in even_entries(p, q):
-        if a != 2 and a != -2:
+    for run in even_entries(p, q):
+        if run[0] != 2 and run[0] != -2:  # a run of more than one entry is all ±2
             return None
-        chain.append(a)
+        chain += run
     return tuple(chain)
 
 

@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to validate the fast paths.
 
 These deliberately avoid the library's own algorithms: expansions are found
-by exhaustive search (with provably sound pruning), fibered links by
+by exhaustive search (with provably sound pruning) or one greedy entry per
+step, never a run of entries at once, fibered links by
 enumerating all ±2 sequences directly, region membership by testing
 every rectangle at a probe point of every grid atom, verdicts by the rules
 applied one point at a time (b1 > 0 read off a Laplace determinant), and
@@ -51,6 +52,24 @@ def even_expansion_search(x: Fraction, max_len: int) -> list[tuple[int, ...]]:
 
     x = Fraction(x)
     rec(x.numerator, x.denominator, [])
+    return out
+
+
+def greedy_even_entries(num: int, den: int) -> list[int]:
+    """The all-even expansion of ``num/den`` one entry per step, with plain integers only.
+
+    For even ``num``, odd ``den > 0`` and ``|num| > den``: each entry is the even
+    integer nearest the running value, 2·floor((x + 1)/2), which lies within
+    distance one of it; the expansion ends when the denominator reaches 1.
+    """
+    out = []
+    while den != 1:
+        a = 2 * ((num + den) // (2 * den))
+        out.append(a)
+        num, den = den, num - a * den
+        if den < 0:
+            num, den = -num, -den
+    out.append(num)
     return out
 
 

@@ -5,7 +5,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from oracles import even_expansion_search
+from oracles import classify_by_expansion, even_expansion_search, greedy_even_entries
 from tbsl import (
     INFINITY,
     CircleInterval,
@@ -15,13 +15,17 @@ from tbsl import (
     Region2,
     Slope,
     SurgeryDiagram,
+    TwoBridgeLink,
     cf_eval,
+    classify,
     even_expand,
     parse_interval,
+    parse_link,
     rr_propagate,
 )
-from tbsl import exactq
+from tbsl import exactq, twobridge
 from tbsl.exactq import MAX_EVEN_ENTRIES
+from tbsl.twobridge import _pm2_chain
 from tbsl.svgplot import region_svg
 
 
@@ -192,6 +196,22 @@ class TestEvenExpand:
                 else:
                     with pytest.raises(ValueError, match=f"more than {bound} entries"):
                         even_expand(value)
+        # 2 then a jumped run (2,-2)*k that ends the word: the fibered walk keeps it exactly
+        # when it is no longer than the bound, and refuses it before the run is yielded
+        runs = _record_runs(monkeypatch, twobridge)
+        for k in (1, 2, 3, 4):
+            for word in [(2,) + (2, -2) * k, (-2,) + (-2, 2) * k]:
+                link = TwoBridgeLink.from_fraction(cf_eval(word).value)
+                runs.clear()
+                if len(word) <= bound:
+                    assert _pm2_chain(link.p, link.q) == word
+                    assert runs == [word[:1], word[1:]]
+                    continue
+                for walk in (lambda: _pm2_chain(link.p, link.q), lambda: classify(link)):
+                    runs.clear()
+                    with pytest.raises(ValueError, match=f"more than {bound} entries"):
+                        walk()
+                    assert runs == [word[:1]]
 
     def test_large_denominators_expand_in_full(self):
         # a denominator above MAX_EVEN_ENTRIES must neither stop a short expansion
@@ -200,6 +220,86 @@ class TestEvenExpand:
             value = cf_eval(coeffs).value
             assert value.denominator > MAX_EVEN_ENTRIES
             assert even_expand(value).coeffs == coeffs
+
+    def test_long_refusals_stop_after_a_few_runs(self, monkeypatch):
+        # the runs are counted, not timed: each refusal comes before its long run is built
+        runs = _record_runs(monkeypatch, exactq)
+        p = MAX_EVEN_ENTRIES
+        with pytest.raises(ValueError, match="more than 1000000 entries"):
+            even_expand(Fraction(2 * p + 2, 2 * p + 1))
+        assert len(runs) <= 3
+        runs = _record_runs(monkeypatch, twobridge)
+        with pytest.raises(ValueError, match="more than 1000000 entries"):
+            classify(parse_link(f"b({10**30},-3)"))
+        assert len(runs) <= 3
+
+    def test_a_run_of_a_million_entries_is_one_step(self):
+        runs = list(exactq.even_entries(10**6, 10**6 - 1))
+        assert len(runs) <= 3
+        assert sum(map(len, runs)) == 999_999
+
+
+def _record_runs(monkeypatch, module) -> list[tuple[int, ...]]:
+    """Replace ``module.even_entries`` by a walk that records each run it yields."""
+    walk, runs = exactq.even_entries, []
+
+    def recording(num, den):
+        for run in walk(num, den):
+            runs.append(run)
+            yield run
+
+    monkeypatch.setattr(module, "even_entries", recording)
+    return runs
+
+
+@st.composite
+def run_words(draw):
+    """Odd-length words of nonzero even entries built from long alternating ±2 runs.
+
+    A run may follow an entry other than ±2 and may end on either sign; a word of
+    even length gets one more entry in front, so its last run stays last and every
+    run starts after the other parity of entries.
+    """
+    word = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        if draw(st.booleans()):
+            word.append(draw(st.sampled_from((-6, -4, 4, 6))))
+        a = draw(st.sampled_from((2, -2)))
+        word += [a, -a] * draw(st.integers(min_value=0, max_value=300))
+        if draw(st.booleans()):
+            word.append(a)
+    if len(word) % 2 == 0:
+        word.insert(0, draw(st.sampled_from((-4, -2, 2, 4))))
+    return tuple(word)
+
+
+def _check_walk(num: int, den: int) -> list[int]:
+    """The jumped walk of num/den against the per-entry greedy oracle; returns the entries."""
+    runs = list(exactq.even_entries(num, den))
+    entries = [a for run in runs for a in run]
+    assert entries == greedy_even_entries(num, den)
+    for run in runs:  # one entry, or pairs (2,-2) or (-2,2) repeated
+        pairs = len(run) // 2
+        assert len(run) == 1 or (run[0] in (2, -2) and run == (run[0], -run[0]) * pairs)
+    pm2 = tuple(entries) if set(map(abs, entries)) == {2} else None
+    assert _pm2_chain(num, den) == _pm2_chain(-num, -den) == pm2
+    return entries
+
+
+@given(run_words())
+def test_jumped_walk_matches_per_entry_greedy(word):
+    x = cf_eval(word).value
+    assert _check_walk(x.numerator, x.denominator) == list(word)
+
+
+def test_jumped_walk_on_b_854_803():
+    # 854/803 ends on a mirrored run (-2,2)*6 that starts after 17 entries and leaves
+    # den = 0: the walk ends there.  Each of the four Schubert lifts is checked.
+    link = TwoBridgeLink(854, 803)
+    for num, den in [(854, 803), (-854, 51), (854, 787), (-854, 67)]:
+        _check_walk(num, den)
+    assert list(exactq.even_entries(854, 803))[-1] == (-2, 2) * 6
+    assert classify(link) == classify_by_expansion(link)
 
 
 @st.composite
