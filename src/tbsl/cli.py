@@ -46,9 +46,9 @@ def _classification_dict(a: foliation.LinkAnalysis) -> dict:
         "monodromy": None,
         "sign_census": None,
     }
-    if cls.fibered_expansion is not None:
-        word = twist_word(cls.fibered_expansion)
-        d["fibered_expansion"] = list(cls.fibered_expansion.coeffs)
+    if cls.chain is not None:
+        word = twist_word(cls.chain)
+        d["fibered_expansion"] = list(cls.chain)
         d["linking_number"] = a.linking
         d["monodromy"] = str(word)
         d["sign_census"] = dataclasses.asdict(sign_census(word))

@@ -223,12 +223,6 @@ class EvenExpansion:
         # whether every entry is ±2, read off the one walk above; not a field
         object.__setattr__(self, "all_plus_minus_two", sizes == {2})
 
-    def halves(self) -> tuple[int, ...]:
-        return tuple(a // 2 for a in self.coeffs)
-
-    def negated(self) -> "EvenExpansion":
-        return EvenExpansion(tuple(-a for a in self.coeffs))
-
     def __len__(self) -> int:
         return len(self.coeffs)
 

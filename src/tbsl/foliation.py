@@ -95,9 +95,9 @@ class LinkAnalysis:
 
     @cached_property
     def linking(self) -> int | None:
-        """Signed linking number, read off the fibered expansion; ``None`` without one."""
-        e = self.cls.fibered_expansion
-        return None if e is None else linking_number(e)
+        """Signed linking number, read off the kept ±2 chain; ``None`` without one."""
+        chain = self.cls.chain
+        return None if chain is None else linking_number(chain)
 
     @cached_property
     def lspace(self) -> Region2:

@@ -1,19 +1,17 @@
 """Dehn-twist factorisation of the fibration monodromy and its sign census.
 
-The fiber surface of a ±2 expansion of length n carries core curves
-indexed 1..n.  The monodromy is the product of one twist per curve, the
-even-indexed ("river") twists first in ascending order, then the
-odd-indexed ("bridge") twists ascending.  The twist at index i has
-exponent -sgn(b_i) for even i and sgn(b_i) for odd i, where b_i is half
-the i-th expansion entry.
+The fiber surface of a ±2 chain, an odd-length tuple of entries ±2, of
+length n carries core curves indexed 1..n.  The monodromy is the product of
+one twist per curve, the even-indexed ("river") twists first in ascending
+order, then the odd-indexed ("bridge") twists ascending.  The twist at index
+i has exponent -sgn(b_i) for even i and sgn(b_i) for odd i, where b_i is half
+the i-th chain entry.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-
-from .exactq import EvenExpansion
 
 
 @dataclass(frozen=True)
@@ -45,13 +43,12 @@ class SignCensus:
     neg_bridges: int
 
 
-def twist_word(e: EvenExpansion) -> MonodromyWord:
-    """Twist word of a ±2 expansion."""
-    if not e.all_plus_minus_two:
+def twist_word(chain: tuple[int, ...]) -> MonodromyWord:
+    """Twist word of a ±2 chain."""
+    if len(chain) % 2 == 0 or not set(chain) <= {2, -2}:
         raise ValueError("monodromy word requires a ±2 expansion")
-    h = e.halves()
-    rivers = [(i + 1, -h[i]) for i in range(1, len(h), 2)]
-    bridges = [(i + 1, h[i]) for i in range(0, len(h), 2)]
+    rivers = [(i + 1, -chain[i] // 2) for i in range(1, len(chain), 2)]
+    bridges = [(i + 1, chain[i] // 2) for i in range(0, len(chain), 2)]
     return MonodromyWord(tuple(rivers + bridges))
 
 

@@ -4,13 +4,13 @@ A two-component two-bridge link is written ``b(p, q)`` with ``p`` even and
 positive, ``q`` odd, ``-p < q < p`` and ``gcd(p, |q|) = 1``.  Oriented links
 ``b(p, q)`` and ``b(p', q')`` are isotopic exactly when ``p = p'`` and
 ``q' ≡ q^{±1} (mod 2p)``; forgetting orientations the condition relaxes to
-``q' ≡ q^{±1} (mod p)``.  Both relations are read off the candidate lift
-list, the odd ``q'`` in (-p, p) with ``q' ≡ q^{±1} (mod p)``.
+``q' ≡ q^{±1} (mod p)``.  Each relation is tested as one congruence.
 
 Fibered links are recognised through the all-even continued-fraction
 expansion: the link is fibered exactly when some Schubert-equivalent
 fraction expands with all entries ±2, and the shape of that expansion
-sorts the fibered hyperbolic links into the families used downstream.
+sorts the fibered hyperbolic links into the families used downstream.  The
+first such ±2 chain, a plain tuple, is the datum a :class:`LinkClass` keeps.
 Only the two lifts of q are walked, each on integers a run at a time up to
 its first entry other than ±2: reversing an odd-length expansion transposes
 its continuant matrix, so the ±2 expansions of the lifts of q^{-1} are theirs
@@ -107,20 +107,9 @@ def schubert_oriented_equal(a: TwoBridgeLink, b: TwoBridgeLink) -> SchubertRelat
 
 
 def schubert_unoriented_equal(a: TwoBridgeLink, b: TwoBridgeLink) -> bool:
-    """Unoriented equivalence, q' ≡ q^{±1} (mod p): ``b.q`` among the lifts of ``a``."""
-    return a.p == b.p and b.q in _candidates(a)
-
-
-def _candidates(link: TwoBridgeLink) -> list[int]:
-    """Odd q' in (-p, p) with q' ≡ q^{±1} (mod p): the two lifts of q, then of q^{-1}.
-
-    A lift of q^{-1} may repeat one of q.  Reversing an odd-length expansion
-    transposes its continuant matrix, so q^{-1}'s ±2 expansions are q's reversed.
-    """
-    p, q = link.p, link.q
-    second = q - p if q > 0 else q + p
-    rinv = pow(q % p, -1, p)  # odd, since p is even and the inverse is odd mod 2
-    return [q, second, rinv, rinv - p]
+    """Unoriented equivalence, q' ≡ q^{±1} (mod p): the mod-p twin of the oriented test."""
+    p = a.p
+    return p == b.p and ((b.q - a.q) % p == 0 or (a.q * b.q - 1) % p == 0)
 
 
 def _pm2_chain(p: int, q: int) -> tuple[int, ...] | None:
@@ -136,8 +125,9 @@ def _pm2_chain(p: int, q: int) -> tuple[int, ...] | None:
 
 
 def fibered_expansion(link: TwoBridgeLink) -> EvenExpansion | None:
-    """The first candidate expansion with all entries ±2, if any: the one ``classify`` keeps."""
-    return classify(link).fibered_expansion
+    """The ±2 chain ``classify`` keeps, as an :class:`EvenExpansion`; ``None`` if there is none."""
+    chain = classify(link).chain
+    return None if chain is None else EvenExpansion(chain)
 
 
 class LinkFamily(Enum):
@@ -154,7 +144,7 @@ class LinkFamily(Enum):
 class LinkClass:
     family: LinkFamily
     n: int | None = None
-    fibered_expansion: EvenExpansion | None = None
+    chain: tuple[int, ...] | None = None
     mirrored: bool = False
 
     @property
@@ -190,15 +180,14 @@ _FAMILY_SHAPES = (
 def detect_Ln(link: TwoBridgeLink) -> tuple[int, bool] | None:
     """Match against b(6n+2, -3) and its mirror b(6n+2, 3); (n, mirrored) on success.
 
-    The link is unoriented-equal to b(p, ∓3) exactly when ∓3 is among its
-    Schubert lifts, the odd q' in (-p, p) that :func:`_candidates` lists; for
-    p = 2 the lifts are ±1.
+    Each match is one :func:`schubert_unoriented_equal` congruence.  At p = 2
+    there is no b(2, ∓3): the only links are b(2, ±1), the Hopf links.
     """
     p = link.p
-    lifts = _candidates(link) if p % 6 == 2 else ()
-    for r, mirrored in ((-3, False), (3, True)):
-        if r in lifts:
-            return ((p - 2) // 6, mirrored)
+    if p % 6 == 2 and p > 2:
+        for r, mirrored in ((-3, False), (3, True)):
+            if schubert_unoriented_equal(link, TwoBridgeLink(p, r)):
+                return ((p - 2) // 6, mirrored)
     return None
 
 
@@ -222,33 +211,33 @@ def classify(link: TwoBridgeLink) -> LinkClass:
     records when a shape of :data:`_FAMILY_SHAPES` matched only with the sign swapped.
     """
     hit = detect_Ln(link)
-    pm2 = [h for c in _candidates(link)[:2] if (h := _pm2_chain(link.p, c)) is not None]
+    p, q = link.p, link.q
+    pm2 = [h for c in (q, q - p if q > 0 else q + p) if (h := _pm2_chain(p, c)) is not None]
     if not pm2:
         return LinkClass(LinkFamily.NON_FIBERED)
-    first = EvenExpansion(pm2[0])
+    chain = pm2[0]
     if hit is not None:
         n, mirrored = hit
         fam = LinkFamily.LN_MIRROR if mirrored else LinkFamily.LN
-        return LinkClass(fam, n=n, fibered_expansion=first, mirrored=mirrored)
-    if link.q % link.p in (1, link.p - 1):
-        return LinkClass(LinkFamily.TORUS, fibered_expansion=first)
+        return LinkClass(fam, n=n, chain=chain, mirrored=mirrored)
+    if q % p in (1, p - 1):
+        return LinkClass(LinkFamily.TORUS, chain=chain)
     for family, shape in _FAMILY_SHAPES:
         for r in (-2, 2):
             if any(shape(h, r) for h in pm2):
-                return LinkClass(family, fibered_expansion=first, mirrored=r == 2)
-    mirrored = all(x == 2 for x in pm2[0][1::2])  # every river twist is negative
-    return LinkClass(LinkFamily.GENERIC_FIBERED, fibered_expansion=first, mirrored=mirrored)
+                return LinkClass(family, chain=chain, mirrored=r == 2)
+    mirrored = all(x == 2 for x in chain[1::2])  # every river twist is negative
+    return LinkClass(LinkFamily.GENERIC_FIBERED, chain=chain, mirrored=mirrored)
 
 
-def linking_number(e: EvenExpansion) -> int:
-    """Linking number of the two components, read off a ±2 expansion.
+def linking_number(chain: tuple[int, ...]) -> int:
+    """Linking number of the two components, read off an odd-length ±2 chain.
 
-    Sum of the bridge halves (odd positions) in the fiber-surface
-    orientation; only defined for all-±2 expansions.
+    Sum of the bridge halves (odd positions) in the fiber-surface orientation.
     """
-    if not e.all_plus_minus_two:
+    if len(chain) % 2 == 0 or not set(chain) <= {2, -2}:
         raise ValueError("linking number is only computed from ±2 expansions")
-    return sum(e.coeffs[0::2]) // 2
+    return sum(chain[0::2]) // 2
 
 
 _B_RE = re.compile(rf"^b\(\s*(-?{DIGITS})\s*,\s*(-?{DIGITS})\s*\)$")

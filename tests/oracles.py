@@ -7,12 +7,13 @@ enumerating all ±2 sequences directly, region membership by testing
 every rectangle at a probe point of every grid atom, verdicts by the rules
 applied one point at a time (b1 > 0 read off a Laplace determinant), and
 determinants by Laplace expansion.  The link classifier is the one that
-expands every Schubert candidate in full before looking at its entries, and
+expands every Schubert lift in full before looking at its entries, and
 it tests the ``Ln`` residues and the family shapes from their definitions.
-Only the candidate order is shared with the library, because it decides
-which ±2 expansion counts as first.  Fibering, fiber size and linking number
-are also read off the link group, by Fox calculus on Schubert's presentation,
-without any continued fraction.
+The lift order of :func:`schubert_lifts` is a convention this module writes
+out itself, with its own modular inverse: it decides which ±2 expansion counts
+as first, and the tests hold the library's first ±2 chain to it.  Fibering,
+fiber size and linking number are also read off the link group, by Fox
+calculus on Schubert's presentation, without any continued fraction.
 """
 
 import itertools
@@ -20,7 +21,14 @@ from fractions import Fraction
 from math import gcd
 
 from tbsl import LinkClass, LinkFamily, Slope, TwoBridgeLink, Verdict, even_expand
-from tbsl.twobridge import _candidates
+
+
+def schubert_lifts(link: TwoBridgeLink) -> list[int]:
+    """The odd q' in (-p, p) with q' ≡ q^{±1} (mod p): q, its other lift, then the two
+    lifts of q^{-1} (which may repeat those of q)."""
+    p, q = link.p, link.q
+    inv = pow(q % p, -1, p)  # odd, since p is even
+    return [q, q - p if q > 0 else q + p, inv, inv - p]
 
 
 def even_expansion_search(x: Fraction, max_len: int) -> list[tuple[int, ...]]:
@@ -223,43 +231,39 @@ def family2_interior_shape(halves: tuple[int, ...]) -> bool:
 
 
 def classify_by_expansion(link: TwoBridgeLink) -> LinkClass:
-    """``classify`` by full expansion of every Schubert candidate.
+    """``classify`` by full expansion of every Schubert lift.
 
-    Every candidate is expanded to the end with ``even_expand``, every
+    Every lift is expanded to the end with ``even_expand``, every
     all-±2 expansion is inspected (``Ln`` links included), and the torus
     shape is tested before the ``Ln`` residues.
     """
-    expansions = [even_expand(Fraction(link.p, c)) for c in _candidates(link)]
-    pm2 = [e for e in expansions if e.all_plus_minus_two]
+    expansions = [even_expand(Fraction(link.p, c)) for c in schubert_lifts(link)]
+    pm2 = [e.coeffs for e in expansions if e.all_plus_minus_two]
     if not pm2:
         return LinkClass(LinkFamily.NON_FIBERED)
     first = pm2[0]
-    halves = [e.halves() for e in pm2]
+    halves = [tuple(a // 2 for a in chain) for chain in pm2]
     if any(torus_shape(h) for h in halves):
-        return LinkClass(LinkFamily.TORUS, fibered_expansion=first)
+        return LinkClass(LinkFamily.TORUS, chain=first)
     hit = ln_by_definition(link)
     if hit is not None:
         n, mirrored = hit
         fam = LinkFamily.LN_MIRROR if mirrored else LinkFamily.LN
-        return LinkClass(fam, n=n, fibered_expansion=first, mirrored=mirrored)
+        return LinkClass(fam, n=n, chain=first, mirrored=mirrored)
     for h in halves:
         if all(x == -1 for x in h):
-            return LinkClass(LinkFamily.FAMILY1, fibered_expansion=first)
+            return LinkClass(LinkFamily.FAMILY1, chain=first)
     for h in halves:
         if all(x == 1 for x in h):
-            return LinkClass(LinkFamily.FAMILY1, fibered_expansion=first, mirrored=True)
+            return LinkClass(LinkFamily.FAMILY1, chain=first, mirrored=True)
     for h in halves:
         if family2_interior_shape(h):
-            return LinkClass(LinkFamily.FAMILY2_INTERIOR, fibered_expansion=first)
+            return LinkClass(LinkFamily.FAMILY2_INTERIOR, chain=first)
     for h in halves:
         if family2_interior_shape(tuple(-x for x in h)):
-            return LinkClass(
-                LinkFamily.FAMILY2_INTERIOR, fibered_expansion=first, mirrored=True
-            )
+            return LinkClass(LinkFamily.FAMILY2_INTERIOR, chain=first, mirrored=True)
     rivers_all_negative = all(x == 1 for x in halves[0][1::2])
-    return LinkClass(
-        LinkFamily.GENERIC_FIBERED, fibered_expansion=first, mirrored=rivers_all_negative
-    )
+    return LinkClass(LinkFamily.GENERIC_FIBERED, chain=first, mirrored=rivers_all_negative)
 
 
 def schubert_signs(p: int, q: int) -> list[int]:

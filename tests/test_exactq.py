@@ -340,9 +340,9 @@ class TestEvenExpansionType:
 
     def test_helpers(self):
         e = EvenExpansion((2, -2, -2))
-        assert e.halves() == (1, -1, -1)
+        assert e.coeffs == (2, -2, -2) and len(e) == 3 and str(e) == "2,-2,-2"
         assert e.all_plus_minus_two
-        assert e.negated().coeffs == (-2, 2, 2)
+        assert not EvenExpansion((2, -4, -2)).all_plus_minus_two
 
 
 class TestCircleInterval:

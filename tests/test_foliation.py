@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from tbsl import (
     INFINITY,
     CircleInterval,
+    EvenExpansion,
     Framing,
     Region2,
     SignCensus,
@@ -160,6 +161,21 @@ class TestVerdict:
             assert foliation_region(link).contains((0, 0))
             assert verdict(link, (0, 0)) is Verdict.NLS_WITH_TAUT_FOLIATION
 
+    def test_classes_regions_and_verdicts_build_no_even_expansion(self, monkeypatch, links_200):
+        # a link's facts are read off its plain ±2 chain: building an EvenExpansion raises
+        def refuse(self):
+            raise AssertionError("an EvenExpansion was built")
+
+        monkeypatch.setattr(EvenExpansion, "__post_init__", refuse)
+        grid = (Slope(-1), Slope(0), Slope(Fraction(1, 2)), INFINITY)
+        for link in links_200:
+            if not classify(link).is_hyperbolic_fibered:
+                continue
+            a = analyse(link)
+            assert a.foliation.equals(a.lspace.complement()), link
+            assert a.linking == sum(a.cls.chain[0::2]) // 2, link
+            assert len(list(a.verdict_rows(grid, grid))) == len(grid), link
+
     def test_region_views_classify_once_and_read_no_linking_number(self, monkeypatch):
         # a region view computes only what it reads: every alias of linking_number
         # raises, and every alias of classify counts its calls
@@ -233,8 +249,8 @@ class TestCoverWitnesses:
             cls = classify(L)
             if not cls.is_hyperbolic_fibered:
                 continue
-            census = sign_census(twist_word(cls.fibered_expansion))
-            lk = linking_number(cls.fibered_expansion)
+            census = sign_census(twist_word(cls.chain))
+            lk = linking_number(cls.chain)
             shifted = (
                 lemma_regions(census).shifted(-lk, -lk).with_framing(Framing.CANONICAL)
             )
@@ -313,12 +329,12 @@ class TestFamily2Companion:
         # |lk| of L(-2k,-2,2,-2,-2h) is k+h-1
         for k, h in [(1, 1), (2, 3)]:
             link = parse_link(f"L({-2 * k},-2,2,-2,{-2 * h})")
-            e = classify(link).fibered_expansion
+            chain = classify(link).chain
             d = SurgeryDiagram(
                 _FAMILY2_LINKING, (0, 0, Fraction(-1, k), Fraction(-1, h)), Framing.SEIFERT
             )
             d = rolfsen_fill(rolfsen_fill(framing_convert(d, Framing.CANONICAL), 3), 2)
-            assert abs(linking_number(e)) == abs(d.linking[0][1]) == k + h - 1
+            assert abs(linking_number(chain)) == abs(d.linking[0][1]) == k + h - 1
 
     def test_homology_consistent_through_fills(self):
         for k, h in [(1, 2), (3, 1)]:

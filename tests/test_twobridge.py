@@ -12,11 +12,12 @@ from oracles import (
     classify_by_expansion,
     ln_by_definition,
     pm2_census_by_key,
+    schubert_lifts,
     schubert_linking,
     unoriented_key,
 )
 from tbsl.errors import KnotNotLink
-from tbsl.twobridge import _candidates, _pm2_chain
+from tbsl.twobridge import _pm2_chain
 from tbsl import (
     EvenExpansion,
     LinkFamily,
@@ -141,11 +142,19 @@ class TestSchubert:
                 )
                 assert schubert_unoriented_equal(a, b) == oriented_any
 
-    def test_candidates_are_the_lifts_that_decide_unoriented_equality(self, links_200):
+    def test_oracle_lifts_are_the_residue_scan(self, links_200):
         for a in links_200:
-            p, lifts = a.p, _candidates(a)
+            p, lifts = a.p, schubert_lifts(a)
             brute = {c for c in range(-p + 1, p, 2) if (c - a.q) % p == 0 or (a.q * c - 1) % p == 0}
             assert set(lifts) == brute and lifts[0] == a.q, a
+
+    def test_unoriented_equality_is_membership_in_the_lifts(self):
+        # every ordered pair with p <= 60, different numerators included
+        links = all_links(60)
+        for a in links:
+            lifts = set(schubert_lifts(a))
+            for b in links:
+                assert schubert_unoriented_equal(a, b) == (a.p == b.p and b.q in lifts), (a, b)
 
 
 @st.composite
@@ -199,7 +208,7 @@ class TestMirror:
     def test_mirror_negates_expansion(self):
         for L in [TwoBridgeLink(8, 5), TwoBridgeLink(30, -11), TwoBridgeLink(12, 5)]:
             e, em = fibered_expansion(L), fibered_expansion(L.mirror())
-            assert em == e.negated()
+            assert em.coeffs == tuple(-a for a in e.coeffs)
 
     def test_ln_is_chiral(self):
         for n in range(1, 51):
@@ -230,7 +239,7 @@ class TestFiberedExpansion:
         for L in links_200:
             expected = by_key.get(unoriented_key(L), set())
             found = {
-                chain for c in _candidates(L) if (chain := _pm2_chain(L.p, c)) is not None
+                chain for c in schubert_lifts(L) if (chain := _pm2_chain(L.p, c)) is not None
             }
             assert found == expected
 
@@ -239,7 +248,7 @@ class TestFiberedExpansion:
         # expansion transposes its continuant matrix, so it expands p/q' with
         # q·q' ≡ 1 (mod p), and |q'| < p since ±2 continuants grow strictly
         for L in links_200:
-            lifts = _candidates(L)
+            lifts = schubert_lifts(L)
             own = {h[::-1] for c in lifts[:2] if (h := _pm2_chain(L.p, c)) is not None}
             inverse = {h for c in lifts[2:] if (h := _pm2_chain(L.p, c)) is not None}
             assert inverse == own, L
@@ -249,7 +258,7 @@ class TestClassify:
     def test_whitehead_is_l1(self):
         cls = classify(TwoBridgeLink(8, 5))
         assert cls.family is LinkFamily.LN and cls.n == 1
-        assert cls.fibered_expansion == EvenExpansion((2, -2, -2))
+        assert cls.chain == (2, -2, -2)
 
     def test_family1(self):
         L = TwoBridgeLink.from_fraction(-Fraction(12, 5))
@@ -304,7 +313,7 @@ class TestClassify:
     def test_non_fibered(self):
         cls = classify(TwoBridgeLink(10, 3))
         assert cls.family is LinkFamily.NON_FIBERED
-        assert cls.fibered_expansion is None
+        assert cls.chain is None
 
     def test_agreement_across_representatives(self, links_200):
         by_class = {}
@@ -316,7 +325,7 @@ class TestClassify:
 
 
 class TestClassifyAgainstFullExpansion:
-    # LinkClass equality compares family, n, fibered_expansion and mirrored
+    # LinkClass equality compares family, n, chain and mirrored
     def test_every_link_up_to_400(self):
         for L in all_links(400):
             assert classify(L) == classify_by_expansion(L), L
@@ -358,27 +367,29 @@ def test_pm2_chain_matches_full_expansion(pq):
 
 class TestLinkingNumber:
     def test_whitehead(self):
-        assert linking_number(EvenExpansion((2, -2, -2))) == 0
+        assert linking_number((2, -2, -2)) == 0
 
     def test_ln_family(self):
         for n in range(1, 10):
-            e = fibered_expansion(ln_link(n))
-            assert abs(linking_number(e)) == n - 1
+            chain = classify(ln_link(n)).chain
+            assert abs(linking_number(chain)) == n - 1
 
     def test_family1(self):
-        assert linking_number(EvenExpansion((-2, -2, -2))) == -2
+        assert linking_number((-2, -2, -2)) == -2
 
     def test_requires_pm2(self):
-        with pytest.raises(ValueError):
-            linking_number(EvenExpansion((4, 2, 2)))
+        # an odd entry such as 3 halves to 1 by floor division, so it must be refused
+        for chain in ((4, 2, 2), (2, 3, 2), (2, -2), ()):
+            with pytest.raises(ValueError, match="only computed from ±2 expansions"):
+                linking_number(chain)
 
     def test_magnitude_agrees_across_representatives(self, links_200):
         for L in links_200:
-            e = fibered_expansion(L)
-            if e is None:
+            chain = classify(L).chain
+            if chain is None:
                 continue
-            em = fibered_expansion(L.mirror())
-            assert abs(linking_number(e)) == abs(linking_number(em))
+            mirror_chain = classify(L.mirror()).chain
+            assert abs(linking_number(chain)) == abs(linking_number(mirror_chain))
 
 
 def _at_inverse(poly):
@@ -391,23 +402,23 @@ def _at_inverse(poly):
 
 def test_fox_calculus_decides_fibering_fiber_size_and_linking(links_200):
     # Two-bridge links are alternating, so fibered ⇔ the Alexander polynomial is monic
-    # (Murasugi 1963; Gabai 1986), for some orientation: every Schubert candidate is
+    # (Murasugi 1963; Gabai 1986), for some orientation: every Schubert lift is
     # tried.  The fiber of a ±2 expansion of length n has 1 - χ = n, the span of
-    # (t - 1)Δ(t, t^-1); |Δ(1, 1)| = |lk| (Torres 1953); and at the candidate c of the
+    # (t - 1)Δ(t, t^-1); |Δ(1, 1)| = |lk| (Torres 1953); and at the lift c of the
     # kept expansion, p/c, the signed Schubert sum is the linking number.
     for L in links_200:
         r = L.q % L.p
         s = pow(r, -1, L.p)
         polys = [_at_inverse(alexander_by_fox(L.p, c)) for c in (r, r - L.p, s, s - L.p)]
         spans = {max(d) - min(d) for d in polys if abs(d[min(d)]) == abs(d[max(d)]) == 1}
-        e = classify(L).fibered_expansion
-        assert (e is not None) == bool(spans), L
-        if e is None:
+        chain = classify(L).chain
+        assert (chain is not None) == bool(spans), L
+        if chain is None:
             continue
-        assert spans == {len(e) - 1}, L
-        c = int(L.p / cf_eval(e.coeffs).value)
-        assert schubert_linking(L.p, c) == linking_number(e), L
-        assert abs(sum(alexander_by_fox(L.p, c).values())) == abs(linking_number(e)), L
+        assert spans == {len(chain) - 1}, L
+        c = int(L.p / cf_eval(chain).value)
+        assert schubert_linking(L.p, c) == linking_number(chain), L
+        assert abs(sum(alexander_by_fox(L.p, c).values())) == abs(linking_number(chain)), L
 
 
 class TestDetectLn:
@@ -419,6 +430,12 @@ class TestDetectLn:
 
     def test_wrong_residue(self):
         assert detect_Ln(TwoBridgeLink(12, 5)) is None
+
+    def test_hopf_links_are_not_ln(self):
+        # 2 ≡ 2 (mod 6), but b(2, ∓3) is no link: the Hopf links b(2, ±1) are torus links
+        for q in (1, -1):
+            assert detect_Ln(TwoBridgeLink(2, q)) is None
+            assert classify(TwoBridgeLink(2, q)).family is LinkFamily.TORUS
 
     def test_mirrors(self):
         for n in range(1, 51):
