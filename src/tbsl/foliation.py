@@ -8,6 +8,9 @@ exceptional links, the quadrant that is exactly the L-space set; so the
 foliation region is defined as the complement of the L-space region, and
 the constructive covers are kept as independent witnesses
 (``cover_witnesses``, ``ln_taut_witness_strips``) that reproduce it.
+Every fibered hyperbolic link outside the exceptional family has no L-space
+filling and foliations everywhere: its two regions are one shared pair, built
+once, and only ``Ln(n)`` and its mirror build regions of their own.
 Every realised interval is read off the weight families
 (``BUILTIN_WEIGHT_FAMILIES``).  Each companion link is a constant linking
 matrix beside its table of realised boxes, and one route, ``_route``,
@@ -70,6 +73,11 @@ def lemma_regions(census: SignCensus) -> Region2:
     return Region2(Framing.SEIFERT, tuple(rects))
 
 
+#: The L-space and foliation regions shared by every non-exceptional fibered hyperbolic link.
+_NO_LSPACE = Region2.empty(Framing.CANONICAL)
+_WHOLE_PLANE = Region2.finite_plane(Framing.CANONICAL)
+
+
 class Verdict(Enum):
     NOT_QHS_TAUT_BY_BETTI = "NotQHS_TautByBetti"
     L_SPACE = "LSpace"
@@ -104,8 +112,9 @@ class LinkAnalysis:
         """Finite L-space multislopes, canonical framing.
 
         The quadrant [n, inf)² for the n-th exceptional link, its negation for
-        the mirror, empty for every other fibered hyperbolic link.  This is the
-        scope gate of the package: torus and non-fibered links are rejected.
+        the mirror; every other fibered hyperbolic link returns the one shared
+        empty region.  This is the scope gate of the package: torus and
+        non-fibered links are rejected.
         """
         family = self.cls.family
         if family is LinkFamily.TORUS:
@@ -115,7 +124,7 @@ class LinkAnalysis:
         if family is LinkFamily.NON_FIBERED:
             raise OutOfScope(f"{self.link} is not fibered")
         if family not in (LinkFamily.LN, LinkFamily.LN_MIRROR):
-            return Region2.empty(Framing.CANONICAL)
+            return _NO_LSPACE
         arc = CircleInterval.closed(self.cls.n, INFINITY)
         quadrant = Region2(Framing.CANONICAL, ((arc, arc),))
         return quadrant.negated() if family is LinkFamily.LN_MIRROR else quadrant
@@ -124,11 +133,12 @@ class LinkAnalysis:
     def foliation(self) -> Region2:
         """Finite multislopes with coorientable taut foliations, canonical framing.
 
-        Equals the complement of the L-space region inside Q²: everything for
-        the generic families, the complement of the quadrant for the
-        exceptional links and their mirrors.
+        Equals the complement of the L-space region inside Q²: the one shared
+        finite plane for the generic families, the complement of the quadrant
+        for the exceptional links and their mirrors.
         """
-        return self.lspace.complement()
+        lspace = self.lspace
+        return _WHOLE_PLANE if lspace is _NO_LSPACE else lspace.complement()
 
     @property
     def window(self) -> int:

@@ -45,7 +45,7 @@ class SignCensus:
 
 def twist_word(chain: tuple[int, ...]) -> MonodromyWord:
     """Twist word of a ±2 chain."""
-    if len(chain) % 2 == 0 or not set(chain) <= {2, -2}:
+    if len(chain) % 2 == 0 or not set(chain) <= {2, -2} or not set(map(type, chain)) <= {int}:
         raise ValueError("monodromy word requires a ±2 expansion")
     rivers = [(i + 1, -chain[i] // 2) for i in range(1, len(chain), 2)]
     bridges = [(i + 1, chain[i] // 2) for i in range(0, len(chain), 2)]

@@ -235,7 +235,7 @@ def linking_number(chain: tuple[int, ...]) -> int:
 
     Sum of the bridge halves (odd positions) in the fiber-surface orientation.
     """
-    if len(chain) % 2 == 0 or not set(chain) <= {2, -2}:
+    if len(chain) % 2 == 0 or not set(chain) <= {2, -2} or not set(map(type, chain)) <= {int}:
         raise ValueError("linking number is only computed from ±2 expansions")
     return sum(chain[0::2]) // 2
 

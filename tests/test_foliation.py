@@ -112,6 +112,42 @@ class TestFoliationRegion:
         with pytest.raises(OutOfScope, match="fibered"):
             foliation_region(TwoBridgeLink(10, 3))
 
+    def test_non_exceptional_links_share_one_pair_of_regions(self):
+        # generic, family 1 (and its mirror) and family 2 links: one empty region, one plane
+        specs = ("b(18,5)", "L(-2,-2,-2)", "b(12,5)", "b(30,11)")
+        first, *rest = (analyse(parse_link(s)) for s in specs)
+        for a in rest:
+            assert a.lspace is first.lspace and a.foliation is first.foliation
+        assert first.lspace.is_empty() and first.foliation.equals(CANONICAL_PLANE)
+        for link in (ln_link(1), ln_link(3), ln_link(3).mirror()):
+            a, b = analyse(link), analyse(link)
+            assert a.lspace is not b.lspace and a.foliation is not b.foliation, link
+            assert a.lspace is not first.lspace and a.foliation is not first.foliation, link
+
+    def test_operations_leave_the_shared_regions_unchanged(self):
+        # an operation that edited a shared grid in place would change every later link's verdicts
+        def grid(region):
+            xaxis, yaxis, cols = region._grid
+            return list(xaxis.keys), xaxis.den, list(yaxis.keys), yaxis.den, list(cols)
+
+        shared = analyse(parse_link("L(-2,-2,-2)"))
+        empty, plane = shared.lspace, shared.foliation
+        before = grid(empty), grid(plane)
+        strip = Region2.box(CircleInterval.open(0, 1), CircleInterval.punctured(INFINITY),
+                            Framing.CANONICAL)
+        others = (empty, plane, lspace_region(ln_link(3)), foliation_region(ln_link(3)), strip)
+        axis = (Slope(-1), Slope(0), Slope(Fraction(1, 2)), Slope(3), INFINITY)
+        for region in (empty, plane):
+            region.complement()
+            list(region.row_masks(axis, axis))
+            for other in others:
+                for a, b in ((region, other), (other, region)):
+                    a.union(b), a.intersect(b), a.difference(b), a.equals(b), a.covers(b)
+        assert (grid(empty), grid(plane)) == before
+        assert empty.is_empty()
+        assert plane.equals(Region2.finite_plane(Framing.CANONICAL))
+        assert analyse(parse_link("b(18,5)")).foliation is plane
+
     def test_default_window_shows_the_quadrant_corner(self):
         # at least 5, and two past the corner (n, n) of Ln(n)'s quadrant
         assert [analyse(ln_link(n)).window for n in (1, 3, 4, 10)] == [5, 5, 6, 12]

@@ -1,4 +1,5 @@
 from dataclasses import astuple
+from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
@@ -26,8 +27,10 @@ class TestTwistWord:
         assert w.letters == ((2, 1), (1, 1), (3, 1))
 
     def test_rejects_non_pm2(self):
-        # an odd entry such as 3 halves to the exponent 1, which MonodromyWord would accept
-        for chain in ((4, -2, 2), (4, 2, 2), (2, 3, 2), (2, -2), ()):
+        # an odd entry such as 3 halves to the exponent 1, which MonodromyWord would accept;
+        # a float or Fraction equal to 2 is refused here, not by MonodromyWord's TypeError
+        for chain in ((4, -2, 2), (4, 2, 2), (2, 3, 2), (2, -2), (),
+                      (2.0, -2, -2), (Fraction(2), -2, -2)):
             with pytest.raises(ValueError, match="requires a ±2 expansion"):
                 twist_word(chain)
 

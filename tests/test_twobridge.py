@@ -378,8 +378,9 @@ class TestLinkingNumber:
         assert linking_number((-2, -2, -2)) == -2
 
     def test_requires_pm2(self):
-        # an odd entry such as 3 halves to 1 by floor division, so it must be refused
-        for chain in ((4, 2, 2), (2, 3, 2), (2, -2), ()):
+        # an odd entry such as 3 halves to 1 by floor division, so it must be refused;
+        # so must a float or Fraction equal to 2, whose halves are not ints
+        for chain in ((4, 2, 2), (2, 3, 2), (2, -2), (), (2.0, -2, -2), (Fraction(2), -2, -2)):
             with pytest.raises(ValueError, match="only computed from ±2 expansions"):
                 linking_number(chain)
 
