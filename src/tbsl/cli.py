@@ -4,16 +4,16 @@ All mathematics is delegated to the library modules; this module parses
 arguments, assembles reports (a ``verdicts`` grid is ``(xs, ys, rows)``: slope texts
 and one row of ``Verdict`` per x) and renders them as text or exactly as
 ``json.dump(report, indent=2)`` would (see :mod:`tbsl.schema`), writing the JSON
-grid one row at a time.  ``TBSL_LOG`` names a logging level.
+grid one row at a time.  ``TBSL_LOG`` names a logging level; only then is :mod:`logging`
+imported, and a failure is logged to the ``tbsl`` logger only where it is loaded, since a
+process that never imported it configured no handler.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
-import logging
 import math
 import os
 import re
@@ -27,8 +27,6 @@ from .exactq import DIGITS, Slope, cf_eval, even_expand, read_rational
 from .monodromy import sign_census, twist_word
 from .regions import Framing
 from .svgplot import region_svg
-
-log = logging.getLogger("tbsl")
 
 
 def _classification_dict(a: foliation.LinkAnalysis) -> dict:
@@ -51,7 +49,9 @@ def _classification_dict(a: foliation.LinkAnalysis) -> dict:
         d["fibered_expansion"] = list(cls.chain)
         d["linking_number"] = a.linking
         d["monodromy"] = str(word)
-        d["sign_census"] = dataclasses.asdict(sign_census(word))
+        c = sign_census(word)
+        d["sign_census"] = {"pos_rivers": c.pos_rivers, "neg_rivers": c.neg_rivers,
+                            "pos_bridges": c.pos_bridges, "neg_bridges": c.neg_bridges}
     return d
 
 
@@ -401,6 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     name = os.environ.get("TBSL_LOG")
     if name:
+        import logging
+
         level = getattr(logging, name.upper(), None)  # BASIC_FORMAT is no level
         logging.basicConfig(level=level if isinstance(level, int) else logging.DEBUG)
     # parse into our own namespace: after a usage error it still says which
@@ -419,7 +421,8 @@ def main(argv=None) -> int:
             report["ok"] = False
             code = 1
     except (ValueError, ZeroDivisionError) as exc:
-        log.debug("command failed", exc_info=True)
+        if logging := sys.modules.get("logging"):
+            logging.getLogger("tbsl").debug("command failed", exc_info=True)
         report["ok"] = False
         report["error"] = str(exc)
         code = 1

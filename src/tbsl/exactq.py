@@ -18,6 +18,13 @@ of every interval, including the arcs that pass through infinity:
 * ``(inf, inf)`` is the whole rational line (the circle punctured at
   ``inf``), while ``[a, a]`` is the single point ``a``.
 
+Its values (:class:`Slope`, :class:`CircleInterval`, :class:`EvenExpansion`) and those
+of the other modules are :class:`Frozen`: plain classes that name their fields once and
+normalise and check them in their own ``__init__``, compared and hashed by their fields.
+No code is generated at import, as ``dataclasses`` does: importing it pulls in
+``inspect`` and ``ast``, and it compiles each method through ``exec``, which together
+cost a command-line run about a fifth of its time.
+
 The module also provides continued-fraction evaluation and the unique
 all-even continued-fraction expansion used to normalise two-bridge data.
 Its greedy loop, :func:`even_entries`, yields a run at a time, one entry or an
@@ -29,11 +36,10 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from functools import total_ordering
 from itertools import chain
-from typing import Iterable, Iterator
 
 
 def as_rat(x) -> Fraction:
@@ -61,20 +67,54 @@ def read_rational(text: str, what: str = "rational") -> Fraction:
     return Fraction(int(m[1]), den)
 
 
+class Frozen:
+    """An immutable value with the fields ``_fields`` names, in order.
+
+    A subclass's own ``__init__`` puts them in the instance ``__dict__``; assigning or
+    deleting an attribute raises ``AttributeError``.  Values of the same class are equal
+    when their fields are, hashed as the tuple of the fields, and shown as
+    ``Name(field=value, ...)``, as ``@dataclass(frozen=True)`` would make them.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._key = operator.attrgetter(*cls._fields)  # the tuple of the fields; one: the field
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        key = self._key(self)
+        return hash(key if len(self._fields) > 1 else (key,))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 @total_ordering
-@dataclass(frozen=True)
-class Slope:
+class Slope(Frozen):
     """A point of the slope circle: a rational number or ``inf``.
 
     ``None`` encodes the point at infinity.  The total order puts ``inf``
     above every rational; the circle wraps there.
     """
 
-    value: Fraction | None = None
+    _fields = ("value",)
 
-    def __post_init__(self):
-        if self.value is not None and not isinstance(self.value, Fraction):
-            object.__setattr__(self, "value", as_rat(self.value))
+    def __init__(self, value: Fraction | None = None):
+        if value is not None and not isinstance(value, Fraction):
+            value = as_rat(value)
+        self.__dict__["value"] = value
 
     @classmethod
     def of(cls, x) -> "Slope":
@@ -119,8 +159,7 @@ class Slope:
 INFINITY = Slope(None)
 
 
-@dataclass(frozen=True)
-class CircleInterval:
+class CircleInterval(Frozen):
     """An arc of the slope circle with exact endpoints and open/closed flags.
 
     The arc runs from ``lo`` to ``hi`` in the direction of increasing slope
@@ -129,20 +168,18 @@ class CircleInterval:
     holds every rational.  Both ends are ``Slope``s.
     """
 
-    lo: Slope
-    hi: Slope
-    lo_closed: bool
-    hi_closed: bool
+    _fields = ("lo", "hi", "lo_closed", "hi_closed")
 
     #: No arc is the whole circle: every region holds finite points only, and
     #: on them ``(inf,inf)`` is the whole line.  Kept for readers of the flag.
     full_circle = False
 
-    def __post_init__(self):
-        if self.lo_closed != self.hi_closed and self.lo == self.hi:
+    def __init__(self, lo: Slope, hi: Slope, lo_closed: bool, hi_closed: bool):
+        if lo_closed != hi_closed and lo == hi:
             raise ValueError(
                 "degenerate interval must be a point [a,a] or a punctured circle (a,a)"
             )
+        self.__dict__.update(lo=lo, hi=hi, lo_closed=lo_closed, hi_closed=hi_closed)
 
     @classmethod
     def open(cls, lo, hi) -> "CircleInterval":
@@ -202,8 +239,7 @@ def parse_interval(text: str) -> CircleInterval:
     return CircleInterval(Slope.parse(lo), Slope.parse(hi), lb == "[", rb == "]")
 
 
-@dataclass(frozen=True)
-class EvenExpansion:
+class EvenExpansion(Frozen):
     """An odd-length continued-fraction expansion with nonzero even entries.
 
     Such an expansion is unique for its value, and the value always has an
@@ -211,17 +247,17 @@ class EvenExpansion:
     fibered two-bridge link.
     """
 
-    coeffs: tuple[int, ...]
+    _fields = ("coeffs",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(map(operator.index, self.coeffs)))
-        if len(self.coeffs) % 2 != 1:
+    def __init__(self, coeffs: tuple[int, ...]):
+        coeffs = tuple(map(operator.index, coeffs))
+        if len(coeffs) % 2 != 1:
             raise ValueError("even expansion must have odd length")
-        sizes = set(map(abs, self.coeffs))
+        sizes = set(map(abs, coeffs))
         if 0 in sizes or any(a % 2 != 0 for a in sizes):
             raise ValueError("even expansion entries must be nonzero even integers")
         # whether every entry is ±2, read off the one walk above; not a field
-        object.__setattr__(self, "all_plus_minus_two", sizes == {2})
+        self.__dict__.update(coeffs=coeffs, all_plus_minus_two=sizes == {2})
 
     def __len__(self) -> int:
         return len(self.coeffs)

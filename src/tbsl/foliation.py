@@ -28,13 +28,12 @@ per point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 
 from .errors import OutOfScope
-from .exactq import INFINITY, CircleInterval, Slope
+from .exactq import INFINITY, CircleInterval, Frozen, Slope
 from .monodromy import SignCensus
 from .regions import BUILTIN_WEIGHT_FAMILIES, Framing, Region2, family_image
 from .surgery import SurgeryDiagram, framing_convert, rolfsen_fill
@@ -87,8 +86,7 @@ class Verdict(Enum):
     __hash__ = object.__hash__  # identity, as Enum equality is; Enum.__hash__ runs in Python
 
 
-@dataclass(frozen=True)
-class LinkAnalysis:
+class LinkAnalysis(Frozen):
     """A classified link and the facts the verdict engine reads about it.
 
     :func:`analyse` classifies the link once; every other fact (the signed
@@ -98,8 +96,10 @@ class LinkAnalysis:
     for a verdict, rejects torus and non-fibered links.
     """
 
-    link: TwoBridgeLink
-    cls: LinkClass
+    _fields = ("link", "cls")
+
+    def __init__(self, link: TwoBridgeLink, cls: LinkClass):
+        self.__dict__.update(link=link, cls=cls)
 
     @cached_property
     def linking(self) -> int | None:
@@ -307,10 +307,11 @@ def ln_taut_witness_strips(n: int) -> Region2:
     return _route(_LN_LINKING, (Fraction(-1, n),), _LN_SURFACE_BOXES)
 
 
-@dataclass(frozen=True)
-class CoverWitness:
-    name: str
-    region: Region2
+class CoverWitness(Frozen):
+    _fields = ("name", "region")
+
+    def __init__(self, name: str, region: Region2):
+        self.__dict__.update(name=name, region=region)
 
     @property
     def target(self) -> Region2:

@@ -20,8 +20,8 @@ propagation devices instead of trusting the closed form.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable
 
 from .exactq import INFINITY, CircleInterval, Slope, as_rat
 from .foliation import analyse

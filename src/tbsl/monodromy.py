@@ -11,36 +11,36 @@ the i-th chain entry.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+
+from .exactq import Frozen
 
 
-@dataclass(frozen=True)
-class MonodromyWord:
+class MonodromyWord(Frozen):
     """Ordered twist letters (curve_index, exponent), rivers before bridges."""
 
-    letters: tuple[tuple[int, int], ...]
+    _fields = ("letters",)
 
-    def __post_init__(self):
-        letters = tuple((operator.index(i), operator.index(e)) for i, e in self.letters)
-        object.__setattr__(self, "letters", letters)
-        idx = [i for i, _ in self.letters]
+    def __init__(self, letters: tuple[tuple[int, int], ...]):
+        letters = tuple((operator.index(i), operator.index(e)) for i, e in letters)
+        idx = [i for i, _ in letters]
         if sorted(idx) != list(range(1, len(idx) + 1)):
             raise ValueError("word must contain each index 1..n exactly once")
         if idx != sorted(idx, key=lambda i: (i % 2, i)):  # rivers before bridges, each ascending
             raise ValueError("even indices must precede odd ones, each block ascending")
-        if any(e not in (1, -1) for _, e in self.letters):
+        if any(e not in (1, -1) for _, e in letters):
             raise ValueError("exponents must be ±1")
+        self.__dict__["letters"] = letters
 
     def __str__(self) -> str:
         return " ".join(f"t{i}" if e == 1 else f"t{i}^-1" for i, e in self.letters)
 
 
-@dataclass(frozen=True)
-class SignCensus:
-    pos_rivers: int
-    neg_rivers: int
-    pos_bridges: int
-    neg_bridges: int
+class SignCensus(Frozen):
+    _fields = ("pos_rivers", "neg_rivers", "pos_bridges", "neg_bridges")
+
+    def __init__(self, pos_rivers: int, neg_rivers: int, pos_bridges: int, neg_bridges: int):
+        self.__dict__.update(pos_rivers=pos_rivers, neg_rivers=neg_rivers,
+                             pos_bridges=pos_bridges, neg_bridges=neg_bridges)
 
 
 def twist_word(chain: tuple[int, ...]) -> MonodromyWord:

@@ -32,13 +32,12 @@ import itertools
 import math
 import operator
 from bisect import bisect_left
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 
 from .errors import FramingMismatch
-from .exactq import INFINITY, CircleInterval, Slope, as_rat
+from .exactq import INFINITY, CircleInterval, Frozen, Slope, as_rat
 
 
 class Framing(Enum):
@@ -124,19 +123,17 @@ def _run_to_interval(axis: _Axis, first: int, last: int) -> CircleInterval:
 # rectangle unions
 
 
-@dataclass(frozen=True)
-class Region2:
+class Region2(Frozen):
     """Finite union of interval rectangles, intersected with Q × Q."""
 
-    framing: Framing
-    rects: tuple[tuple[CircleInterval, CircleInterval], ...]  # see _grid_rects for results
+    _fields = ("framing", "rects")  # see _grid_rects for the rects of results
 
     #: Every region is a set of finite multislopes; the JSON form keeps the
     #: field, always ``true``.
     restrict_to_finite = True
 
-    def __post_init__(self):
-        object.__setattr__(self, "rects", tuple((ix, iy) for ix, iy in self.rects))
+    def __init__(self, framing: Framing, rects: tuple[tuple[CircleInterval, CircleInterval], ...]):
+        self.__dict__.update(framing=framing, rects=tuple((ix, iy) for ix, iy in rects))
 
     @classmethod
     def empty(cls, framing: Framing) -> "Region2":
@@ -313,8 +310,7 @@ Region2.rects.__set_name__(Region2, "rects")
 # weight families: linear slope functions over open boxes
 
 
-@dataclass(frozen=True)
-class SlopeFamily:
+class SlopeFamily(Frozen):
     """The realised slopes ``constant + sum(coeffs[i] * x_i)`` over an open box.
 
     Each domain interval is an open arc read as a real interval, where an
@@ -322,20 +318,19 @@ class SlopeFamily:
     +infinity; ``(inf, inf)`` is the whole real line.
     """
 
-    constant: Fraction
-    coeffs: tuple[Fraction, ...]
-    domain: tuple[CircleInterval, ...]
+    _fields = ("constant", "coeffs", "domain")
 
-    def __post_init__(self):
-        object.__setattr__(self, "constant", as_rat(self.constant))
-        object.__setattr__(self, "coeffs", tuple(as_rat(c) for c in self.coeffs))
-        if len(self.coeffs) != len(self.domain):
+    def __init__(self, constant: Fraction, coeffs: tuple[Fraction, ...],
+                 domain: tuple[CircleInterval, ...]):
+        constant, coeffs = as_rat(constant), tuple(as_rat(c) for c in coeffs)
+        if len(coeffs) != len(domain):
             raise ValueError("one coefficient per domain interval")
-        for iv in self.domain:
+        for iv in domain:
             if iv.lo_closed or iv.hi_closed:
                 raise ValueError("domain intervals must be open arcs")
             if None not in (iv.lo.value, iv.hi.value) and iv.lo.value >= iv.hi.value:
                 raise ValueError(f"domain interval {iv} wraps through inf")
+        self.__dict__.update(constant=constant, coeffs=coeffs, domain=domain)
 
 
 def family_image(f: SlopeFamily) -> CircleInterval:

@@ -17,31 +17,26 @@ off it, where the i-th slope is p_i/q_i; only |det| is meaningful.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import FramingMismatch, UnsupportedSlope
-from .exactq import INFINITY, Slope
+from .exactq import INFINITY, Frozen, Slope
 from .regions import Framing
 
 
-@dataclass(frozen=True)
-class SurgeryDiagram:
+class SurgeryDiagram(Frozen):
     """Components with a symmetric linking matrix and per-component slopes.
 
     ``slopes[i]`` is ``None`` for an unfilled (drilled) component; otherwise
     a :class:`Slope`.  All filled slopes carry the diagram's framing tag.
     """
 
-    linking: tuple[tuple[int, ...], ...]
-    slopes: tuple[Slope | None, ...]
-    framing: Framing
+    _fields = ("linking", "slopes", "framing")
 
-    def __post_init__(self):
-        lk = tuple(tuple(operator.index(v) for v in row) for row in self.linking)
-        object.__setattr__(self, "linking", lk)
-        sl = tuple(None if s is None else Slope.of(s) for s in self.slopes)
-        object.__setattr__(self, "slopes", sl)
+    def __init__(self, linking: tuple[tuple[int, ...], ...], slopes: tuple[Slope | None, ...],
+                 framing: Framing):
+        lk = tuple(tuple(operator.index(v) for v in row) for row in linking)
+        sl = tuple(None if s is None else Slope.of(s) for s in slopes)
         n = len(lk)
         if n == 0 or any(len(row) != n for row in lk):
             raise ValueError("linking matrix must be square and nonempty")
@@ -53,6 +48,7 @@ class SurgeryDiagram:
             for j in range(n):
                 if lk[i][j] != lk[j][i]:
                     raise ValueError("linking matrix must be symmetric")
+        self.__dict__.update(linking=lk, slopes=sl, framing=framing)
 
     @property
     def n_components(self) -> int:
@@ -61,7 +57,7 @@ class SurgeryDiagram:
     def with_slope(self, i: int, s: Slope | None) -> "SurgeryDiagram":
         slopes = list(self.slopes)
         slopes[i] = s
-        return replace(self, slopes=tuple(slopes))
+        return SurgeryDiagram(self.linking, tuple(slopes), self.framing)
 
     def fully_filled(self) -> bool:
         return all(s is not None for s in self.slopes)
@@ -115,12 +111,13 @@ def rolfsen_fill(d: SurgeryDiagram, component: int) -> SurgeryDiagram:
     return SurgeryDiagram(linking, slopes, Framing.CANONICAL)
 
 
-@dataclass(frozen=True)
-class HomologyReport:
+class HomologyReport(Frozen):
     """Presentation matrix of the first homology, its determinant and order."""
 
-    presentation: tuple[tuple[int, ...], ...]
-    determinant: int
+    _fields = ("presentation", "determinant")
+
+    def __init__(self, presentation: tuple[tuple[int, ...], ...], determinant: int):
+        self.__dict__.update(presentation=presentation, determinant=determinant)
 
     @property
     def order(self) -> int | None:

@@ -21,30 +21,28 @@ Torus links and the exceptional ``Ln`` links are recognised by residues.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd
 
 from .errors import KnotNotLink
-from .exactq import DIGITS, EvenExpansion, as_rat, cf_eval, even_entries, even_expand, read_rational
+from .exactq import (DIGITS, EvenExpansion, Frozen, as_rat, cf_eval, even_entries, even_expand,
+                     read_rational)
 
 
-@dataclass(frozen=True)
-class TwoBridgeLink:
+class TwoBridgeLink(Frozen):
     """Normalised Schubert pair (p, q)."""
 
-    p: int
-    q: int
+    _fields = ("p", "q")
 
-    def __post_init__(self):
-        p, q = self.p, self.q
+    def __init__(self, p: int, q: int):
         if p <= 0 or p % 2 != 0:
             raise ValueError(f"p must be a positive even integer, got {p}")
         if q % 2 == 0 or not -p < q < p:
             raise ValueError(f"q must be odd, nonzero and in (-{p}, {p}), got {q}")
         if gcd(p, abs(q)) != 1:
             raise ValueError(f"p and q must be coprime, got ({p}, {q})")
+        self.__dict__.update(p=p, q=q)
 
     @classmethod
     def normalized(cls, p: int, q: int) -> "TwoBridgeLink":
@@ -140,12 +138,12 @@ class LinkFamily(Enum):
     NON_FIBERED = "non-fibered"
 
 
-@dataclass(frozen=True)
-class LinkClass:
-    family: LinkFamily
-    n: int | None = None
-    chain: tuple[int, ...] | None = None
-    mirrored: bool = False
+class LinkClass(Frozen):
+    _fields = ("family", "n", "chain", "mirrored")
+
+    def __init__(self, family: LinkFamily, n: int | None = None,
+                 chain: tuple[int, ...] | None = None, mirrored: bool = False):
+        self.__dict__.update(family=family, n=n, chain=chain, mirrored=mirrored)
 
     @property
     def is_fibered(self) -> bool:

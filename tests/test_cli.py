@@ -488,6 +488,30 @@ def test_tbsl_log_records_a_failed_command_with_its_traceback(level):
     assert logged == (level is not None) and ("KnotNotLink" in proc.stderr) == logged
 
 
+def test_failure_reaches_the_tbsl_logger_without_tbsl_log(monkeypatch, caplog, capsys):
+    # where logging is loaded (here by pytest), a failure is still logged with its traceback
+    monkeypatch.delenv("TBSL_LOG", raising=False)
+    caplog.set_level("DEBUG", logger="tbsl")
+    assert main(["classify", "b(7,3)"]) == 1
+    assert "is a knot, not a link" in capsys.readouterr().err
+    [record] = [r for r in caplog.records if r.name == "tbsl"]
+    assert record.levelname == "DEBUG" and record.getMessage() == "command failed"
+    assert record.exc_info[0].__name__ == "KnotNotLink"
+
+
+def test_import_loads_no_dataclasses_inspect_logging_or_typing():
+    # -S: no site .pth file preloads modules; the set is what importing the CLI adds
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = ("import sys; before = set(sys.modules); import tbsl.cli; "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    loaded = set(proc.stdout.split())
+    assert "tbsl.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "logging", "typing"}
+
+
 # ---------------------------------------------------------------------------
 # the JSON writer keeps json.dump's layout, checked without the golden file
 

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 from math import gcd
 
@@ -11,21 +12,29 @@ from tbsl import (
     CircleInterval,
     EvenExpansion,
     Framing,
+    HomologyReport,
+    LinkAnalysis,
+    LinkClass,
     MonodromyWord,
     Region2,
+    SignCensus,
     Slope,
+    SlopeFamily,
     SurgeryDiagram,
     TwoBridgeLink,
+    analyse,
     cf_eval,
     classify,
     even_expand,
     parse_interval,
     parse_link,
     rr_propagate,
+    twist_word,
 )
 from tbsl import exactq, twobridge
 from tbsl.exactq import MAX_EVEN_ENTRIES
-from tbsl.twobridge import _pm2_chain
+from tbsl.foliation import CoverWitness
+from tbsl.twobridge import LinkFamily, _pm2_chain
 from tbsl.svgplot import region_svg
 
 
@@ -463,3 +472,57 @@ def test_membership_matches_linear_order_off_infinity(lo, hi, probe):
         assert arc.contains(probe) == (lo <= probe <= hi)
     else:
         assert not arc.contains(probe)
+
+
+# ---------------------------------------------------------------------------
+# every immutable value compares, hashes and shows as a frozen dataclass would
+
+
+def _value_samples():
+    """Two values of each class that differ in a field; fresh objects on every call."""
+    unit = CircleInterval.open(0, 1)
+    box = Region2.box(unit, unit, Framing.CANONICAL)
+    hopf = ((0, 1), (1, 0))
+    return {
+        Slope: [Slope(Fraction(1, 2)), Slope(None)],
+        CircleInterval: [unit, CircleInterval.closed("inf", 2)],
+        EvenExpansion: [EvenExpansion((2, -2, 4)), EvenExpansion((2,))],
+        TwoBridgeLink: [TwoBridgeLink(20, -3), TwoBridgeLink(20, 3)],
+        LinkClass: [LinkClass(LinkFamily.LN, 3, (2, -2, 2)), LinkClass(LinkFamily.NON_FIBERED)],
+        SurgeryDiagram: [SurgeryDiagram(hopf, (1, None), Framing.CANONICAL),
+                         SurgeryDiagram(hopf, (1, None), Framing.SEIFERT)],
+        HomologyReport: [HomologyReport(((2, 1), (1, 2)), 3), HomologyReport(((0,),), 0)],
+        MonodromyWord: [twist_word((2, -2, -2)), twist_word((2,))],
+        SignCensus: [SignCensus(1, 0, 0, 2), SignCensus(0, 1, 0, 2)],
+        # the second is an operation's result, holding only its grid until read
+        Region2: [box, Region2.finite_plane(Framing.CANONICAL).difference(box)],
+        SlopeFamily: [SlopeFamily(0, (1,), (CircleInterval.open(0, "inf"),)),
+                      SlopeFamily(Fraction(1, 2), (-1, 1), (CircleInterval.open(0, "inf"), unit))],
+        LinkAnalysis: [analyse(TwoBridgeLink(20, -3)), analyse(TwoBridgeLink(12, 5))],
+        CoverWitness: [CoverWitness("a", box), CoverWitness("b", box)],
+    }
+
+
+_VALUE_CLASSES = list(_value_samples())
+
+
+@pytest.mark.parametrize("cls", _VALUE_CLASSES, ids=lambda cls: cls.__name__)
+def test_values_behave_as_frozen_dataclasses(cls):
+    ref_cls = dataclasses.make_dataclass(cls.__name__, cls._fields, frozen=True)
+    values, copies = _value_samples()[cls], _value_samples()[cls]
+    refs = [ref_cls(*(getattr(v, name) for name in cls._fields)) for v in values]
+    other = _value_samples()[_VALUE_CLASSES[_VALUE_CLASSES.index(cls) - 1]][0]
+    for v, copy, ref in zip(values, copies, refs):
+        assert v == copy and v is not copy and hash(v) == hash(copy) == hash(ref)
+        assert v != ref and v.__eq__(ref) is NotImplemented and v.__eq__(other) is NotImplemented
+        if "__repr__" not in vars(cls):  # Slope and CircleInterval show their own form
+            assert repr(v) == repr(ref)
+        for name in cls._fields:
+            with pytest.raises(AttributeError):
+                setattr(v, name, getattr(v, name))
+            with pytest.raises(AttributeError):
+                delattr(v, name)
+            with pytest.raises(AttributeError):
+                delattr(ref, name)
+    assert values[0] != values[1]
+    assert [v == copy for v in values for copy in copies] == [a == b for a in refs for b in refs]

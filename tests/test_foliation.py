@@ -199,10 +199,10 @@ class TestVerdict:
 
     def test_classes_regions_and_verdicts_build_no_even_expansion(self, monkeypatch, links_200):
         # a link's facts are read off its plain ±2 chain: building an EvenExpansion raises
-        def refuse(self):
+        def refuse(self, coeffs):
             raise AssertionError("an EvenExpansion was built")
 
-        monkeypatch.setattr(EvenExpansion, "__post_init__", refuse)
+        monkeypatch.setattr(EvenExpansion, "__init__", refuse)
         grid = (Slope(-1), Slope(0), Slope(Fraction(1, 2)), INFINITY)
         for link in links_200:
             if not classify(link).is_hyperbolic_fibered:

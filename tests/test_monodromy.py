@@ -1,5 +1,5 @@
-from dataclasses import astuple
 from fractions import Fraction
+from operator import attrgetter
 
 import hypothesis.strategies as st
 import pytest
@@ -9,7 +9,7 @@ from tbsl import MonodromyWord, SignCensus, sign_census, twist_word
 
 
 def census_of(chain):
-    return astuple(sign_census(twist_word(chain)))
+    return attrgetter(*SignCensus._fields)(sign_census(twist_word(chain)))
 
 
 class TestTwistWord:
@@ -72,10 +72,10 @@ def test_census_counts_every_curve(chain):
     n = len(chain)
     assert c.pos_rivers + c.neg_rivers == (n - 1) // 2
     assert c.pos_bridges + c.neg_bridges == (n + 1) // 2
-    assert sum(astuple(c)) == n
+    assert sum(attrgetter(*c._fields)(c)) == n
     # the census is a count of ±2 entries: rivers at odd positions, bridges at even ones
     r, b = chain[1::2], chain[0::2]
-    assert astuple(c) == (r.count(-2), r.count(2), b.count(2), b.count(-2))
+    assert attrgetter(*c._fields)(c) == (r.count(-2), r.count(2), b.count(2), b.count(-2))
 
 
 @given(pm2_chain())
