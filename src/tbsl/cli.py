@@ -50,8 +50,7 @@ def _classification_dict(a: foliation.LinkAnalysis) -> dict:
         d["linking_number"] = a.linking
         d["monodromy"] = str(word)
         c = sign_census(word)
-        d["sign_census"] = {"pos_rivers": c.pos_rivers, "neg_rivers": c.neg_rivers,
-                            "pos_bridges": c.pos_bridges, "neg_bridges": c.neg_bridges}
+        d["sign_census"] = {name: getattr(c, name) for name in c._fields}
     return d
 
 
@@ -85,7 +84,7 @@ def _window(args, a: foliation.LinkAnalysis) -> int:
 #: Most grid points one ``sweep`` may report on.
 MAX_SWEEP_POINTS = 250_000
 
-#: Largest ``--max`` of ``verify-ln`` and ``verify-covers``; their work grows with its square.
+#: Largest ``--max`` of ``verify-ln`` and ``verify-covers``; their work grows linearly with it.
 MAX_VERIFY_INDEX = 1000
 
 _WITNESS = {

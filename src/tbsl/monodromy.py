@@ -13,6 +13,7 @@ from __future__ import annotations
 import operator
 
 from .exactq import Frozen
+from .twobridge import is_pm2_chain
 
 
 class MonodromyWord(Frozen):
@@ -45,7 +46,7 @@ class SignCensus(Frozen):
 
 def twist_word(chain: tuple[int, ...]) -> MonodromyWord:
     """Twist word of a ±2 chain."""
-    if len(chain) % 2 == 0 or not set(chain) <= {2, -2} or not set(map(type, chain)) <= {int}:
+    if not is_pm2_chain(chain):
         raise ValueError("monodromy word requires a ±2 expansion")
     rivers = [(i + 1, -chain[i] // 2) for i in range(1, len(chain), 2)]
     bridges = [(i + 1, chain[i] // 2) for i in range(0, len(chain), 2)]

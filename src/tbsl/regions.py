@@ -126,7 +126,7 @@ def _run_to_interval(axis: _Axis, first: int, last: int) -> CircleInterval:
 class Region2(Frozen):
     """Finite union of interval rectangles, intersected with Q × Q."""
 
-    _fields = ("framing", "rects")  # see _grid_rects for the rects of results
+    _fields = ("framing", "rects")
 
     #: Every region is a set of finite multislopes; the JSON form keeps the
     #: field, always ``true``.
@@ -182,6 +182,22 @@ class Region2(Frozen):
                 for a, b in _atom_runs(ix, xaxis):
                     cols[a : b + 1] = [c | ymask for c in cols[a : b + 1]]
         return xaxis, yaxis, cols
+
+    @cached_property
+    def rects(self) -> tuple[tuple[CircleInterval, CircleInterval], ...]:
+        """Rectangles over each run of equal adjacent nonempty columns of the grid, read on first
+        use and kept.  A region built from rectangles holds them in its ``__dict__``, which this
+        non-data descriptor never overrides; no ``__getattr__`` hides an error from ``_grid``."""
+        xaxis, yaxis, cols = self._grid
+        rects = []
+        x = 0
+        for col, run in itertools.groupby(cols):
+            width = sum(1 for _ in run)
+            if col:
+                xiv = _run_to_interval(xaxis, x, x + width - 1)
+                rects.extend((xiv, _run_to_interval(yaxis, lo, hi)) for lo, hi in _bit_runs(col))
+            x += width
+        return tuple(rects)
 
     def is_empty(self) -> bool:
         return not any(self._grid[2])
@@ -283,27 +299,6 @@ def _reassemble_region(xaxis: _Axis, yaxis: _Axis, cols: list[int], framing: Fra
     region = object.__new__(Region2)
     region.__dict__.update(framing=framing, _grid=(xaxis, yaxis, cols))
     return region
-
-
-def _grid_rects(region: Region2) -> tuple[tuple[CircleInterval, CircleInterval], ...]:
-    """Rectangles over each run of equal adjacent nonempty columns of the region's grid."""
-    xaxis, yaxis, cols = region._grid
-    rects = []
-    x = 0
-    for col, run in itertools.groupby(cols):
-        width = sum(1 for _ in run)
-        if col:
-            xiv = _run_to_interval(xaxis, x, x + width - 1)
-            rects.extend((xiv, _run_to_interval(yaxis, lo, hi)) for lo, hi in _bit_runs(col))
-        x += width
-    return tuple(rects)
-
-
-# A region built from rectangles holds them as the field ``rects``; one made by an operation
-# does not, and this non-data descriptor reads them off its grid on first use and keeps them.
-# No ``__getattr__`` is involved, so an ``AttributeError`` inside ``_grid`` is never hidden.
-Region2.rects = cached_property(_grid_rects)
-Region2.rects.__set_name__(Region2, "rects")
 
 
 # ---------------------------------------------------------------------------

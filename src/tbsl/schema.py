@@ -8,180 +8,107 @@ text of a ``CircleInterval``, two endpoints in brackets such as ``[0,1)`` or
 ``(inf,inf)``, the form ``parse_interval`` reads.  Regions are sets of
 finite multislopes, so a region's ``restrict_to_finite`` field is always
 ``true``; the schema accepts no other value.
+
+Every object in a report is closed: it allows no field beyond those listed.
+Names the library defines are read from the types that define them (the
+verdicts, framings and Schubert relations from their enums, the census keys
+from ``SignCensus._fields``, the digits of a fraction from ``exactq.DIGITS``);
+the command list is literal, and a test checks it against the parser.
 """
 
-_FRACTION = {"type": "string", "pattern": r"^(-?[0-9]+(/[0-9]+)?|inf)$"}
-_INTERVAL = {"type": "string", "pattern": r"^[\[(][^,]+,[^,]+[\])]$"}
+from .exactq import DIGITS
+from .foliation import Verdict
+from .monodromy import SignCensus
+from .regions import Framing
+from .twobridge import SchubertRelation
 
-_REGION = {
-    "type": "object",
-    "required": ["framing", "restrict_to_finite", "rects"],
-    "properties": {
-        "framing": {"enum": ["seifert", "canonical"]},
-        "restrict_to_finite": {"const": True},
-        "rects": {
-            "type": "array",
-            "items": {
-                "type": "array",
-                "items": _INTERVAL,
-                "minItems": 2,
-                "maxItems": 2,
-            },
-        },
-    },
-    "additionalProperties": False,
-}
+
+def _closed(required, properties: dict, type_="object") -> dict:
+    """An object with the fields ``properties`` and no others, of which ``required`` must be present."""
+    return {"type": type_, "required": list(required), "properties": properties,
+            "additionalProperties": False}
+
+
+def _enum(enum) -> dict:
+    return {"enum": [member.value for member in enum]}
+
+
+def _pair(item: dict) -> dict:
+    return {"type": "array", "items": item, "minItems": 2, "maxItems": 2}
+
+
+_INT, _BOOL, _STR = {"type": "integer"}, {"type": "boolean"}, {"type": "string"}
+_INTS = {"type": "array", "items": _INT}
+_FRACTION = {"type": "string", "pattern": f"^(-?{DIGITS}(/{DIGITS})?|inf)$"}
+_INTERVAL = {"type": "string", "pattern": r"^[\[(][^,]+,[^,]+[\])]$"}
+_FRAMING = _enum(Framing)
+
+_REGION = _closed(["framing", "restrict_to_finite", "rects"], {
+    "framing": _FRAMING,
+    "restrict_to_finite": {"const": True},
+    "rects": {"type": "array", "items": _pair(_INTERVAL)},
+})
 
 #: The L-space and foliation regions of one framing.
-_REGION_PAIR = {
-    "type": "object",
-    "required": ["lspace", "foliation"],
-    "properties": {"lspace": _REGION, "foliation": _REGION},
-    "additionalProperties": False,
-}
+_REGION_PAIR = _closed(["lspace", "foliation"], {"lspace": _REGION, "foliation": _REGION})
 
-_CLASSIFICATION = {
-    "type": "object",
-    "required": ["link", "p", "q", "family", "tag", "mirrored"],
-    "properties": {
-        "link": {"type": "string"},
-        "p": {"type": "integer"},
-        "q": {"type": "integer"},
-        "family": {"type": "string"},
-        "tag": {"type": "string"},
-        "n": {"type": ["integer", "null"]},
-        "mirrored": {"type": "boolean"},
-        "fibered_expansion": {
-            "type": ["array", "null"],
-            "items": {"type": "integer"},
-        },
-        "linking_number": {"type": ["integer", "null"]},
-        "monodromy": {"type": ["string", "null"]},
-        "sign_census": {
-            "type": ["object", "null"],
-            "required": ["pos_rivers", "neg_rivers", "pos_bridges", "neg_bridges"],
-            "properties": {
-                "pos_rivers": {"type": "integer"},
-                "neg_rivers": {"type": "integer"},
-                "pos_bridges": {"type": "integer"},
-                "neg_bridges": {"type": "integer"},
-            },
-            "additionalProperties": False,
-        },
-    },
-    "additionalProperties": False,
-}
+_CLASSIFICATION = _closed(["link", "p", "q", "family", "tag", "mirrored"], {
+    "link": _STR,
+    "p": _INT,
+    "q": _INT,
+    "family": _STR,
+    "tag": _STR,
+    "n": {"type": ["integer", "null"]},
+    "mirrored": _BOOL,
+    "fibered_expansion": {**_INTS, "type": ["array", "null"]},
+    "linking_number": {"type": ["integer", "null"]},
+    "monodromy": {"type": ["string", "null"]},
+    "sign_census": _closed(SignCensus._fields, dict.fromkeys(SignCensus._fields, _INT),
+                           type_=["object", "null"]),
+})
 
-_VERDICT_ENTRY = {
-    "type": "object",
-    "required": ["slope", "verdict"],
-    "properties": {
-        "slope": {"type": "array", "items": _FRACTION, "minItems": 2, "maxItems": 2},
-        "verdict": {
-            "enum": [
-                "NotQHS_TautByBetti",
-                "LSpace",
-                "NLSWithTautFoliation",
-                "InfinityFilling",
-            ]
-        },
-        "witness_region": {"type": ["string", "null"]},
-    },
-    "additionalProperties": False,
-}
+_VERDICT_ENTRY = _closed(["slope", "verdict"], {
+    "slope": _pair(_FRACTION),
+    "verdict": _enum(Verdict),
+    "witness_region": {"type": ["string", "null"]},
+})
 
-_CHECK_ENTRY = {
-    "type": "object",
-    "required": ["name", "ok"],
-    "properties": {"name": {"type": "string"}, "ok": {"type": "boolean"}},
-    "additionalProperties": False,
-}
+_CHECK_ENTRY = _closed(["name", "ok"], {"name": _STR, "ok": _BOOL})
 
 REPORT_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
     "title": "tbsl report",
-    "type": "object",
-    "required": ["command", "ok", "timing_ms"],
-    "properties": {
-        "command": {
-            "enum": [
-                "classify",
-                "expand",
-                "equal",
-                "region",
-                "verdict",
-                "sweep",
-                "homology",
-                "framing",
-                "verify-ln",
-                "verify-covers",
-            ]
-        },
-        "ok": {"type": "boolean"},
-        "error": {"type": "string"},
+    **_closed(["command", "ok", "timing_ms"], {
+        "command": {"enum": ["classify", "expand", "equal", "region", "verdict", "sweep",
+                             "homology", "framing", "verify-ln", "verify-covers"]},
+        "ok": _BOOL,
+        "error": _STR,
         "input": {"type": "object"},
-        "timing_ms": {"type": "integer"},
+        "timing_ms": _INT,
         "classification": _CLASSIFICATION,
-        "expansion": {
-            "type": "object",
-            "required": ["value", "coefficients", "all_plus_minus_two"],
-            "properties": {
-                "value": _FRACTION,
-                "coefficients": {"type": "array", "items": {"type": "integer"}},
-                "all_plus_minus_two": {"type": "boolean"},
-            },
-            "additionalProperties": False,
-        },
-        "equal": {
-            "type": "object",
-            "required": ["oriented", "unoriented"],
-            "properties": {
-                "oriented": {
-                    "enum": [
-                        "isotopic",
-                        "isotopic-after-component-reversal",
-                        "distinct",
-                    ]
-                },
-                "unoriented": {"type": "boolean"},
-            },
-            "additionalProperties": False,
-        },
-        "regions": {
-            "type": "object",
-            "required": ["canonical", "seifert"],
-            "properties": {"canonical": _REGION_PAIR, "seifert": _REGION_PAIR},
-            "additionalProperties": False,
-        },
-        "svg_path": {"type": "string"},
+        "expansion": _closed(["value", "coefficients", "all_plus_minus_two"], {
+            "value": _FRACTION,
+            "coefficients": _INTS,
+            "all_plus_minus_two": _BOOL,
+        }),
+        "equal": _closed(["oriented", "unoriented"], {
+            "oriented": _enum(SchubertRelation),
+            "unoriented": _BOOL,
+        }),
+        "regions": _closed(["canonical", "seifert"], {"canonical": _REGION_PAIR, "seifert": _REGION_PAIR}),
+        "svg_path": _STR,
         "verdicts": {"type": "array", "items": _VERDICT_ENTRY},
-        "homology": {
-            "type": "object",
-            "required": ["presentation", "determinant", "order", "qhs"],
-            "properties": {
-                "presentation": {
-                    "type": "array",
-                    "items": {"type": "array", "items": {"type": "integer"}},
-                },
-                "determinant": {"type": "integer"},
-                "order": {
-                    "oneOf": [{"type": "integer"}, {"const": "infinite"}]
-                },
-                "qhs": {"type": "boolean"},
-            },
-            "additionalProperties": False,
-        },
-        "framing": {
-            "type": "object",
-            "required": ["from", "to", "slopes"],
-            "properties": {
-                "from": {"enum": ["seifert", "canonical"]},
-                "to": {"enum": ["seifert", "canonical"]},
-                "slopes": {"type": "array", "items": _FRACTION},
-            },
-            "additionalProperties": False,
-        },
+        "homology": _closed(["presentation", "determinant", "order", "qhs"], {
+            "presentation": {"type": "array", "items": _INTS},
+            "determinant": _INT,
+            "order": {"oneOf": [_INT, {"const": "infinite"}]},
+            "qhs": _BOOL,
+        }),
+        "framing": _closed(["from", "to", "slopes"], {
+            "from": _FRAMING,
+            "to": _FRAMING,
+            "slopes": {"type": "array", "items": _FRACTION},
+        }),
         "checks": {"type": "array", "items": _CHECK_ENTRY},
-    },
-    "additionalProperties": False,
+    }),
 }

@@ -228,12 +228,17 @@ def classify(link: TwoBridgeLink) -> LinkClass:
     return LinkClass(LinkFamily.GENERIC_FIBERED, chain=chain, mirrored=mirrored)
 
 
+def is_pm2_chain(chain: tuple[int, ...]) -> bool:
+    """Whether ``chain`` is a ±2 chain: odd length, and every entry the ``int`` 2 or -2."""
+    return len(chain) % 2 == 1 and set(chain) <= {2, -2} and set(map(type, chain)) <= {int}
+
+
 def linking_number(chain: tuple[int, ...]) -> int:
     """Linking number of the two components, read off an odd-length ±2 chain.
 
     Sum of the bridge halves (odd positions) in the fiber-surface orientation.
     """
-    if len(chain) % 2 == 0 or not set(chain) <= {2, -2} or not set(map(type, chain)) <= {int}:
+    if not is_pm2_chain(chain):
         raise ValueError("linking number is only computed from ±2 expansions")
     return sum(chain[0::2]) // 2
 

@@ -447,6 +447,12 @@ def test_parser_surface_is_pinned():
     assert [p["name"] for p in surface[1:]] == REPORT_SCHEMA["properties"]["command"]["enum"]
 
 
+def test_report_schema_is_pinned():
+    # the published contract, byte for byte as json.dumps(indent=2) writes it
+    golden = PARSER_GOLDEN.with_name("report_schema.json")
+    assert json.dumps(REPORT_SCHEMA, indent=2) + "\n" == golden.read_text()
+
+
 def test_help_still_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--help"])
