@@ -18,7 +18,9 @@ rectangles or handed on by the operation that made it.  An operation merges
 the two operands' integer keys and remaps each operand's columns onto the
 joint grid on integers, so no operand is rebuilt from its rectangles, and its
 result keeps only its grid: the rectangles are read off it on first use and
-kept, so a chain of operations and identity checks builds none.
+kept, so a chain of operations and identity checks builds none.  An operation
+that adds no endpoint stays on its grid: a merge with an axis of no or the same
+endpoints, a complement (columns flipped) and a translation (keys moved).
 ``row_masks`` reads the kept grid at one integer ``bisect`` per grid slope,
 and a point (``contains``) is its 1×1 case.
 
@@ -97,7 +99,11 @@ def _bit_runs(mask: int):
 
 
 def _merged(a: _Axis, b: _Axis) -> _Axis:
-    """The axis of the endpoints of both, over the lcm of their denominators."""
+    """The axis of both's endpoints over the lcm of their denominators: either, if it holds all."""
+    if not b.keys or (a.keys == b.keys and a.den == b.den):
+        return a
+    if not a.keys:
+        return b
     den = math.lcm(a.den, b.den)
     return _Axis(sorted({k * (den // axis.den) for axis in (a, b) for k in axis.keys}), den)
 
@@ -214,8 +220,11 @@ class Region2(Frozen):
         return _combine(self, other, lambda a, b: a & ~b)
 
     def complement(self) -> "Region2":
-        """Complement within Q × Q."""
-        return Region2.finite_plane(self.framing).difference(self)
+        """Complement within Q × Q, on the region's own grid: every finite point lies in
+        one x-atom and one y-atom, so flipping each column's mask of y-atoms suffices."""
+        xaxis, yaxis, cols = self._grid
+        full = (1 << (2 * len(yaxis.keys) + 1)) - 1
+        return _reassemble_region(xaxis, yaxis, [full ^ c for c in cols], self.framing)
 
     def covers(self, target: "Region2") -> bool:
         _, _, ca, cb = _aligned_columns(self, target)
@@ -235,13 +244,12 @@ class Region2(Frozen):
         return Region2(self.framing, tuple((iy, ix) for ix, iy in self.rects))
 
     def shifted(self, dx, dy) -> "Region2":
-        return Region2(
-            self.framing,
-            tuple((ix.shifted(dx), iy.shifted(dy)) for ix, iy in self.rects),
-        )
+        """Translation by (dx, dy) on the region's own grid: the keys move, the columns stay."""
+        xaxis, yaxis, cols = self._grid
+        return _reassemble_region(_shift(xaxis, dx), _shift(yaxis, dy), cols, self.framing)
 
     def with_framing(self, framing: Framing) -> "Region2":
-        return Region2(framing, self.rects)
+        return _reassemble_region(*self._grid, framing)
 
     def canonical(self) -> "Region2":
         """Normal form: rectangles reassembled on the region's grid."""
@@ -261,6 +269,14 @@ def _own_axis(region: Region2, k: int) -> _Axis:
             if (v := s.value) is not None]
     den = math.lcm(*[v.denominator for v in vals])
     return _Axis(sorted({v.numerator * (den // v.denominator) for v in vals}), den)
+
+
+def _shift(axis: _Axis, d) -> _Axis:
+    """The endpoints of ``axis`` moved by ``d = n/m``, over the lcm of their denominators."""
+    n, m = as_rat(d).as_integer_ratio()
+    keys = [k * m + n * axis.den for k in axis.keys]
+    g = math.gcd(axis.den * m, *keys)
+    return _Axis([k // g for k in keys], axis.den * m // g)
 
 
 def _remapped(grid, xaxis: _Axis, yaxis: _Axis) -> list[int]:

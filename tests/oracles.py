@@ -4,7 +4,8 @@ These deliberately avoid the library's own algorithms: expansions are found
 by exhaustive search (with provably sound pruning) or one greedy entry per
 step, never a run of entries at once, fibered links by
 enumerating all ±2 sequences directly, region membership by testing
-every rectangle at a probe point of every grid atom, verdicts by the rules
+every rectangle at a probe point of every grid atom, translations by moving
+each rectangle side, verdicts by the rules
 applied one point at a time (b1 > 0 read off a Laplace determinant), and
 determinants by Laplace expansion.  The link classifier is the one that
 expands every Schubert lift in full before looking at its entries, and
@@ -20,7 +21,7 @@ import itertools
 from fractions import Fraction
 from math import gcd
 
-from tbsl import LinkClass, LinkFamily, Slope, TwoBridgeLink, Verdict, even_expand
+from tbsl import LinkClass, LinkFamily, Region2, Slope, TwoBridgeLink, Verdict, even_expand
 
 
 def schubert_lifts(link: TwoBridgeLink) -> list[int]:
@@ -165,6 +166,13 @@ def member(region, point) -> bool:
     """Brute-force membership of a finite point: one rectangle holds both coordinates."""
     x, y = point
     return any(ix.contains(x) and iy.contains(y) for ix, iy in region.rects)
+
+
+def shifted_by_rectangles(region, dx, dy):
+    """``region`` translated by (dx, dy) one rectangle side at a time, through
+    ``CircleInterval.shifted``: the region built from the moved rectangles."""
+    rects = tuple((ix.shifted(dx), iy.shifted(dy)) for ix, iy in region.rects)
+    return Region2(region.framing, rects)
 
 
 def verdict_by_rules(analysis, x, y) -> Verdict:

@@ -14,13 +14,15 @@ from tbsl import (
     Region2,
     Slope,
     SlopeFamily,
+    analyse,
     family_image,
+    ln_link,
     parse_interval,
 )
-from oracles import grid_probes, member
+from oracles import grid_probes, member, shifted_by_rectangles
 from tbsl.errors import FramingMismatch
 from tbsl import regions
-from tbsl.regions import BUILTIN_WEIGHT_FAMILIES, _atom_starts
+from tbsl.regions import BUILTIN_WEIGHT_FAMILIES, _atom_starts, _own_axis
 
 
 def box(ix, iy):
@@ -465,6 +467,116 @@ def test_an_attribute_error_inside_the_grid_or_the_rectangle_reader_is_not_hidde
     monkeypatch.setattr(regions, "_own_axis", broken)
     with pytest.raises(AttributeError, match="raised inside"):
         box("[0,1]", "[0,1]").is_empty()
+
+
+# Operations that add no endpoint stay on the grid they have.  Deleting one of these fast
+# paths changes no output, so the tests below pin each by the axis objects a result holds
+# and by the remapping it does not do.
+
+_ANY_REGION = st.one_of(region_st(), mixed_pair_st().map(lambda t: t[1]))
+
+
+def _refuse(*args):
+    raise AssertionError("called on a path that adds no endpoint")
+
+
+@settings(max_examples=60)
+@given(_ANY_REGION)
+def test_complement_flips_the_columns_of_its_own_grid(a):
+    via_plane = Region2.finite_plane(a.framing).difference(a)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(regions, "_merged", _refuse)
+        mp.setattr(regions, "_remapped", _refuse)
+        c = a.complement()
+    assert c._grid[0] is a._grid[0] and c._grid[1] is a._grid[1]
+    assert c.equals(via_plane) and c._grid[2] == via_plane._grid[2]
+    assert c.rects == via_plane.rects and c.to_json_dict() == via_plane.to_json_dict()
+
+
+@settings(max_examples=60)
+@given(_ANY_REGION)
+def test_an_operand_that_adds_no_endpoint_lends_its_axes(a):
+    # against the empty region, the finite plane (no endpoints) or a region with the same
+    # endpoints, the joint axes are the operands' own and no column is remapped
+    f = a.framing
+    same = Region2(f, a.rects[::-1])
+    for other in (Region2.empty(f), Region2.finite_plane(f), same):
+        for x, y in ((a, other), (other, a)):
+            # _merged returns its first axis unless the second alone has endpoints
+            pairs = zip(x._grid[:2], y._grid[:2])
+            expect = [gy if gy.keys and other is not same else gx for gx, gy in pairs]
+            spread = []  # only an axis without endpoints is spread over the joint one
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(regions, "_atom_starts", lambda axis, joint: spread.append(axis.keys)
+                           or _atom_starts(axis, joint))
+                union, meet, diff = x.union(y), x.intersect(y), x.difference(y)
+                joint = regions._aligned_columns(x, y)[:2]
+                checks = (x.equals(y), x.covers(y))
+            assert not any(spread) and (other is not same or not spread)
+            assert all(r._grid[k] is expect[k] for r in (union, meet, diff) for k in (0, 1))
+            assert joint[0] is expect[0] and joint[1] is expect[1]
+            inside = y.difference(x).is_empty()
+            assert checks == (diff.is_empty() and inside, inside)
+
+
+def test_axes_with_equal_keys_over_different_denominators_merge():
+    # [1/2, 1] and [1/3, 2/3] are both the keys (1, 2), over 2 and over 3
+    a, b = box("[1/2,1]", "[0,1]"), box("[1/3,2/3]", "[0,1]")
+    assert a._grid[0].keys == b._grid[0].keys and a._grid[0].den != b._grid[0].den
+    u = a.union(b)
+    assert [u.contains((Fraction(v), 0)) for v in ("1/3", "1/2", "2/3", "3/4", "1")] == [True] * 5
+    assert not u.contains((Fraction(1, 4), 0)) and not a.covers(b) and not a.equals(b)
+
+
+_SHIFT = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
+
+
+@settings(max_examples=80)
+@given(op_chain_st(), _SHIFT, _SHIFT, st.sampled_from([Fraction, str]))
+def test_shift_moves_the_keys_of_the_grid_and_builds_no_rectangle(chain, dx, dy, form):
+    for i, r in enumerate(_run_chain(*chain, operand=lambda r: r)):
+        expect = shifted_by_rectangles(r, dx, dy)
+        built = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(regions, "_run_to_interval", lambda *a: built.append(a))
+            moved = r.shifted(form(dx), form(dy))
+            reframed = moved.with_framing(Framing.CANONICAL)
+        assert not built and not any("rects" in vars(m) for m in (moved, reframed))
+        assert moved._grid[2] is r._grid[2] and reframed._grid == moved._grid
+        assert moved.equals(expect) and moved.canonical().rects == expect.canonical().rects
+        assert moved.to_json_dict() == expect.to_json_dict()
+        assert reframed.to_json_dict() == Region2(Framing.CANONICAL, expect.rects).to_json_dict()
+        for k, d in ((0, dx), (1, dy)):
+            if i < 2:  # built from rectangles: its grid holds their endpoints only
+                own = _own_axis(expect, k)
+            else:  # the axis _own_axis builds from points at every moved endpoint of the grid
+                axis = r._grid[k]
+                ends = [CircleInterval.point(Fraction(v, axis.den) + d) for v in axis.keys]
+                own = _own_axis(Region2(r.framing, tuple(zip(ends, ends))), 0)
+            assert (moved._grid[k].keys, moved._grid[k].den) == (own.keys, own.den)
+
+
+def test_shift_refuses_floats_even_without_endpoints():
+    for r in (box("[0,1]", "(1,2)"), PLANE, Region2.empty(Framing.SEIFERT)):
+        for d in ((0.5, 0), (0, 0.5)):
+            with pytest.raises(TypeError, match="floats are not exact"):
+                r.shifted(*d)
+
+
+def test_seifert_regions_of_a_link_build_no_rectangle(monkeypatch):
+    built, found = [], []
+    monkeypatch.setattr(regions, "_run_to_interval", lambda *a: built.append(a))
+    for n in (2, 5):
+        for link in (ln_link(n), ln_link(n).mirror()):
+            analysis = analyse(link)
+            found.append((analysis, analysis.regions(Framing.SEIFERT)))
+    assert not built
+    monkeypatch.undo()
+    for analysis, seifert in found:
+        lk = analysis.linking
+        for r, c in zip(seifert, analysis.regions(Framing.CANONICAL)):
+            expect = Region2(Framing.SEIFERT, shifted_by_rectangles(c, lk, lk).rects)
+            assert r.to_json_dict() == expect.to_json_dict()
 
 
 def _kernel_outputs(boxes, xs, ys):
