@@ -1,21 +1,14 @@
 """Taut-foliation regions and the surgery verdict engine.
 
-The branched-surface constructions attach, to each sign pattern of the
-monodromy twists, explicit multislope regions carrying coorientable taut
-foliations (``lemma_regions``, Seifert framing).  Combined with the family
-case analysis they cover every finite multislope except, for the
-exceptional links, the quadrant that is exactly the L-space set; so the
-foliation region is defined as the complement of the L-space region, and
-the constructive covers are kept as independent witnesses
-(``cover_witnesses``, ``ln_taut_witness_strips``) that reproduce it.
-Every fibered hyperbolic link outside the exceptional family has no L-space
-filling and foliations everywhere: its two regions are one shared pair, built
-once, and only ``Ln(n)`` and its mirror build regions of their own.
-Every realised interval is read off the weight families
-(``BUILTIN_WEIGHT_FAMILIES``).  Each companion link is a constant linking
-matrix beside its table of realised boxes, and one route, ``_route``,
-builds the companion from it and carries the boxes through the framing
-change and the twist fillings for all three families.
+The branched-surface constructions give, per sign pattern of the monodromy
+twists, regions carrying coorientable taut foliations (``lemma_regions``), and
+``_route`` carries a companion link's realised boxes to the canonical framing.
+One witness table, keyed off the ±2 chain (``witness_key``), says which witness
+decides each fibered hyperbolic link: ``Ln(n)``'s strips, or one of the five
+``cover_witnesses``, each the whole plane, so every other link has no L-space
+filling and shares one pair of regions.  The foliation region is the witness and
+the gap, the complement of both; ``row_holds`` checks each row once, and the gap
+is empty but on ``Ln(1)`` and its mirror.
 
 ``analyse`` builds one :class:`LinkAnalysis` per link; its ``verdict_rows``
 is the package's one verdict engine, and the free function ``verdict`` is
@@ -27,6 +20,7 @@ per point.
 
 from __future__ import annotations
 
+import functools
 import math
 from enum import Enum
 from fractions import Fraction
@@ -50,6 +44,18 @@ def _realised(*keys: str) -> tuple[CircleInterval, ...]:
     return tuple(_REALISED[k] for k in keys)
 
 
+def chain_census(chain: tuple[int, ...]) -> SignCensus:
+    """The sign census of a ±2 chain's twist word: river -2s and bridge 2s twist positively."""
+    rivers, bridges = chain[1::2], chain[0::2]
+    return SignCensus(rivers.count(-2), rivers.count(2), bridges.count(2), bridges.count(-2))
+
+
+def _pattern(c: SignCensus) -> tuple[bool, bool, bool, bool]:
+    """The four clauses of :func:`lemma_regions`, in its order."""
+    return (c.pos_rivers >= 1 or c.pos_bridges >= 2, c.neg_rivers >= 1 or c.neg_bridges >= 2,
+            c.pos_rivers >= 1 and c.neg_rivers >= 1, c.pos_bridges >= 1 and c.neg_bridges >= 1)
+
+
 def lemma_regions(census: SignCensus) -> Region2:
     """Seifert-framing multislopes carrying foliations, from the sign census.
 
@@ -58,22 +64,15 @@ def lemma_regions(census: SignCensus) -> Region2:
     mirror, and mixed signs give the corresponding split quadrants.
     """
     below, above, pos, neg = _realised("(inf,1)", "(-1,inf)", "(0,inf)", "(inf,0)")
-    rects = []
-    if census.pos_rivers >= 1 or census.pos_bridges >= 2:
-        rects.append((below, below))
-    if census.neg_rivers >= 1 or census.neg_bridges >= 2:
-        rects.append((above, above))
-    if census.pos_rivers >= 1 and census.neg_rivers >= 1:
-        rects.append((below, above))
-        rects.append((above, below))
-    if census.pos_bridges >= 1 and census.neg_bridges >= 1:
-        rects.append((pos, neg))
-        rects.append((neg, pos))
-    return Region2(Framing.SEIFERT, tuple(rects))
+    clauses = ([(below, below)], [(above, above)], [(below, above), (above, below)],
+               [(pos, neg), (neg, pos)])
+    return Region2(Framing.SEIFERT, tuple(
+        rect for fires, rects in zip(_pattern(census), clauses) if fires for rect in rects))
 
 
-#: The L-space and foliation regions shared by every non-exceptional fibered hyperbolic link.
-_NO_LSPACE = Region2.empty(Framing.CANONICAL)
+#: The regions shared by every non-exceptional fibered hyperbolic link: the empty L-space
+#: region and gap, and the plane that is its witness and foliation region.
+_EMPTY = Region2.empty(Framing.CANONICAL)
 _WHOLE_PLANE = Region2.finite_plane(Framing.CANONICAL)
 
 
@@ -113,8 +112,8 @@ class LinkAnalysis(Frozen):
 
         The quadrant [n, inf)² for the n-th exceptional link, its negation for
         the mirror; every other fibered hyperbolic link returns the one shared
-        empty region.  This is the scope gate of the package: torus and
-        non-fibered links are rejected.
+        empty region, which its witness, the whole plane, proves.  This is the
+        scope gate of the package: torus and non-fibered links are rejected.
         """
         family = self.cls.family
         if family is LinkFamily.TORUS:
@@ -123,22 +122,24 @@ class LinkAnalysis(Frozen):
             )
         if family is LinkFamily.NON_FIBERED:
             raise OutOfScope(f"{self.link} is not fibered")
-        if family not in (LinkFamily.LN, LinkFamily.LN_MIRROR):
-            return _NO_LSPACE
-        arc = CircleInterval.closed(self.cls.n, INFINITY)
-        quadrant = Region2(Framing.CANONICAL, ((arc, arc),))
-        return quadrant.negated() if family is LinkFamily.LN_MIRROR else quadrant
+        return _EMPTY if self.cls.n is None else _quadrant(family, self.cls.n)
+
+    @property
+    def witness(self) -> Region2:
+        """The table's witness: the shared plane, with no key computed, or ``Ln(n)``'s row."""
+        return _WHOLE_PLANE if self.lspace is _EMPTY else _ln_row(self.cls.family, self.cls.n)[0]
+
+    @property
+    def gap(self) -> Region2:
+        """The complement of the L-space region and the witness: empty but on ``Ln(1)``'s row."""
+        return _EMPTY if self.lspace is _EMPTY else _ln_row(self.cls.family, self.cls.n)[1]
 
     @cached_property
     def foliation(self) -> Region2:
-        """Finite multislopes with coorientable taut foliations, canonical framing.
-
-        Equals the complement of the L-space region inside Q²: the one shared
-        finite plane for the generic families, the complement of the quadrant
-        for the exceptional links and their mirrors.
-        """
-        lspace = self.lspace
-        return _WHOLE_PLANE if lspace is _NO_LSPACE else lspace.complement()
+        """Finite multislopes with coorientable taut foliations, canonical framing: the witness
+        and the gap, the shared plane for the generic families and fresh for each ``Ln`` link."""
+        witness, gap = self.witness, self.gap
+        return witness if gap is _EMPTY else witness.union(gap)
 
     @property
     def window(self) -> int:
@@ -294,14 +295,9 @@ _LN_SURFACE_BOXES = (
 
 
 def ln_taut_witness_strips(n: int) -> Region2:
-    """Canonical-framing strips witnessing foliations off the quadrant.
-
-    The realised boxes of the companion with third coordinate held at -1/n,
-    routed to the canonical framing; their union (with the coordinate
-    swap) covers everything with min(r1, r2) < n while staying clear of
-    [n, inf)².  Needs n >= 2 so that -1/n is interior to the realised third
-    factors.
-    """
+    """Canonical-framing strips witnessing foliations off the quadrant: the companion's
+    realised boxes, third slope -1/n, routed with their swap to cover min(r1, r2) < n and
+    miss [n, inf)².  Needs n >= 2 so that -1/n is interior to the realised third factors."""
     if n < 2:
         raise ValueError("the strip cover needs n >= 2")
     return _route(_LN_LINKING, (Fraction(-1, n),), _LN_SURFACE_BOXES)
@@ -319,21 +315,69 @@ class CoverWitness(Frozen):
         return Region2.finite_plane(self.region.framing)
 
 
-def cover_witnesses() -> tuple[CoverWitness, ...]:
-    """The constructive covers that must exactly fill their targets.
+# ---------------------------------------------------------------------------
+# the witness table
 
-    ``family1-small`` is the foliation region of the length-3 all-negative
-    link: the auxiliary boxes routed through the companion, plus the census
-    region of ``L(-2,-2,-2)`` moved by the linking number the route probes.
-    ``family2`` is that of the rewritten interior links, the whole plane for
-    every (k, h); it is routed through the companion filled at -1 and -1.
-    """
-    family1 = lemma_regions(SignCensus(1, 0, 0, 2))
+
+def witness_key(cls: LinkClass) -> tuple:
+    """The table key of a fibered hyperbolic class: (family, n) for ``Ln`` and its mirror,
+    (family, mirrored, length 3) for family 1, else (family, mirrored, the census's clauses)."""
+    if cls.n is not None:
+        return cls.family, cls.n
+    if cls.family is LinkFamily.FAMILY1:
+        return cls.family, cls.mirrored, len(cls.chain) == 3
+    return cls.family, cls.mirrored, _pattern(chain_census(cls.chain))
+
+
+@functools.cache
+def _table() -> dict[tuple, CoverWitness]:
+    """The rows but ``Ln``'s, built on first use.  Each witness is the whole plane, which the
+    shift by a linking number (the key has none) and a mirror's negation leave unchanged."""
+    g, f1, f2 = LinkFamily.GENERIC_FIBERED, LinkFamily.FAMILY1, LinkFamily.FAMILY2_INTERIOR
+    t, f = True, False
+    rivers = CoverWitness("mixed-rivers", lemma_regions(SignCensus(1, 1, 1, 0)))
+    bridges = CoverWitness("positive-river-mixed-bridges", lemma_regions(SignCensus(1, 0, 1, 2)))
+    census = lemma_regions(SignCensus(1, 0, 0, 2))
     split = Region2(Framing.SEIFERT, (_realised("(inf,1)", "(0,inf)"),))
-    return (
-        CoverWitness("mixed-rivers", lemma_regions(SignCensus(1, 1, 1, 0))),
-        CoverWitness("positive-river-mixed-bridges", lemma_regions(SignCensus(1, 0, 1, 2))),
-        CoverWitness("family1-generic", family1.union(split.union(split.swapped()))),
-        CoverWitness("family1-small", _route(_FAMILY1_LINKING, (-1,), _FAMILY1_BOXES, family1)),
-        CoverWitness("family2", _route(_FAMILY2_LINKING, (-1, -1), _FAMILY2_BOXES)),
-    )
+    family1 = CoverWitness("family1-generic", census.union(split.union(split.swapped())))
+    small = CoverWitness("family1-small", _route(_FAMILY1_LINKING, (-1,), _FAMILY1_BOXES, census))
+    family2 = CoverWitness("family2", _route(_FAMILY2_LINKING, (-1, -1), _FAMILY2_BOXES))
+    return {
+        (g, f, (t, t, t, f)): rivers, (g, f, (t, t, t, t)): rivers,
+        (g, f, (t, t, f, t)): bridges, (g, t, (t, t, f, t)): bridges,
+        (f2, f, (t, t, f, t)): bridges, (f2, t, (t, t, f, t)): bridges,
+        (f1, f, f): family1, (f1, t, f): family1, (f1, f, t): small, (f1, t, t): small,
+        (f2, f, (t, f, f, t)): family2, (f2, t, (f, t, f, t)): family2,
+    }
+
+
+def _quadrant(family: LinkFamily, n: int) -> Region2:
+    """The L-space quadrant [n, inf)² of ``Ln(n)``, negated for its mirror."""
+    arc = CircleInterval.closed(n, INFINITY)
+    quadrant = Region2(Framing.CANONICAL, ((arc, arc),))
+    return quadrant.negated() if family is LinkFamily.LN_MIRROR else quadrant
+
+
+@functools.cache
+def _ln_row(family: LinkFamily, n: int) -> tuple[Region2, Region2]:
+    """Witness and gap on the key (family, n): the strips, or for ``Ln(1)`` = L(2,-2,-2) its census
+    region and the one box that holds the slope -1; negated for the mirror."""
+    witness = ln_taut_witness_strips(n) if n > 1 else _route(
+        _LN_LINKING, (-1,), _LN_SURFACE_BOXES[1:2], lemma_regions(SignCensus(1, 0, 1, 1)))
+    if family is LinkFamily.LN_MIRROR:
+        witness = witness.negated()
+    return witness, _quadrant(family, n).union(witness).complement()
+
+
+def row_holds(a: LinkAnalysis) -> bool:
+    """Whether ``a``'s row passes its checks: a row but ``Ln``'s exists and is the whole plane;
+    an ``Ln`` witness misses the quadrant and leaves no gap, but on ``Ln(1)``."""
+    if a.cls.n is None:
+        row = _table().get(witness_key(a.cls))
+        return row is not None and row.region.equals(row.target)
+    return a.witness.intersect(a.lspace).is_empty() and (a.cls.n == 1 or a.gap.is_empty())
+
+
+def cover_witnesses() -> tuple[CoverWitness, ...]:
+    """The witnesses of the table's rows but ``Ln``'s, each once, each the plane of its framing."""
+    return tuple(dict.fromkeys(_table().values()))

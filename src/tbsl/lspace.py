@@ -12,10 +12,10 @@ Two propagation devices drive everything:
 
 For the exceptional family b(6n+2, -3) the quadrant [n, inf) × [n, inf) is
 the exact finite L-space set; its mirror gets the negated quadrant; every
-other fibered hyperbolic two-bridge link has no finite L-space surgery at
-all.  That closed form is ``LinkAnalysis.lspace`` and ``lspace_region`` reads
-it; ``verify_ln_chain`` replays the derivation of the quadrant from the
-propagation devices instead of trusting the closed form.
+other fibered hyperbolic two-bridge link has a witness of foliations on the
+whole plane, so no finite L-space surgery.  ``lspace_region`` reads that closed
+form, ``LinkAnalysis.lspace``; ``verify_ln_chain`` replays the derivation of
+the quadrant from the propagation devices instead of trusting it.
 """
 
 from __future__ import annotations

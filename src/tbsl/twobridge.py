@@ -178,8 +178,10 @@ _FAMILY_SHAPES = (
 def detect_Ln(link: TwoBridgeLink) -> tuple[int, bool] | None:
     """Match against b(6n+2, -3) and its mirror b(6n+2, 3); (n, mirrored) on success.
 
-    Each match is one :func:`schubert_unoriented_equal` congruence.  At p = 2
-    there is no b(2, ∓3): the only links are b(2, ±1), the Hopf links.
+    Each match is one :func:`schubert_unoriented_equal` congruence; p = 2 has only the Hopf
+    links b(2, ±1).  The matches are the fibered hyperbolic members of Y. Liu's L-space links
+    b(rq - 1, -q), r and q odd, and their mirrors (*L-space surgeries on links*, Quantum
+    Topology, 2017); Liu's b(p, q) convention is unchecked here.
     """
     p = link.p
     if p % 6 == 2 and p > 2:

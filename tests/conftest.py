@@ -17,3 +17,16 @@ def fibered_keys_200():
     from oracles import fibered_census
 
     return fibered_census(200)
+
+
+@pytest.fixture
+def fresh_witness_table():
+    """Rebuild the witness table's cached rows in a test that replaces one of their builders,
+    and once more after it, so no broken row outlives the test."""
+    from tbsl import foliation
+
+    foliation._table.cache_clear()
+    foliation._ln_row.cache_clear()
+    yield
+    foliation._table.cache_clear()
+    foliation._ln_row.cache_clear()

@@ -325,7 +325,8 @@ class TestVerifyCommands:
         assert "FAIL  ln-chain n=1" in out
 
     @pytest.mark.parametrize("fault", ["gap", "overlap"])
-    def test_strip_check_catches_a_gap_and_an_overlap(self, capsys, monkeypatch, fault):
+    def test_strip_check_catches_a_gap_and_an_overlap(self, capsys, monkeypatch, fault,
+                                                       fresh_witness_table):
         # (0, 0) is off every Ln quadrant [n, inf)^2 and (n, n) is its corner
         strips = foliation.ln_taut_witness_strips
 

@@ -1,3 +1,4 @@
+import pathlib
 import sys
 from fractions import Fraction
 
@@ -32,12 +33,17 @@ from tbsl.foliation import (
     _LN_SURFACE_BOXES,
     _REALISED,
     _route,
+    _table,
     analyse,
+    chain_census,
     cover_witnesses,
+    row_holds,
+    witness_key,
 )
 from tbsl.surgery import SurgeryDiagram, framing_convert, presentation_matrix, rolfsen_fill
-from tbsl.twobridge import TwoBridgeLink, classify, linking_number, parse_link
+from tbsl.twobridge import LinkFamily, TwoBridgeLink, classify, linking_number, parse_link
 
+_SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 SEIFERT_PLANE = Region2.finite_plane(Framing.SEIFERT)
 CANONICAL_PLANE = Region2.finite_plane(Framing.CANONICAL)
 
@@ -291,6 +297,113 @@ class TestCoverWitnesses:
                 lemma_regions(census).shifted(-lk, -lk).with_framing(Framing.CANONICAL)
             )
             assert foliation_region(L).covers(shifted)
+
+
+class TestWitnessTable:
+    def test_ln1_gap_is_the_two_segments_and_the_mirror_its_negation(self):
+        a, m = analyse(ln_link(1)), analyse(parse_link("b(8,3)"))
+        closed_open = CircleInterval(Slope(0), Slope(1), True, False)
+        point = CircleInterval.point(1)
+        assert a.gap.canonical().rects == ((closed_open, point), (point, closed_open))
+        assert m.cls.family.value == "Ln-mirror" and m.cls.n == 1
+        assert m.gap.canonical().rects == a.gap.negated().canonical().rects
+        for b in (a, m):
+            assert b.witness.intersect(b.lspace).is_empty()
+            assert b.witness.union(b.gap).equals(b.lspace.complement())
+            assert b.foliation.equals(b.lspace.complement())
+
+    def test_every_other_row_leaves_no_gap(self, links_200):
+        links = [ln_link(n) for n in range(2, 31)] + list(links_200)
+        for link in links + [link.mirror() for link in links]:
+            a = analyse(link)
+            if not a.cls.is_hyperbolic_fibered or a.cls.n == 1:
+                continue
+            assert a.gap.is_empty() and a.witness.intersect(a.lspace).is_empty(), link
+            assert a.foliation.equals(a.witness), link
+
+    def test_chain_census_is_the_census_of_the_twist_word(self, links_200):
+        from tbsl.monodromy import sign_census, twist_word
+
+        chains = [cls.chain for cls in map(classify, links_200) if cls.chain is not None]
+        assert len(chains) > 500
+        for chain in chains:
+            assert chain_census(chain) == sign_census(twist_word(chain)), chain
+
+    def test_every_class_up_to_200_lands_on_a_row_that_holds(self, links_200):
+        keys = {}
+        for link in links_200:
+            a = analyse(link)
+            if a.cls.is_hyperbolic_fibered:
+                keys.setdefault(witness_key(a.cls), a)
+        assert all(row_holds(a) for a in keys.values())
+        assert {k for k in keys if len(k) == 3} <= set(_table())
+        assert {w.name for w in cover_witnesses()} == {
+            "mixed-rivers", "positive-river-mixed-bridges", "family1-generic", "family1-small",
+            "family2"}
+
+    def test_keys(self):
+        t, f = True, False
+        assert witness_key(classify(ln_link(4).mirror())) == (LinkFamily.LN_MIRROR, 4)
+        assert witness_key(classify(parse_link("L(2,2,2)"))) == (LinkFamily.FAMILY1, t, t)
+        assert witness_key(classify(parse_link("L(-2,-2,-2,-2,-2)"))) == (LinkFamily.FAMILY1, f, f)
+        key = witness_key(classify(parse_link("b(18,5)")))
+        assert key[0] is LinkFamily.GENERIC_FIBERED and len(key[2]) == 4
+
+    def test_a_key_outside_the_table_fails_its_row(self, monkeypatch):
+        a = analyse(parse_link("b(18,5)"))
+        assert row_holds(a)
+        monkeypatch.setattr("tbsl.foliation.witness_key", lambda cls: ("no such row",))
+        assert not row_holds(a)
+
+    @pytest.mark.parametrize("fault", ["gap", "overlap"])
+    def test_an_ln_row_with_a_gap_or_an_overlap_fails(self, monkeypatch, fresh_witness_table,
+                                                        fault):
+        # (0, 0) is off every quadrant [n, inf)^2 and (n, n) is its corner
+        strips = ln_taut_witness_strips
+
+        def faulty(n):
+            at = 0 if fault == "gap" else n
+            dot = CircleInterval.point(at)
+            point = Region2.box(dot, dot, Framing.CANONICAL)
+            return strips(n).difference(point) if fault == "gap" else strips(n).union(point)
+
+        monkeypatch.setattr("tbsl.foliation.ln_taut_witness_strips", faulty)
+        for link in (ln_link(3), ln_link(3).mirror()):
+            assert not row_holds(analyse(link)), link
+
+    def test_a_cover_short_of_the_plane_fails_its_rows(self, monkeypatch, fresh_witness_table):
+        monkeypatch.setattr("tbsl.foliation._FAMILY2_BOXES", _FAMILY2_BOXES[:1])
+        for spec in ("L(2,-2,-2,-2,2)", "L(-2,2,2,2,-2)"):  # family 2 and its mirror
+            a = analyse(parse_link(spec))
+            assert a.cls.family is LinkFamily.FAMILY2_INTERIOR and not row_holds(a), spec
+        assert row_holds(analyse(parse_link("b(18,5)")))
+
+    def test_ln_rows_are_built_once_per_key(self):
+        a, b = analyse(ln_link(6)), analyse(ln_link(6))
+        assert a.witness is b.witness and a.gap is b.gap and a.foliation is not b.foliation
+        assert a.witness.equals(ln_taut_witness_strips(6))
+        mirror = analyse(ln_link(6).mirror())
+        assert mirror.witness.equals(a.witness.negated()) and mirror.witness is not a.witness
+
+    def test_non_ln_links_read_the_shared_plane_without_a_key(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a key was computed")
+
+        monkeypatch.setattr("tbsl.foliation.witness_key", refuse)
+        monkeypatch.setattr("tbsl.foliation.chain_census", refuse)
+        first, *rest = (analyse(parse_link(s)) for s in ("b(18,5)", "L(-2,-2,-2)", "b(30,11)"))
+        for a in rest:
+            assert a.witness is first.witness and a.gap is first.gap
+        assert first.witness.equals(CANONICAL_PLANE) and first.gap.is_empty()
+
+    def test_importing_builds_no_row(self):
+        import subprocess
+
+        code = ("import tbsl.cli, tbsl.foliation as f; "
+                "print(f._table.cache_info().currsize, f._ln_row.cache_info().currsize)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={"PYTHONPATH": str(_SRC)}).stdout
+        assert out.split() == ["0", "0"]
 
 
 class TestRoute:

@@ -228,3 +228,42 @@ def test_verify_ln_chain_fails_on_a_broken_step(monkeypatch, step, n):
     name, broken = BROKEN_STEPS[step]
     monkeypatch.setattr(lspace, name, broken(getattr(lspace, name)))
     assert verify_ln_chain(n) is False
+
+
+def test_exceptional_family_is_the_fibered_hyperbolic_part_of_liu_family():
+    # Y. Liu, "L-space surgeries on links" (Quantum Topology, 2017): b(rq - 1, -q) with r and q
+    # odd is an L-space link, all of whose large surgeries are L-spaces.  Its b(p, q) convention
+    # is not checked here.  The rule: min(r, q) = 1 is a torus link, min(r, q) = 3 is
+    # Ln((max(r, q) - 1) / 2) for -q and its mirror for +q, and min(r, q) >= 5 is not fibered.
+    from collections import Counter
+
+    from tbsl.foliation import analyse
+    from tbsl.twobridge import LinkFamily, classify
+
+    big = 10**6
+    seen = Counter()
+    for r in range(1, 2002, 2):
+        for q in range(1, 2001 // r + 2, 2):
+            if not 0 < r * q - 1 <= 2000:
+                continue
+            low, high = min(r, q), max(r, q)
+            for sign in (-1, 1):
+                link = TwoBridgeLink.normalized(r * q - 1, sign * q)
+                cls = classify(link)
+                seen[cls.family] += 1
+                if low == 1:
+                    assert cls.family is LinkFamily.TORUS, (r, q, sign)
+                elif low == 3:
+                    family = LinkFamily.LN if sign < 0 else LinkFamily.LN_MIRROR
+                    assert (cls.family, cls.n) == (family, (high - 1) // 2), (r, q, sign)
+                    corner = big if sign < 0 else -big  # large surgeries, negative on the mirror
+                    lspace = analyse(link).lspace
+                    assert lspace.contains((corner, corner)), (r, q, sign)
+                    assert not lspace.contains((-corner, -corner)), (r, q, sign)
+                else:
+                    assert cls.family is LinkFamily.NON_FIBERED, (r, q, sign)
+                if low != 3:
+                    with pytest.raises(OutOfScope):
+                        analyse(link).lspace
+    assert seen == {LinkFamily.TORUS: 4000, LinkFamily.LN: 665, LinkFamily.LN_MIRROR: 665,
+                    LinkFamily.NON_FIBERED: 3824}

@@ -7,6 +7,8 @@ import textwrap
 
 import pytest
 
+from tbsl import Region2
+
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -26,6 +28,36 @@ def test_fibered_census(monkeypatch, capsys):
     out = run_script(monkeypatch, capsys, "fibered_census.py", "--max-p", "20")
     assert "unoriented two-bridge classes with p <= 20" in out
     assert "Ln(1)" in out and "partition verified" in out
+
+
+def _drop_family2_box(monkeypatch, foliation):
+    monkeypatch.setattr(foliation, "_FAMILY2_BOXES", foliation._FAMILY2_BOXES[:1])
+    return "FAIL  cover family2"
+
+
+def _drop_a_strip_at_3(monkeypatch, foliation):
+    strips = foliation.ln_taut_witness_strips
+
+    def broken(n):
+        region = strips(n)
+        return Region2(region.framing, region.rects[1:]) if n == 3 else region
+
+    monkeypatch.setattr(foliation, "ln_taut_witness_strips", broken)
+    return "FAIL  ln-strips n=3"
+
+
+@pytest.mark.parametrize("fault", [_drop_family2_box, _drop_a_strip_at_3])
+def test_a_broken_row_fails_verify_covers_and_the_census(monkeypatch, capsys, fault,
+                                                          fresh_witness_table):
+    # each row is checked once, by verify-covers and by the census script's row check
+    from tbsl import cli, foliation
+
+    failure = fault(monkeypatch, foliation)
+    assert cli.main(["verify-covers", "--max", "3"]) == 1
+    out = capsys.readouterr().out
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [failure]
+    with pytest.raises(AssertionError, match="fails its checks"):
+        run_script(monkeypatch, capsys, "fibered_census.py", "--max-p", "30")
 
 
 def test_region_gallery(monkeypatch, capsys, tmp_path):
