@@ -380,4 +380,4 @@ def row_holds(a: LinkAnalysis) -> bool:
 
 def cover_witnesses() -> tuple[CoverWitness, ...]:
     """The witnesses of the table's rows but ``Ln``'s, each once, each the plane of its framing."""
-    return tuple(dict.fromkeys(_table().values()))
+    return tuple({id(w): w for w in _table().values()}.values())

@@ -16,11 +16,14 @@ the normal form reads rectangles off runs of equal adjacent columns, each end
 read as ``key / den``.  Each region keeps its grid, built once from its
 rectangles or handed on by the operation that made it.  An operation merges
 the two operands' integer keys and remaps each operand's columns onto the
-joint grid on integers, so no operand is rebuilt from its rectangles, and its
-result keeps only its grid: the rectangles are read off it on first use and
-kept, so a chain of operations and identity checks builds none.  An operation
-that adds no endpoint stays on its grid: a merge with an axis of no or the same
-endpoints, a complement (columns flipped) and a translation (keys moved).
+joint grid on integers, so no operand is rebuilt from its rectangles.  A remap
+walks only the operand's keys (one ``bisect`` each) and the runs of set bits of
+its distinct columns, and fills the joint atoms by list repeats and bit masks in
+C, never a Python step per joint atom.  The result keeps only its grid: the
+rectangles are read off it on first use and kept, so a chain of operations and
+identity checks builds none.  An operation that adds no endpoint stays on its
+grid: a merge with an axis of no or the same endpoints, a complement (columns
+flipped) and a translation (keys moved).
 ``row_masks`` reads the kept grid at one integer ``bisect`` per grid slope,
 and a point (``contains``) is its 1×1 case.
 
@@ -280,18 +283,27 @@ def _shift(axis: _Axis, d) -> _Axis:
 
 
 def _remapped(grid, xaxis: _Axis, yaxis: _Axis) -> list[int]:
-    """The columns of ``grid`` on the joint axes, which hold its endpoints: each y-run of a
-    distinct column and each x-atom spread over the joint atoms inside it.  An axis with as
-    many endpoints as the joint one has the same atoms."""
+    """The columns of ``grid`` on the joint axes, which hold its endpoints: each bit run of a
+    distinct column and each x-atom spread over the joint atoms inside it, a run or an atom
+    per step.  An axis with as many endpoints as the joint one has the same atoms."""
     gx, gy, cols = grid
     if len(gy.keys) < len(yaxis.keys):
-        ys = _atom_starts(gy, yaxis)
-        masks = {c: sum((1 << ys[b + 1]) - (1 << ys[a]) for a, b in _bit_runs(c))
-                 for c in set(cols)}
+        ys, masks = _atom_starts(gy, yaxis), {}
+        for c in set(cols):
+            mask, rest = 0, c
+            while rest:  # the lowest run of set bits, a to b, is joint atoms ys[a] to ys[b + 1] - 1
+                low = rest & -rest
+                above = rest + low  # the run cleared and bit b + 1 set
+                a, b1 = low.bit_length() - 1, (above & -above).bit_length() - 1
+                mask |= (1 << ys[b1]) - (1 << ys[a])
+                rest &= above
+            masks[c] = mask
         cols = [masks[c] for c in cols]
     if len(gx.keys) < len(xaxis.keys):
-        xs = _atom_starts(gx, xaxis)
-        cols = [c for c, lo, hi in zip(cols, xs, xs[1:]) for _ in range(hi - lo)]
+        xs, spread = _atom_starts(gx, xaxis), []
+        for c, lo, hi in zip(cols, xs, xs[1:]):
+            spread += [c] * (hi - lo)
+        cols = spread
     return cols
 
 

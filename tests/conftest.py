@@ -21,8 +21,8 @@ def fibered_keys_200():
 
 @pytest.fixture
 def fresh_witness_table():
-    """Rebuild the witness table's cached rows in a test that replaces one of their builders,
-    and once more after it, so no broken row outlives the test."""
+    """Rebuild the witness table's cached rows in a test that replaces one of their builders or
+    must build them itself, and once more after it, so no broken row outlives the test."""
     from tbsl import foliation
 
     foliation._table.cache_clear()

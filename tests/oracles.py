@@ -5,7 +5,8 @@ by exhaustive search (with provably sound pruning) or one greedy entry per
 step, never a run of entries at once, fibered links by
 enumerating all ±2 sequences directly, region membership by testing
 every rectangle at a probe point of every grid atom, translations by moving
-each rectangle side, verdicts by the rules
+each rectangle side, a region grid's columns on a finer grid one joint atom
+at a time, with endpoints compared as fractions, verdicts by the rules
 applied one point at a time (b1 > 0 read off a Laplace determinant), and
 determinants by Laplace expansion.  The link classifier is the one that
 expands every Schubert lift in full before looking at its entries, and
@@ -173,6 +174,30 @@ def shifted_by_rectangles(region, dx, dy):
     ``CircleInterval.shifted``: the region built from the moved rectangles."""
     rects = tuple((ix.shifted(dx), iy.shifted(dy)) for ix, iy in region.rects)
     return Region2(region.framing, rects)
+
+
+def _holding_atom(axis, joint, j: int) -> int:
+    """The atom of ``axis`` that holds atom ``j`` of the finer ``joint``, by endpoint values: a
+    joint endpoint is the endpoint it equals or else lies in the arc above the endpoints below
+    it, and the open arc below joint endpoint ``k`` lies above as many endpoints of ``axis`` as
+    lie at or below joint endpoint ``k - 1``."""
+    ends = [Fraction(k, axis.den) for k in axis.keys]
+    if j % 2:
+        v = Fraction(joint.keys[j // 2], joint.den)
+        return 2 * ends.index(v) + 1 if v in ends else 2 * sum(1 for e in ends if e < v)
+    below = Fraction(joint.keys[j // 2 - 1], joint.den) if j else None
+    return 2 * sum(1 for e in ends if below is not None and e <= below)
+
+
+def remapped_by_atoms(grid, xaxis, yaxis) -> list[int]:
+    """The columns of a region grid ``(x axis, y axis, columns)`` on joint axes that hold its
+    endpoints, one joint atom at a time: joint x-atom ``i`` takes the column of the grid's x-atom
+    holding it, and sets bit ``j`` when that column sets the grid's y-atom holding joint y-atom
+    ``j``.  An axis is read by its fields only: sorted integer ``keys`` over ``den``."""
+    gx, gy, cols = grid
+    ys = [_holding_atom(gy, yaxis, j) for j in range(2 * len(yaxis.keys) + 1)]
+    return [sum(1 << j for j, a in enumerate(ys) if cols[_holding_atom(gx, xaxis, i)] >> a & 1)
+            for i in range(2 * len(xaxis.keys) + 1)]
 
 
 def verdict_by_rules(analysis, x, y) -> Verdict:

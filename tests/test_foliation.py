@@ -270,6 +270,12 @@ class TestCoverWitnesses:
         for witness in cover_witnesses():
             assert witness.region.equals(witness.target), witness.name
 
+    def test_each_row_witness_is_listed_once_in_first_seen_order(self):
+        rows = list(_table().values())
+        firsts = [w for i, w in enumerate(rows) if not any(v is w for v in rows[:i])]
+        listed = cover_witnesses()
+        assert len(listed) == len(firsts) and all(a is b for a, b in zip(listed, firsts))
+
     @pytest.mark.parametrize("n", [2, 3, 5, 11, 30])
     def test_strips_cover_the_complement(self, n):
         strips = ln_taut_witness_strips(n)
