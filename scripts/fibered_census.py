@@ -6,7 +6,9 @@ the exceptional quadrant links found, and checks that every hyperbolic
 fibered class lands on a row of the witness table that passes its checks
 (``row_holds``, once per row): its witness misses the L-space region and,
 but on ``Ln(1)`` and its mirror, leaves no gap, so the L-space and
-foliation regions partition the finite multislope plane.
+foliation regions partition the finite multislope plane.  A class's key
+depends on the Schubert representative b(p, q') analysed, so each
+q' = q or 1/q (mod p) with |q'| < p is analysed and its key checked.
 """
 
 import argparse
@@ -46,10 +48,15 @@ def main():
         if a.cls.n is not None:
             quadrant_links.append(render_link(link, a.cls))
         if a.cls.is_hyperbolic_fibered:
-            key = witness_key(a.cls)
-            if key not in rows:
-                assert row_holds(a), f"{link} lands on the row {key}, which fails its checks"
-                rows.add(key)
+            # a key depends on the Schubert representative analysed: read every one's
+            qm = link.q % link.p
+            qi = pow(qm, -1, link.p)
+            for q in dict.fromkeys((link.q, qm, qm - link.p, qi, qi - link.p)):
+                b = a if q == link.q else analyse(TwoBridgeLink(link.p, q))
+                key = witness_key(b.cls)
+                if key not in rows:
+                    assert row_holds(b), f"{b.link} lands on the row {key}, which fails its checks"
+                    rows.add(key)
             partition_checked += 1
 
     total = sum(counts.values())

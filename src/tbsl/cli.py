@@ -4,9 +4,10 @@ All mathematics is delegated to the library modules; this module parses
 arguments, assembles reports (a ``verdicts`` grid is ``(xs, ys, rows)``: slope texts
 and one row of ``Verdict`` per x) and renders them as text or exactly as
 ``json.dump(report, indent=2)`` would (see :mod:`tbsl.schema`), writing the JSON
-grid one row at a time.  ``TBSL_LOG`` names a logging level; only then is :mod:`logging`
-imported, and a failure is logged to the ``tbsl`` logger only where it is loaded, since a
-process that never imported it configured no handler.
+grid one row at a time; Python work there is per distinct row, not per point, as each
+distinct row's entry texts are built once.  ``TBSL_LOG`` names a logging level; only then
+is :mod:`logging` imported, and a failure is logged to the ``tbsl`` logger only where it is
+loaded, since a process that never imported it configured no handler.
 """
 
 from __future__ import annotations
@@ -307,7 +308,9 @@ def _print_text(body: dict) -> None:
 
 def _write_json(report: dict, out) -> None:
     """``json.dump(report, out, indent=2)`` and a newline, byte for byte; ``json`` encodes
-    in pure Python under ``indent``, so each grid row is one ``str.join`` and one write."""
+    in pure Python under ``indent``, so each grid row is one ``str.join`` and one write.  The
+    entry texts of a row are built once per call for each distinct row, keyed by its verdicts,
+    so a row that repeats (a shared ``verdict_rows`` tuple, or an equal list) costs one join."""
     verdicts = report.get("verdicts")
     if not verdicts:
         out.write(json.dumps(report, indent=2) + "\n")
@@ -321,11 +324,17 @@ def _write_json(report: dict, out) -> None:
         rest = (f'\n      ],\n      "verdict": "{v.value}",\n'
                 f'      "witness_region": {json.dumps(_WITNESS.get(v))}\n    }}')
         after[v] = [',\n        ' + ey + rest for ey in eys]
+    # by a row's verdicts, its entries' texts after their x slope; the leading "" makes the
+    # join put an entry's head before the first entry too
+    entries = {}
     out.write(head + '\n  "verdicts": [')
     for i, (x, row) in enumerate(zip(xs, rows)):
+        key = tuple(row)
+        if key not in entries:
+            entries[key] = ["", *[after[v][j] for j, v in enumerate(row)]]
         sep = ',\n    {\n      "slope": [\n        ' + enc(x)  # an entry up to its x slope
         # the first entry has no comma before it
-        out.write(sep[i == 0:] + sep.join([after[v][j] for j, v in enumerate(row)]))
+        out.write(sep.join(entries[key])[i == 0:])
     out.write("\n  ]" + tail + "\n")
 
 

@@ -12,10 +12,10 @@ is empty but on ``Ln(1)`` and its mirror.
 
 ``analyse`` builds one :class:`LinkAnalysis` per link; its ``verdict_rows``
 is the package's one verdict engine, and the free function ``verdict`` is
-its 1×1 case.  A grid point costs a few integer operations: the L-space
-region is read one row at a time as a bitmask (``Region2.row_masks``), and
-the fillings that are not rational homology spheres are found per row, not
-per point.
+its 1×1 case.  Its Python work is per distinct row, not per point: the L-space
+region is read one row at a time as a bitmask (``Region2.row_masks``), each
+mask's row of verdicts is built once and shared, and the fillings that are not
+rational homology spheres are found per row and patched into a fresh copy.
 """
 
 from __future__ import annotations
@@ -163,13 +163,15 @@ class LinkAnalysis(Frozen):
         return SurgeryDiagram(((0, lk), (lk, 0)), (s1, s2), framing)
 
     def verdict_rows(self, xs, ys):
-        """Verdicts over the canonical-framing grid ``xs`` × ``ys``, one list per x.
+        """Verdicts over the canonical-framing grid ``xs`` × ``ys``, one tuple per x.
 
         Infinite fillings are reported as such (the three-sphere, lens spaces
         or S²×S¹); fillings with b1 > 0 carry taut foliations for homological
         reasons; the rest split into L-spaces and non-L-spaces with taut
         foliations.  A finite filling has b1 > 0 exactly when x·y = lk²
         (:func:`~tbsl.surgery.is_qhs`): in row x ≠ 0 only at y = lk²/x.
+        Equal rows may be one object: every row without such a point is its
+        L-space mask's one base tuple, and a row with one is a fresh tuple.
         """
         lspace = self.lspace  # rejects out-of-scope links before any slope is read
         lk2 = self.linking * self.linking
@@ -179,25 +181,28 @@ class LinkAnalysis(Frozen):
             positions.setdefault(key, []).append(j)
         infinite = positions.pop(None, [])
         by_membership = (Verdict.NLS_WITH_TAUT_FOLIATION, Verdict.L_SPACE)
-        bases: dict[int, list[Verdict]] = {}
+        bases: dict[int, tuple[Verdict, ...]] = {}
         for x, mask in zip(xs, lspace.row_masks(xs, ys)):
             if x.is_infinity:
-                yield [Verdict.INFINITY_FILLING] * len(ys)
+                yield (Verdict.INFINITY_FILLING,) * len(ys)
                 continue
             if mask not in bases:
                 base = [by_membership[mask >> j & 1] for j in range(len(ys))]
                 for j in infinite:
                     base[j] = Verdict.INFINITY_FILLING
-                bases[mask] = base
-            row = bases[mask].copy()
+                bases[mask] = tuple(base)
             if x.value:
                 n, d = x.value.as_integer_ratio()
                 g = math.gcd(lk2 * d, n) * (1 if n > 0 else -1)  # lk²/x = lk²·d/n, reduced
                 betti = positions.get((lk2 * d // g, n // g), ())
             else:
                 betti = [j for js in positions.values() for j in js] if lk2 == 0 else ()
-            for j in betti:
-                row[j] = Verdict.NOT_QHS_TAUT_BY_BETTI
+            row = bases[mask]
+            if betti:  # a fresh row; the others share their mask's base row
+                row = list(row)
+                for j in betti:
+                    row[j] = Verdict.NOT_QHS_TAUT_BY_BETTI
+                row = tuple(row)
             yield row
 
 

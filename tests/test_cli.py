@@ -576,6 +576,36 @@ def test_json_writer_matches_json_dump(xs, ys, rows):
     assert "".join(writes_of(report)) == json.dumps(json_dump_form(report), indent=2) + "\n"
 
 
+#: Slope texts for the writer's axes: ``inf``, integers, fractions and a non-ASCII text.
+_AXIS_TEXTS = ("inf", "0", "12", "-7/3", "1/2", '"a\u00e9"')
+
+
+@st.composite
+def repeated_rows_grid_st(draw):
+    """A grid whose rows come from a small pool: one shared row object at several x, equal
+    rows that are distinct lists and tuples, and rows that differ in one Betti position."""
+    ys = draw(st.lists(st.sampled_from(_AXIS_TEXTS), min_size=1, max_size=6))
+    pool = []
+    for _ in range(2):  # two base rows, as two L-space masks give
+        base = draw(st.lists(st.sampled_from(list(V)), min_size=len(ys), max_size=len(ys)))
+        patched = base.copy()
+        patched[draw(st.integers(0, len(ys) - 1))] = V.NOT_QHS_TAUT_BY_BETTI
+        pool += [tuple(base), tuple(base), base, list(base), tuple(patched), patched]
+    rows = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=10))
+    xs = draw(st.lists(st.sampled_from(_AXIS_TEXTS), min_size=len(rows), max_size=len(rows)))
+    return xs, ys, rows
+
+
+@settings(max_examples=200)
+@given(repeated_rows_grid_st())
+def test_json_writer_matches_json_dump_on_repeated_rows(grid):
+    report = {"command": "sweep", "ok": True, "input": {"link": "b(8,5)"},
+              "verdicts": grid, "timing_ms": 3}
+    writes = writes_of(report)
+    assert "".join(writes) == json.dumps(json_dump_form(report), indent=2) + "\n"
+    assert len(writes) == len(grid[0]) + 2
+
+
 def test_json_writer_streams_one_grid_row_per_write():
     # a W = 100 report is megabytes: it is written a row at a time, never joined whole
     body = handler_body("sweep", "b(62,-3)", "--window", "100")

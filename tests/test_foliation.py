@@ -588,6 +588,29 @@ def test_verdict_rows_match_the_rules_point_by_point(data):
     rows = list(a.verdict_rows(xs, ys))
     assert len(rows) == len(xs)
     for x, row in zip(xs, rows):
-        assert row == [verdict_by_rules(a, x, y) for y in ys], x
+        assert row == tuple(verdict_by_rules(a, x, y) for y in ys), x
     x, y = data.draw(st.sampled_from(xs)), data.draw(st.sampled_from(ys))
     assert verdict(a.link, (x, y)) is verdict_by_rules(a, x, y)
+
+
+@pytest.mark.parametrize("link, window, step", [
+    ("b(62,-3)", 100, Fraction(1)),  # Ln(10): Betti rows at x = ±1, ±3, ±9, ±27, ±81
+    ("b(62,3)", 100, Fraction(1)),  # its mirror
+    ("b(80,33)", 30, Fraction(1, 3)),  # lk = 0: the x = 0 row is all Betti
+])
+def test_verdict_rows_share_one_tuple_per_mask(link, window, step):
+    a = analyse(parse_link(link))
+    axis = [Slope(k * step - window) for k in range(int(2 * window / step) + 1)]
+    rows = list(a.verdict_rows(axis, axis))
+    masks = list(a.lspace.row_masks(axis, axis))
+    assert all(type(row) is tuple for row in rows)
+    betti = [row for row in rows if Verdict.NOT_QHS_TAUT_BY_BETTI in row]
+    assert betti
+    shared = {}  # mask -> ids of the rows without a Betti point
+    for mask, row in zip(masks, rows):
+        if Verdict.NOT_QHS_TAUT_BY_BETTI not in row:
+            shared.setdefault(mask, set()).add(id(row))
+    assert all(len(ids) == 1 for ids in shared.values())
+    assert len({id(row) for row in rows}) <= len(set(masks)) + len(betti)
+    if a.linking == 0:
+        assert rows[axis.index(Slope(0))] == (Verdict.NOT_QHS_TAUT_BY_BETTI,) * len(axis)

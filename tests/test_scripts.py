@@ -60,6 +60,20 @@ def test_a_broken_row_fails_verify_covers_and_the_census(monkeypatch, capsys, fa
         run_script(monkeypatch, capsys, "fibered_census.py", "--max-p", "30")
 
 
+def test_the_census_checks_the_row_of_every_schubert_representative(monkeypatch, capsys):
+    # b(30,11) reads (family 2, mirrored, (T,T,F,T)), a key no representative the census
+    # walks reaches: with that row gone, only the other representatives find it missing
+    from tbsl import foliation
+    from tbsl.twobridge import LinkFamily
+
+    key = (LinkFamily.FAMILY2_INTERIOR, True, (True, True, False, True))
+    table = foliation._table
+    assert key in table()
+    monkeypatch.setattr(foliation, "_table", lambda: {k: w for k, w in table().items() if k != key})
+    with pytest.raises(AssertionError, match="fails its checks"):
+        run_script(monkeypatch, capsys, "fibered_census.py", "--max-p", "30")
+
+
 def test_region_gallery(monkeypatch, capsys, tmp_path):
     out = run_script(
         monkeypatch, capsys, "region_gallery.py", "--out", str(tmp_path), "b(8,5)"
