@@ -53,7 +53,7 @@ def main():
             qi = pow(qm, -1, link.p)
             for q in dict.fromkeys((link.q, qm, qm - link.p, qi, qi - link.p)):
                 b = a if q == link.q else analyse(TwoBridgeLink(link.p, q))
-                key = witness_key(b.cls)
+                key = witness_key(b)
                 if key not in rows:
                     assert row_holds(b), f"{b.link} lands on the row {key}, which fails its checks"
                     rows.add(key)

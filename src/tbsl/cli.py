@@ -245,7 +245,7 @@ _VERDICT_GLYPH = {
 }
 
 
-def _print_sweep_table(xs: list[str], ys: list[str], rows: list[list]) -> None:
+def _print_sweep_table(xs: list[str], ys: list[str], rows: list[tuple]) -> None:
     """The grid with y rising up the page; both axes come ascending."""
     width = max(map(len, xs))
     label = max(map(len, ys))

@@ -5,10 +5,11 @@ twists, regions carrying coorientable taut foliations (``lemma_regions``), and
 ``_route`` carries a companion link's realised boxes to the canonical framing.
 One witness table, keyed off the ±2 chain (``witness_key``), says which witness
 decides each fibered hyperbolic link: ``Ln(n)``'s strips, or one of the five
-``cover_witnesses``, each the whole plane, so every other link has no L-space
-filling and shares one pair of regions.  The foliation region is the witness and
-the gap, the complement of both; ``row_holds`` checks each row once, and the gap
-is empty but on ``Ln(1)`` and its mirror.
+``cover_witnesses``, each the whole plane.  A link's regions are one row: the
+L-space region, the witness, the gap (the complement of both) and the foliation
+region (witness and gap), built once per ``Ln`` key; every other link reads one
+shared row with no L-space filling and computes no key.  ``row_holds`` checks
+each row once; the gap is empty but on ``Ln(1)`` and its mirror.
 
 ``analyse`` builds one :class:`LinkAnalysis` per link; its ``verdict_rows``
 is the package's one verdict engine, and the free function ``verdict`` is
@@ -70,10 +71,9 @@ def lemma_regions(census: SignCensus) -> Region2:
         rect for fires, rects in zip(_pattern(census), clauses) if fires for rect in rects))
 
 
-#: The regions shared by every non-exceptional fibered hyperbolic link: the empty L-space
-#: region and gap, and the plane that is its witness and foliation region.
-_EMPTY = Region2.empty(Framing.CANONICAL)
-_WHOLE_PLANE = Region2.finite_plane(Framing.CANONICAL)
+#: The row shared by every fibered hyperbolic link outside ``Ln``: the empty L-space region, the
+#: plane that is its witness, and the same two regions again as its gap and foliation region.
+_SHARED_ROW = (Region2.empty(Framing.CANONICAL), Region2.finite_plane(Framing.CANONICAL)) * 2
 
 
 class Verdict(Enum):
@@ -89,10 +89,11 @@ class LinkAnalysis(Frozen):
     """A classified link and the facts the verdict engine reads about it.
 
     :func:`analyse` classifies the link once; every other fact (the signed
-    linking number, the regions) is computed on first use and kept, so a
-    view computes only what it reads.  The twist word and its sign census
-    are left to the code that reports them.  Reading the regions, or asking
-    for a verdict, rejects torus and non-fibered links.
+    linking number, the row) is computed on first use and kept.  The four
+    regions are views of the row, which the link shares with every link of its
+    key.  The twist word and its sign census are left to the code that reports
+    them.  Reading the regions, or asking for a verdict, rejects torus and
+    non-fibered links.
     """
 
     _fields = ("link", "cls")
@@ -107,39 +108,38 @@ class LinkAnalysis(Frozen):
         return None if chain is None else linking_number(chain)
 
     @cached_property
-    def lspace(self) -> Region2:
-        """Finite L-space multislopes, canonical framing.
-
-        The quadrant [n, inf)² for the n-th exceptional link, its negation for
-        the mirror; every other fibered hyperbolic link returns the one shared
-        empty region, which its witness, the whole plane, proves.  This is the
-        scope gate of the package: torus and non-fibered links are rejected.
-        """
+    def row(self) -> tuple[Region2, Region2, Region2, Region2]:
+        """The L-space region, witness, gap and foliation region, canonical framing: ``Ln(n)``'s
+        row or its mirror's, else the shared row, with no key computed.  This is the scope gate
+        of the package: torus and non-fibered links are rejected."""
         family = self.cls.family
         if family is LinkFamily.TORUS:
-            raise OutOfScope(
-                f"{self.link} is a torus link: out of scope (surgeries are graph manifolds)"
-            )
+            raise OutOfScope(f"{self.link} is a torus link: out of scope "
+                             "(surgeries are graph manifolds)")
         if family is LinkFamily.NON_FIBERED:
             raise OutOfScope(f"{self.link} is not fibered")
-        return _EMPTY if self.cls.n is None else _quadrant(family, self.cls.n)
+        return _SHARED_ROW if self.cls.n is None else _ln_row(family, self.cls.n)
+
+    @property
+    def lspace(self) -> Region2:
+        """Finite L-space multislopes: ``Ln(n)``'s quadrant [n, inf)², negated for the mirror;
+        empty for every other link, which its witness, the whole plane, proves."""
+        return self.row[0]
 
     @property
     def witness(self) -> Region2:
-        """The table's witness: the shared plane, with no key computed, or ``Ln(n)``'s row."""
-        return _WHOLE_PLANE if self.lspace is _EMPTY else _ln_row(self.cls.family, self.cls.n)[0]
+        """The table's witness: ``Ln(n)``'s strips, negated for the mirror, else the plane."""
+        return self.row[1]
 
     @property
     def gap(self) -> Region2:
         """The complement of the L-space region and the witness: empty but on ``Ln(1)``'s row."""
-        return _EMPTY if self.lspace is _EMPTY else _ln_row(self.cls.family, self.cls.n)[1]
+        return self.row[2]
 
-    @cached_property
+    @property
     def foliation(self) -> Region2:
-        """Finite multislopes with coorientable taut foliations, canonical framing: the witness
-        and the gap, the shared plane for the generic families and fresh for each ``Ln`` link."""
-        witness, gap = self.witness, self.gap
-        return witness if gap is _EMPTY else witness.union(gap)
+        """Finite multislopes with coorientable taut foliations: the witness and the gap."""
+        return self.row[3]
 
     @property
     def window(self) -> int:
@@ -148,12 +148,10 @@ class LinkAnalysis(Frozen):
 
     def regions(self, framing: Framing) -> tuple[Region2, Region2]:
         """The L-space and foliation regions in the given framing."""
-        ls, fol = self.lspace, self.foliation
-        if framing is Framing.SEIFERT:
-            lk = self.linking
-            ls = ls.shifted(lk, lk).with_framing(Framing.SEIFERT)
-            fol = fol.shifted(lk, lk).with_framing(Framing.SEIFERT)
-        return ls, fol
+        if framing is Framing.CANONICAL:
+            return self.lspace, self.foliation
+        lk = self.linking
+        return tuple(r.shifted(lk, lk).with_framing(framing) for r in (self.lspace, self.foliation))
 
     def diagram(self, s1, s2, framing: Framing) -> SurgeryDiagram:
         """The link as a two-component surgery diagram filled at (s1, s2)."""
@@ -324,9 +322,11 @@ class CoverWitness(Frozen):
 # the witness table
 
 
-def witness_key(cls: LinkClass) -> tuple:
-    """The table key of a fibered hyperbolic class: (family, n) for ``Ln`` and its mirror,
-    (family, mirrored, length 3) for family 1, else (family, mirrored, the census's clauses)."""
+def witness_key(a: LinkAnalysis) -> tuple:
+    """The table key of an analysed link: (family, n) for ``Ln`` and its mirror, (family,
+    mirrored, length 3) for family 1, else (family, mirrored, the census's clauses)."""
+    a.row  # the scope gate: a torus or non-fibered link has no key
+    cls = a.cls
     if cls.n is not None:
         return cls.family, cls.n
     if cls.family is LinkFamily.FAMILY1:
@@ -356,29 +356,26 @@ def _table() -> dict[tuple, CoverWitness]:
     }
 
 
-def _quadrant(family: LinkFamily, n: int) -> Region2:
-    """The L-space quadrant [n, inf)² of ``Ln(n)``, negated for its mirror."""
+@functools.cache
+def _ln_row(family: LinkFamily, n: int) -> tuple[Region2, Region2, Region2, Region2]:
+    """The row of the key (family, n): the quadrant [n, inf)², the witness (the strips, or for
+    ``Ln(1)`` = L(2,-2,-2) its census region and the box holding the slope -1), both negated for
+    the mirror, the gap, and the foliation region: witness and gap, or the witness if no gap."""
     arc = CircleInterval.closed(n, INFINITY)
     quadrant = Region2(Framing.CANONICAL, ((arc, arc),))
-    return quadrant.negated() if family is LinkFamily.LN_MIRROR else quadrant
-
-
-@functools.cache
-def _ln_row(family: LinkFamily, n: int) -> tuple[Region2, Region2]:
-    """Witness and gap on the key (family, n): the strips, or for ``Ln(1)`` = L(2,-2,-2) its census
-    region and the one box that holds the slope -1; negated for the mirror."""
     witness = ln_taut_witness_strips(n) if n > 1 else _route(
         _LN_LINKING, (-1,), _LN_SURFACE_BOXES[1:2], lemma_regions(SignCensus(1, 0, 1, 1)))
     if family is LinkFamily.LN_MIRROR:
-        witness = witness.negated()
-    return witness, _quadrant(family, n).union(witness).complement()
+        quadrant, witness = quadrant.negated(), witness.negated()
+    gap = quadrant.union(witness).complement()
+    return quadrant, witness, gap, witness if gap.is_empty() else witness.union(gap)
 
 
 def row_holds(a: LinkAnalysis) -> bool:
     """Whether ``a``'s row passes its checks: a row but ``Ln``'s exists and is the whole plane;
     an ``Ln`` witness misses the quadrant and leaves no gap, but on ``Ln(1)``."""
     if a.cls.n is None:
-        row = _table().get(witness_key(a.cls))
+        row = _table().get(witness_key(a))
         return row is not None and row.region.equals(row.target)
     return a.witness.intersect(a.lspace).is_empty() and (a.cls.n == 1 or a.gap.is_empty())
 

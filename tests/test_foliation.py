@@ -127,7 +127,7 @@ class TestFoliationRegion:
         assert first.lspace.is_empty() and first.foliation.equals(CANONICAL_PLANE)
         for link in (ln_link(1), ln_link(3), ln_link(3).mirror()):
             a, b = analyse(link), analyse(link)
-            assert a.lspace is not b.lspace and a.foliation is not b.foliation, link
+            assert a.lspace is b.lspace and a.foliation is b.foliation, link
             assert a.lspace is not first.lspace and a.foliation is not first.foliation, link
 
     def test_operations_leave_the_shared_regions_unchanged(self):
@@ -138,21 +138,25 @@ class TestFoliationRegion:
 
         shared = analyse(parse_link("L(-2,-2,-2)"))
         empty, plane = shared.lspace, shared.foliation
-        before = grid(empty), grid(plane)
+        ln_links = (ln_link(3), ln_link(3).mirror())
+        ln_rows = [analyse(link).row for link in ln_links]  # shared by every analysis of the key
+        kept = [empty, plane, *(region for row in ln_rows for region in row)]
+        before = [grid(region) for region in kept]
         strip = Region2.box(CircleInterval.open(0, 1), CircleInterval.punctured(INFINITY),
                             Framing.CANONICAL)
         others = (empty, plane, lspace_region(ln_link(3)), foliation_region(ln_link(3)), strip)
         axis = (Slope(-1), Slope(0), Slope(Fraction(1, 2)), Slope(3), INFINITY)
-        for region in (empty, plane):
-            region.complement()
+        for region in kept:
+            region.complement(), region.negated(), region.shifted(2, -1), region.canonical()
             list(region.row_masks(axis, axis))
             for other in others:
                 for a, b in ((region, other), (other, region)):
                     a.union(b), a.intersect(b), a.difference(b), a.equals(b), a.covers(b)
-        assert (grid(empty), grid(plane)) == before
+        assert [grid(region) for region in kept] == before
         assert empty.is_empty()
         assert plane.equals(Region2.finite_plane(Framing.CANONICAL))
         assert analyse(parse_link("b(18,5)")).foliation is plane
+        assert all(analyse(link).row is row for link, row in zip(ln_links, ln_rows))
 
     def test_default_window_shows_the_quadrant_corner(self):
         # at least 5, and two past the corner (n, n) of Ln(n)'s quadrant
@@ -340,7 +344,7 @@ class TestWitnessTable:
         for link in links_200:
             a = analyse(link)
             if a.cls.is_hyperbolic_fibered:
-                keys.setdefault(witness_key(a.cls), a)
+                keys.setdefault(witness_key(a), a)
         assert all(row_holds(a) for a in keys.values())
         assert {k for k in keys if len(k) == 3} <= set(_table())
         assert {w.name for w in cover_witnesses()} == {
@@ -349,11 +353,19 @@ class TestWitnessTable:
 
     def test_keys(self):
         t, f = True, False
-        assert witness_key(classify(ln_link(4).mirror())) == (LinkFamily.LN_MIRROR, 4)
-        assert witness_key(classify(parse_link("L(2,2,2)"))) == (LinkFamily.FAMILY1, t, t)
-        assert witness_key(classify(parse_link("L(-2,-2,-2,-2,-2)"))) == (LinkFamily.FAMILY1, f, f)
-        key = witness_key(classify(parse_link("b(18,5)")))
+        assert witness_key(analyse(ln_link(4).mirror())) == (LinkFamily.LN_MIRROR, 4)
+        assert witness_key(analyse(parse_link("L(2,2,2)"))) == (LinkFamily.FAMILY1, t, t)
+        assert witness_key(analyse(parse_link("L(-2,-2,-2,-2,-2)"))) == (LinkFamily.FAMILY1, f, f)
+        key = witness_key(analyse(parse_link("b(18,5)")))
         assert key[0] is LinkFamily.GENERIC_FIBERED and len(key[2]) == 4
+
+    @pytest.mark.parametrize("spec, reason", [("b(10,3)", "not fibered"), ("L(2)", "torus")])
+    def test_out_of_scope_links_have_no_key_and_no_row(self, spec, reason):
+        # the row's scope gate: a non-fibered link has no chain to key, a torus link no row
+        a = analyse(parse_link(spec))
+        for read in (witness_key, row_holds):
+            with pytest.raises(OutOfScope, match=reason):
+                read(a)
 
     def test_a_key_outside_the_table_fails_its_row(self, monkeypatch):
         a = analyse(parse_link("b(18,5)"))
@@ -386,10 +398,30 @@ class TestWitnessTable:
 
     def test_ln_rows_are_built_once_per_key(self):
         a, b = analyse(ln_link(6)), analyse(ln_link(6))
-        assert a.witness is b.witness and a.gap is b.gap and a.foliation is not b.foliation
+        assert a.witness is b.witness and a.gap is b.gap and a.foliation is b.foliation
         assert a.witness.equals(ln_taut_witness_strips(6))
         mirror = analyse(ln_link(6).mirror())
         assert mirror.witness.equals(a.witness.negated()) and mirror.witness is not a.witness
+
+    def test_a_built_row_builds_no_region_again(self, monkeypatch):
+        import tbsl.regions
+
+        def reads(link):
+            a = analyse(link)
+            return (a.lspace, a.witness, a.gap, a.foliation, lspace_region(link),
+                    foliation_region(link), verdict(link, (0, 0)))
+
+        links = (ln_link(1), ln_link(3), ln_link(3).mirror())
+        built = [reads(link) for link in links]
+
+        def refuse(*args):
+            raise AssertionError("a region was built")
+
+        monkeypatch.setattr(Region2, "__init__", refuse)
+        monkeypatch.setattr(tbsl.regions, "_reassemble_region", refuse)
+        for link, first in zip(links, built):
+            again = reads(link)
+            assert all(x is y for x, y in zip(again, first)), link
 
     def test_non_ln_links_read_the_shared_plane_without_a_key(self, monkeypatch):
         def refuse(*args):
