@@ -8,7 +8,8 @@ decides each fibered hyperbolic link: ``Ln(n)``'s strips, or one of the five
 ``cover_witnesses``, each the whole plane.  A link's regions are one row: the
 L-space region, the witness, the gap (the complement of both) and the foliation
 region (witness and gap), built once per ``Ln`` key; every other link reads one
-shared row with no L-space filling and computes no key.  ``row_holds`` checks
+shared row with no L-space filling and computes no key.  ``ln_taut_witness_strips(n)``
+is built once per n and is the very witness of the ``Ln(n)`` row.  ``row_holds`` checks
 each row once; the gap is empty but on ``Ln(1)`` and its mirror.
 
 ``analyse`` builds one :class:`LinkAnalysis` per link; its ``verdict_rows``
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -300,9 +302,15 @@ _LN_SURFACE_BOXES = (
 def ln_taut_witness_strips(n: int) -> Region2:
     """Canonical-framing strips witnessing foliations off the quadrant: the companion's
     realised boxes, third slope -1/n, routed with their swap to cover min(r1, r2) < n and
-    miss [n, inf)².  Needs n >= 2 so that -1/n is interior to the realised third factors."""
-    if n < 2:
+    miss [n, inf)².  n is an ``int`` of at least 2, so that -1/n is interior to the realised
+    third factors.  The region is built once per n and is the ``Ln(n)`` row's witness."""
+    if (n := operator.index(n)) < 2:  # before the cache: no float or Fraction key
         raise ValueError("the strip cover needs n >= 2")
+    return _ln_strips(n)
+
+
+@functools.cache
+def _ln_strips(n: int) -> Region2:
     return _route(_LN_LINKING, (Fraction(-1, n),), _LN_SURFACE_BOXES)
 
 

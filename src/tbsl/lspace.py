@@ -20,6 +20,7 @@ the quadrant from the propagation devices instead of trusting it.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterable
 from fractions import Fraction
 
@@ -88,7 +89,7 @@ def verify_ln_chain(n: int) -> bool:
     the (n, n) multislope of the n-th exceptional link with linking n - 1;
     quadrant propagation from that seed reproduces ``lspace_region``.
     """
-    if n < 1:
+    if (n := operator.index(n)) < 1:
         raise ValueError("n must be a positive integer")
     longitude = drilled_longitude(_LN_SEED, 2)
     if longitude != Slope(2):

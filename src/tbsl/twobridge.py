@@ -20,6 +20,7 @@ Torus links and the exceptional ``Ln`` links are recognised by residues.
 
 from __future__ import annotations
 
+import operator
 import re
 from enum import Enum
 from fractions import Fraction
@@ -193,7 +194,7 @@ def detect_Ln(link: TwoBridgeLink) -> tuple[int, bool] | None:
 
 def ln_link(n: int) -> TwoBridgeLink:
     """The n-th link of the exceptional family, b(6n+2, 6n-1) ≅ b(6n+2, -3)."""
-    if n < 1:
+    if (n := operator.index(n)) < 1:
         raise ValueError("n must be a positive integer")
     return TwoBridgeLink(6 * n + 2, 6 * n - 1)
 

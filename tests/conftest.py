@@ -21,12 +21,14 @@ def fibered_keys_200():
 
 @pytest.fixture
 def fresh_witness_table():
-    """Rebuild the witness table's cached rows in a test that replaces one of their builders or
-    must build them itself, and once more after it, so no broken row outlives the test."""
+    """Rebuild the witness table's cached rows and ``Ln`` strips in a test that replaces one of
+    their builders or must build them itself, and once more after it, so no broken row or strip
+    region outlives the test, and no region cached before it hides a broken builder."""
     from tbsl import foliation
 
-    foliation._table.cache_clear()
-    foliation._ln_row.cache_clear()
+    caches = (foliation._table, foliation._ln_row, foliation._ln_strips)
+    for cache in caches:
+        cache.cache_clear()
     yield
-    foliation._table.cache_clear()
-    foliation._ln_row.cache_clear()
+    for cache in caches:
+        cache.cache_clear()

@@ -342,6 +342,18 @@ class TestVerifyCommands:
         code, report = run_json(capsys, "verify-covers", "--max", "3")
         assert code == 1 and not report["ok"]
 
+    @pytest.mark.parametrize("dropped", range(4))
+    def test_strips_cached_before_a_broken_builder_do_not_hide_it(self, capsys, monkeypatch,
+                                                                 request, dropped):
+        # the fixture's clearing is what this checks: strips cached before it must be rebuilt
+        foliation.ln_taut_witness_strips(2), foliation.ln_taut_witness_strips(3)
+        request.getfixturevalue("fresh_witness_table")
+        boxes = foliation._LN_SURFACE_BOXES
+        monkeypatch.setattr(foliation, "_LN_SURFACE_BOXES", boxes[:dropped] + boxes[dropped + 1:])
+        code, out, _ = run(capsys, "verify-covers", "--max", "3")
+        assert code == 1
+        assert "FAIL  ln-strips n=2" in out and "FAIL  ln-strips n=3" in out
+
 
 @pytest.mark.parametrize(
     "argv, message",

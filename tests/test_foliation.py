@@ -140,7 +140,8 @@ class TestFoliationRegion:
         empty, plane = shared.lspace, shared.foliation
         ln_links = (ln_link(3), ln_link(3).mirror())
         ln_rows = [analyse(link).row for link in ln_links]  # shared by every analysis of the key
-        kept = [empty, plane, *(region for row in ln_rows for region in row)]
+        strips = ln_taut_witness_strips(3)  # the Ln(3) row's witness, shared by every caller
+        kept = [empty, plane, strips, *(region for row in ln_rows for region in row)]
         before = [grid(region) for region in kept]
         strip = Region2.box(CircleInterval.open(0, 1), CircleInterval.punctured(INFINITY),
                             Framing.CANONICAL)
@@ -294,6 +295,22 @@ class TestCoverWitnesses:
             with pytest.raises(ValueError, match="needs n >= 2"):
                 ln_taut_witness_strips(n)
 
+    @pytest.mark.parametrize("n", [2, 3, 30, 400])
+    def test_strips_are_built_once_and_are_the_rows_witness(self, n):
+        strips = ln_taut_witness_strips(n)
+        assert ln_taut_witness_strips(n) is strips
+        assert analyse(ln_link(n)).witness is strips
+        assert analyse(ln_link(n).mirror()).witness.equals(strips.negated())
+
+    @pytest.mark.parametrize("n", [2.0, 3.0, "3", Fraction(7, 2), Fraction(3)])
+    def test_a_non_integer_index_is_refused_before_any_cached_region(self, n):
+        from tbsl.lspace import verify_ln_chain
+
+        ln_taut_witness_strips(3)  # a cached 3 lets no equal float or Fraction through
+        for build in (ln_link, ln_taut_witness_strips, verify_ln_chain):
+            with pytest.raises(TypeError):
+                build(n)
+
     def test_lemma_regions_fit_inside_foliation_region(self, links_200):
         from tbsl.monodromy import sign_census, twist_word
 
@@ -438,10 +455,10 @@ class TestWitnessTable:
         import subprocess
 
         code = ("import tbsl.cli, tbsl.foliation as f; "
-                "print(f._table.cache_info().currsize, f._ln_row.cache_info().currsize)")
+                "print(*(c.cache_info().currsize for c in (f._table, f._ln_row, f._ln_strips)))")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env={"PYTHONPATH": str(_SRC)}).stdout
-        assert out.split() == ["0", "0"]
+        assert out.split() == ["0", "0", "0"]
 
 
 class TestRoute:
