@@ -7,8 +7,10 @@ fibered class lands on a row of the witness table that passes its checks
 (``row_holds``, once per row): its witness misses the L-space region and,
 but on ``Ln(1)`` and its mirror, leaves no gap, so the L-space and
 foliation regions partition the finite multislope plane.  A class's key
-depends on the Schubert representative b(p, q') analysed, so each
-q' = q or 1/q (mod p) with |q'| < p is analysed and its key checked.
+depends on the lift b(p, q') analysed, so both lifts q' = q mod p and
+q' = q mod p - p are analysed and their keys checked.  The inverse 1/q
+(mod p) reverses the ±2 chain, whose odd length keeps the position parity a
+key reads, so it adds no key.
 """
 
 import argparse
@@ -48,10 +50,9 @@ def main():
         if a.cls.n is not None:
             quadrant_links.append(render_link(link, a.cls))
         if a.cls.is_hyperbolic_fibered:
-            # a key depends on the Schubert representative analysed: read every one's
+            # a key depends on the lift analysed: read both lifts' keys
             qm = link.q % link.p
-            qi = pow(qm, -1, link.p)
-            for q in dict.fromkeys((link.q, qm, qm - link.p, qi, qi - link.p)):
+            for q in (qm, qm - link.p):
                 b = a if q == link.q else analyse(TwoBridgeLink(link.p, q))
                 key = witness_key(b)
                 if key not in rows:

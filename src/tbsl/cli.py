@@ -25,7 +25,7 @@ from json.encoder import encode_basestring_ascii
 
 from . import foliation, lspace, surgery, twobridge
 from .exactq import DIGITS, Slope, cf_eval, even_expand, read_rational
-from .monodromy import sign_census, twist_word
+from .monodromy import twist_word
 from .regions import Framing
 from .svgplot import region_svg
 
@@ -46,11 +46,10 @@ def _classification_dict(a: foliation.LinkAnalysis) -> dict:
         "sign_census": None,
     }
     if cls.chain is not None:
-        word = twist_word(cls.chain)
         d["fibered_expansion"] = list(cls.chain)
         d["linking_number"] = a.linking
-        d["monodromy"] = str(word)
-        c = sign_census(word)
+        d["monodromy"] = str(twist_word(cls.chain))
+        c = foliation.chain_census(cls.chain)
         d["sign_census"] = {name: getattr(c, name) for name in c._fields}
     return d
 

@@ -1,16 +1,12 @@
 """Taut-foliation regions and the surgery verdict engine.
 
-The branched-surface constructions give, per sign pattern of the monodromy
-twists, regions carrying coorientable taut foliations (``lemma_regions``), and
-``_route`` carries a companion link's realised boxes to the canonical framing.
-One witness table, keyed off the ±2 chain (``witness_key``), says which witness
-decides each fibered hyperbolic link: ``Ln(n)``'s strips, or one of the five
-``cover_witnesses``, each the whole plane.  A link's regions are one row: the
-L-space region, the witness, the gap (the complement of both) and the foliation
-region (witness and gap), built once per ``Ln`` key; every other link reads one
-shared row with no L-space filling and computes no key.  ``ln_taut_witness_strips(n)``
-is built once per n and is the very witness of the ``Ln(n)`` row.  ``row_holds`` checks
-each row once; the gap is empty but on ``Ln(1)`` and its mirror.
+The branched-surface constructions give, per sign pattern of the monodromy twists, regions
+carrying coorientable taut foliations (``lemma_regions``), and ``_route`` carries a companion
+link's realised boxes to the canonical framing.  One witness table, keyed off the ±2 chain
+(``witness_key``), says which witness decides each fibered hyperbolic link: ``Ln(n)``'s strips
+(one route at n = 2, translated) or one of the five ``cover_witnesses``, each the whole plane.  A
+link's regions are one row, cached per ``Ln`` key: the L-space region, the witness, the gap and the
+foliation region; every other link reads one shared row and computes no key.
 
 ``analyse`` builds one :class:`LinkAnalysis` per link; its ``verdict_rows``
 is the package's one verdict engine, and the free function ``verdict`` is
@@ -300,18 +296,11 @@ _LN_SURFACE_BOXES = (
 
 
 def ln_taut_witness_strips(n: int) -> Region2:
-    """Canonical-framing strips witnessing foliations off the quadrant: the companion's
-    realised boxes, third slope -1/n, routed with their swap to cover min(r1, r2) < n and
-    miss [n, inf)².  n is an ``int`` of at least 2, so that -1/n is interior to the realised
-    third factors.  The region is built once per n and is the ``Ln(n)`` row's witness."""
+    """Canonical-framing strips witnessing foliations off the quadrant: they cover min(r1, r2) < n
+    and miss [n, inf)², n >= 2.  One route at n = 2, translated: the ``Ln(n)`` row's witness."""
     if (n := operator.index(n)) < 2:  # before the cache: no float or Fraction key
         raise ValueError("the strip cover needs n >= 2")
-    return _ln_strips(n)
-
-
-@functools.cache
-def _ln_strips(n: int) -> Region2:
-    return _route(_LN_LINKING, (Fraction(-1, n),), _LN_SURFACE_BOXES)
+    return _ln_row(LinkFamily.LN, n)[1]
 
 
 class CoverWitness(Frozen):
@@ -366,15 +355,25 @@ def _table() -> dict[tuple, CoverWitness]:
 
 @functools.cache
 def _ln_row(family: LinkFamily, n: int) -> tuple[Region2, Region2, Region2, Region2]:
-    """The row of the key (family, n): the quadrant [n, inf)², the witness (the strips, or for
-    ``Ln(1)`` = L(2,-2,-2) its census region and the box holding the slope -1), both negated for
-    the mirror, the gap, and the foliation region: witness and gap, or the witness if no gap."""
+    """The row of the key (family, n): the quadrant [n, inf)², the witness, both negated for the
+    mirror, the gap (empty but on ``Ln(1)``'s rows), and the foliation region: witness and gap.
+    ``Ln(1)`` = L(2,-2,-2)'s witness is its census region and the box holding the slope -1;
+    ``Ln(2)``'s is the one route of the strips.  Both entries of ``_LN_LINKING``'s third column are
+    ±1 and -1/n lies in the realised third factors (-1,0) and (inf,0) for n >= 2, so the twist
+    at -1/n adds n·lk(i,3)² = n to both slopes (Rolfsen): the strips at n are those at 2 moved
+    by ±(n-2, n-2)."""
+    mirror = family is LinkFamily.LN_MIRROR
     arc = CircleInterval.closed(n, INFINITY)
     quadrant = Region2(Framing.CANONICAL, ((arc, arc),))
-    witness = ln_taut_witness_strips(n) if n > 1 else _route(
-        _LN_LINKING, (-1,), _LN_SURFACE_BOXES[1:2], lemma_regions(SignCensus(1, 0, 1, 1)))
-    if family is LinkFamily.LN_MIRROR:
-        quadrant, witness = quadrant.negated(), witness.negated()
+    if n > 2:
+        d = 2 - n if mirror else n - 2
+        witness = _ln_row(family, 2)[1].shifted(d, d)
+    elif mirror:
+        witness = _ln_row(LinkFamily.LN, n)[1].negated()
+    else:
+        witness = _route(_LN_LINKING, (Fraction(-1, 2),), _LN_SURFACE_BOXES) if n == 2 else _route(
+            _LN_LINKING, (-1,), _LN_SURFACE_BOXES[1:2], lemma_regions(SignCensus(1, 0, 1, 1)))
+    quadrant = quadrant.negated() if mirror else quadrant
     gap = quadrant.union(witness).complement()
     return quadrant, witness, gap, witness if gap.is_empty() else witness.union(gap)
 

@@ -21,12 +21,12 @@ def fibered_keys_200():
 
 @pytest.fixture
 def fresh_witness_table():
-    """Rebuild the witness table's cached rows and ``Ln`` strips in a test that replaces one of
-    their builders or must build them itself, and once more after it, so no broken row or strip
-    region outlives the test, and no region cached before it hides a broken builder."""
+    """Rebuild the witness table's cached rows and ``Ln`` rows in a test that replaces one of
+    their builders or must build them itself, and once more after it, so no broken row outlives
+    the test, and no region cached before it hides a broken builder."""
     from tbsl import foliation
 
-    caches = (foliation._table, foliation._ln_row, foliation._ln_strips)
+    caches = (foliation._table, foliation._ln_row)
     for cache in caches:
         cache.cache_clear()
     yield

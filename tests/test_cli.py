@@ -327,15 +327,19 @@ class TestVerifyCommands:
     @pytest.mark.parametrize("fault", ["gap", "overlap"])
     def test_strip_check_catches_a_gap_and_an_overlap(self, capsys, monkeypatch, fault,
                                                        fresh_witness_table):
-        # (0, 0) is off every Ln quadrant [n, inf)^2 and (n, n) is its corner
-        strips = foliation.ln_taut_witness_strips
+        # (0, 0) is off Ln(2)'s quadrant [2, inf)^2 and (2, 2) is its corner; the fault enters
+        # the one route of the strips, at n = 2, and the translate carries it to n = 3
+        route = foliation._route
 
-        def faulty(n):
-            at = 0 if fault == "gap" else n
+        def faulty(linking, fills, boxes, filled=None):
+            region = route(linking, fills, boxes, filled)
+            if fills != (Fraction(-1, 2),):
+                return region
+            at = 0 if fault == "gap" else 2
             point = Region2.box(CircleInterval.point(at), CircleInterval.point(at), Framing.CANONICAL)
-            return strips(n).difference(point) if fault == "gap" else strips(n).union(point)
+            return region.difference(point) if fault == "gap" else region.union(point)
 
-        monkeypatch.setattr(foliation, "ln_taut_witness_strips", faulty)
+        monkeypatch.setattr(foliation, "_route", faulty)
         code, out, _ = run(capsys, "verify-covers", "--max", "3")
         assert code == 1
         assert "FAIL  ln-strips n=2" in out and "FAIL  ln-strips n=3" in out

@@ -281,14 +281,30 @@ class TestCoverWitnesses:
         listed = cover_witnesses()
         assert len(listed) == len(firsts) and all(a is b for a, b in zip(listed, firsts))
 
-    @pytest.mark.parametrize("n", [2, 3, 5, 11, 30])
+    @pytest.mark.parametrize("n", [2, 3, 5, 11, 30, 400])
     def test_strips_cover_the_complement(self, n):
         strips = ln_taut_witness_strips(n)
         quadrant = lspace_region(ln_link(n))
         assert strips.union(quadrant).equals(CANONICAL_PLANE)
         assert strips.intersect(quadrant).is_empty()
         assert foliation_region(ln_link(n)).covers(strips)
-        assert strips.equals(ln_taut_witness_strips(2).shifted(n - 2, n - 2))
+        # the translate of the n = 2 route is the companion's boxes routed at -1/n itself
+        routed = _route(_LN_LINKING, (Fraction(-1, n),), _LN_SURFACE_BOXES)
+        assert strips.equals(routed)
+        assert analyse(ln_link(n).mirror()).witness.equals(routed.negated())
+
+    def test_both_families_route_the_strips_once(self, monkeypatch, fresh_witness_table):
+        calls = []
+
+        def counted(linking, fills, boxes, filled=None):
+            calls.append((fills, boxes))
+            return _route(linking, fills, boxes, filled)
+
+        monkeypatch.setattr("tbsl.foliation._route", counted)
+        for n in range(2, 51):
+            for link in (ln_link(n), ln_link(n).mirror()):
+                assert row_holds(analyse(link)), link
+        assert calls == [((Fraction(-1, 2),), _LN_SURFACE_BOXES)]
 
     def test_strips_need_n_at_least_two(self):
         for n in (1, 0):
@@ -393,16 +409,17 @@ class TestWitnessTable:
     @pytest.mark.parametrize("fault", ["gap", "overlap"])
     def test_an_ln_row_with_a_gap_or_an_overlap_fails(self, monkeypatch, fresh_witness_table,
                                                         fault):
-        # (0, 0) is off every quadrant [n, inf)^2 and (n, n) is its corner
-        strips = ln_taut_witness_strips
-
-        def faulty(n):
-            at = 0 if fault == "gap" else n
-            dot = CircleInterval.point(at)
+        # (0, 0) is off Ln(2)'s quadrant [2, inf)^2 and (2, 2) is its corner: a fault in the one
+        # route of the strips, at n = 2, reaches the Ln(3) rows through the translate
+        def faulty(linking, fills, boxes, filled=None):
+            region = _route(linking, fills, boxes, filled)
+            if fills != (Fraction(-1, 2),):
+                return region
+            dot = CircleInterval.point(0 if fault == "gap" else 2)
             point = Region2.box(dot, dot, Framing.CANONICAL)
-            return strips(n).difference(point) if fault == "gap" else strips(n).union(point)
+            return region.difference(point) if fault == "gap" else region.union(point)
 
-        monkeypatch.setattr("tbsl.foliation.ln_taut_witness_strips", faulty)
+        monkeypatch.setattr("tbsl.foliation._route", faulty)
         for link in (ln_link(3), ln_link(3).mirror()):
             assert not row_holds(analyse(link)), link
 
@@ -455,10 +472,10 @@ class TestWitnessTable:
         import subprocess
 
         code = ("import tbsl.cli, tbsl.foliation as f; "
-                "print(*(c.cache_info().currsize for c in (f._table, f._ln_row, f._ln_strips)))")
+                "print(*(c.cache_info().currsize for c in (f._table, f._ln_row)))")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env={"PYTHONPATH": str(_SRC)}).stdout
-        assert out.split() == ["0", "0", "0"]
+        assert out.split() == ["0", "0"]
 
 
 class TestRoute:

@@ -36,13 +36,18 @@ def _drop_family2_box(monkeypatch, foliation):
 
 
 def _drop_a_strip_at_3(monkeypatch, foliation):
-    strips = foliation.ln_taut_witness_strips
+    # the rows of n = 3 lose a strip of their witness, and their gap is recomputed
+    row = foliation._ln_row
 
-    def broken(n):
-        region = strips(n)
-        return Region2(region.framing, region.rects[1:]) if n == 3 else region
+    def broken(family, n):
+        quadrant, witness, gap, region = row(family, n)
+        if n != 3:
+            return quadrant, witness, gap, region
+        witness = Region2(witness.framing, witness.rects[1:])
+        gap = quadrant.union(witness).complement()
+        return quadrant, witness, gap, witness.union(gap)
 
-    monkeypatch.setattr(foliation, "ln_taut_witness_strips", broken)
+    monkeypatch.setattr(foliation, "_ln_row", broken)
     return "FAIL  ln-strips n=3"
 
 
@@ -61,8 +66,9 @@ def test_a_broken_row_fails_verify_covers_and_the_census(monkeypatch, capsys, fa
 
 
 def test_the_census_checks_the_row_of_every_schubert_representative(monkeypatch, capsys):
-    # b(30,11) reads (family 2, mirrored, (T,T,F,T)), a key no representative the census
-    # walks reaches: with that row gone, only the other representatives find it missing
+    # b(30,11) reads (family 2, mirrored, (T,T,F,T)), a key no other link with p <= 30 reaches;
+    # the census walks its class as b(30,-19), so only its second lift, b(30,11), finds the row
+    # missing
     from tbsl import foliation
     from tbsl.twobridge import LinkFamily
 
