@@ -5,9 +5,11 @@ arguments, assembles reports (a ``verdicts`` grid is ``(xs, ys, rows)``: slope t
 and one row of ``Verdict`` per x) and renders them as text or exactly as
 ``json.dump(report, indent=2)`` would (see :mod:`tbsl.schema`), writing the JSON
 grid one row at a time; Python work there is per distinct row, not per point, as each
-distinct row's entry texts are built once.  ``TBSL_LOG`` names a logging level; only then
-is :mod:`logging` imported, and a failure is logged to the ``tbsl`` logger only where it is
-loaded, since a process that never imported it configured no handler.
+distinct row's entry texts are built once.  A sweep's axis is integer numerators over the
+step's denominator, each printed with one ``gcd``: no grid slope is a ``Slope``.  ``TBSL_LOG``
+names a logging level; only then is :mod:`logging` imported, and a failure is logged to the
+``tbsl`` logger only where it is loaded, since a process that never imported it configured no
+handler.
 """
 
 from __future__ import annotations
@@ -20,13 +22,12 @@ import os
 import re
 import sys
 import time
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from . import foliation, lspace, surgery, twobridge
 from .exactq import DIGITS, Slope, cf_eval, even_expand, read_rational
 from .monodromy import twist_word
-from .regions import Framing
+from .regions import Framing, point_axes
 from .svgplot import region_svg
 
 
@@ -165,7 +166,7 @@ def _cmd_verdict(args) -> dict:
     return {
         "input": {"link": args.link, "slope": [args.r1, args.r2], "framing": args.framing},
         "classification": _classification_dict(a),
-        "verdicts": ([str(s1)], [str(s2)], list(a.verdict_rows((s1,), (s2,)))),
+        "verdicts": ([str(s1)], [str(s2)], list(a.verdict_rows(*point_axes(d.slopes)))),
     }
 
 
@@ -185,12 +186,13 @@ def _cmd_sweep(args) -> dict:
             "narrow --window or widen --step"
         )
     num, den = step.numerator, step.denominator
-    axis = [Slope(Fraction(k * num - window * den, den)) for k in range(n)]
-    texts = [str(s) for s in axis]
+    axis = [k * num - window * den for k in range(n)]  # numerators over den
+    # each text as str(Fraction(v, den)) writes it: reduced by g, and alone over 1
+    texts = [f"{v // g}/{den // g}" if (g := math.gcd(v, den)) < den else str(v // g) for v in axis]
     return {
         "input": {"link": args.link, "window": window, "step": str(step)},
         "classification": _classification_dict(a),
-        "verdicts": (texts, texts, list(a.verdict_rows(axis, axis))),
+        "verdicts": (texts, texts, list(a.verdict_rows(axis, axis, den))),
     }
 
 

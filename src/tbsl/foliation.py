@@ -10,25 +10,25 @@ foliation region; every other link reads one shared row and computes no key.
 
 ``analyse`` builds one :class:`LinkAnalysis` per link; its ``verdict_rows``
 is the package's one verdict engine, and the free function ``verdict`` is
-its 1×1 case.  Its Python work is per distinct row, not per point: the L-space
-region is read one row at a time as a bitmask (``Region2.row_masks``), each
-mask's row of verdicts is built once and shared, and the fillings that are not
-rational homology spheres are found per row and patched into a fresh copy.
+its 1×1 case.  It reads a grid on integers, each axis numerators over one shared positive
+denominator (``None`` for ``inf``).  Its Python work is per distinct row, not per point: the
+L-space region is read one row at a time as a bitmask (``Region2.row_masks``), each mask's
+row of verdicts is built once and shared, and the fillings that are not rational homology
+spheres are found per row, by one exact division, and patched into a fresh copy.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 import operator
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 
 from .errors import OutOfScope
-from .exactq import INFINITY, CircleInterval, Frozen, Slope
+from .exactq import INFINITY, CircleInterval, Frozen
 from .monodromy import SignCensus
-from .regions import BUILTIN_WEIGHT_FAMILIES, Framing, Region2, family_image
+from .regions import BUILTIN_WEIGHT_FAMILIES, Framing, Region2, family_image, point_axes
 from .surgery import SurgeryDiagram, framing_convert, rolfsen_fill
 from .twobridge import LinkClass, LinkFamily, TwoBridgeLink, classify, linking_number
 
@@ -158,28 +158,29 @@ class LinkAnalysis(Frozen):
         lk = self.linking
         return SurgeryDiagram(((0, lk), (lk, 0)), (s1, s2), framing)
 
-    def verdict_rows(self, xs, ys):
-        """Verdicts over the canonical-framing grid ``xs`` × ``ys``, one tuple per x.
+    def verdict_rows(self, xs, ys, den: int):
+        """Verdicts over the canonical-framing grid ``xs`` × ``ys``, one tuple per x: each axis
+        holds integer numerators over the one ``den`` > 0, unreduced or not, ``None`` for ``inf``.
 
         Infinite fillings are reported as such (the three-sphere, lens spaces
         or S²×S¹); fillings with b1 > 0 carry taut foliations for homological
         reasons; the rest split into L-spaces and non-L-spaces with taut
         foliations.  A finite filling has b1 > 0 exactly when x·y = lk²
-        (:func:`~tbsl.surgery.is_qhs`): in row x ≠ 0 only at y = lk²/x.
+        (:func:`~tbsl.surgery.is_qhs`), on the numerators x·y = lk²·den²: in row x ≠ 0
+        only at y = lk²·den²/x, when x divides lk²·den².
         Equal rows may be one object: every row without such a point is its
         L-space mask's one base tuple, and a row with one is a fresh tuple.
         """
         lspace = self.lspace  # rejects out-of-scope links before any slope is read
-        lk2 = self.linking * self.linking
-        positions: dict[tuple[int, int] | None, list[int]] = {}  # y's (numerator, denominator)
+        betti_product = (self.linking * den) ** 2  # x·y = lk² on the numerators
+        positions: dict[int | None, list[int]] = {}
         for j, y in enumerate(ys):
-            key = None if y.is_infinity else y.value.as_integer_ratio()
-            positions.setdefault(key, []).append(j)
+            positions.setdefault(y, []).append(j)
         infinite = positions.pop(None, [])
         by_membership = (Verdict.NLS_WITH_TAUT_FOLIATION, Verdict.L_SPACE)
         bases: dict[int, tuple[Verdict, ...]] = {}
-        for x, mask in zip(xs, lspace.row_masks(xs, ys)):
-            if x.is_infinity:
+        for x, mask in zip(xs, lspace.row_masks(xs, ys, den)):
+            if x is None:
                 yield (Verdict.INFINITY_FILLING,) * len(ys)
                 continue
             if mask not in bases:
@@ -187,12 +188,10 @@ class LinkAnalysis(Frozen):
                 for j in infinite:
                     base[j] = Verdict.INFINITY_FILLING
                 bases[mask] = tuple(base)
-            if x.value:
-                n, d = x.value.as_integer_ratio()
-                g = math.gcd(lk2 * d, n) * (1 if n > 0 else -1)  # lk²/x = lk²·d/n, reduced
-                betti = positions.get((lk2 * d // g, n // g), ())
+            if x:
+                betti = () if betti_product % x else positions.get(betti_product // x, ())
             else:
-                betti = [j for js in positions.values() for j in js] if lk2 == 0 else ()
+                betti = [j for js in positions.values() for j in js] if not betti_product else ()
             row = bases[mask]
             if betti:  # a fresh row; the others share their mask's base row
                 row = list(row)
@@ -214,7 +213,7 @@ def foliation_region(link: TwoBridgeLink) -> Region2:
 
 def verdict(link: TwoBridgeLink, slope: tuple) -> Verdict:
     """Verdict for the canonical-framing multislope ``slope`` of ``link``."""
-    return next(analyse(link).verdict_rows((Slope.of(slope[0]),), (Slope.of(slope[1]),)))[0]
+    return next(analyse(link).verdict_rows(*point_axes(slope)))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,9 @@ rectangles are read off it on first use and kept, so a chain of operations and
 identity checks builds none.  An operation that adds no endpoint stays on its
 grid: a merge with an axis of no or the same endpoints, a complement (columns
 flipped) and a translation (keys moved).
-``row_masks`` reads the kept grid at one integer ``bisect`` per grid slope,
-and a point (``contains``) is its 1×1 case.
+``row_masks`` reads a grid of integer numerators over one denominator (``None``
+for ``inf``) at one integer ``bisect`` per grid slope; a point (``contains``) is
+its 1×1 case.
 
 Weight families are linear forms over open boxes; :func:`family_image`
 gives the open arc of slopes each one realises.
@@ -74,16 +75,15 @@ def _atom_runs(iv: CircleInterval, axis: _Axis) -> tuple[tuple[int, int], ...]:
     lo, hi, top = iv.lo.value, iv.hi.value, 2 * len(axis.keys)
     if lo is None and hi is None and iv.lo_closed:
         return ()  # [inf,inf], the point at infinity
-    first = 0 if lo is None else _atom_of(axis, lo) + (0 if iv.lo_closed else 1)
-    last = top if hi is None else _atom_of(axis, hi) - (0 if iv.hi_closed else 1)
+    first = 0 if lo is None else _atom_of(axis, *lo.as_integer_ratio()) + (not iv.lo_closed)
+    last = top if hi is None else _atom_of(axis, *hi.as_integer_ratio()) - (not iv.hi_closed)
     return ((first, last),) if first <= last else ((first, top), (0, last))
 
 
-def _atom_of(axis: _Axis, v: Fraction) -> int:
-    """The atom holding the finite value ``v = n/d``, on the grid or not: ``bisect`` finds
-    the first key at or above the ceiling of ``n * den / d``, and ``v`` is that endpoint
-    exactly when ``key * d == n * den``."""
-    n, d = v.as_integer_ratio()
+def _atom_of(axis: _Axis, n: int, d: int) -> int:
+    """The atom holding the value ``n/d``, ``d > 0`` and the ratio not necessarily reduced, on
+    the grid or not: ``bisect`` finds the first key at or above the ceiling of ``n * den / d``,
+    and ``n/d`` is that endpoint exactly when ``key * d == n * den``."""
     k = bisect_left(axis.keys, -(-n * axis.den // d))
     return 2 * k + 1 if k < len(axis.keys) and axis.keys[k] * d == n * axis.den else 2 * k
 
@@ -160,20 +160,21 @@ class Region2(Frozen):
 
     def contains(self, point) -> bool:
         """Membership of one multislope: the 1×1 grid of :meth:`row_masks`."""
-        return bool(next(self.row_masks((Slope.of(point[0]),), (Slope.of(point[1]),))))
+        return bool(next(self.row_masks(*point_axes(point))))
 
-    def row_masks(self, xs, ys):
-        """Yield, per slope x of the sequence ``xs``, an ``int`` whose bit ``j`` says whether
-        ``(x, ys[j])`` lies in the region (0 for an ``inf`` x)."""
+    def row_masks(self, xs, ys, den: int):
+        """Yield, per x of ``xs``, an ``int`` whose bit ``j`` says whether ``(x, ys[j])`` lies in
+        the region: each axis holds integer numerators over ``den`` > 0, ``None`` (never in) for
+        ``inf``."""
         xaxis, yaxis, cols = self._grid
         atom_bits = [0] * (2 * len(yaxis.keys) + 1)
         for j, y in enumerate(ys):
-            if not y.is_infinity:
-                atom_bits[_atom_of(yaxis, y.value)] |= 1 << j
+            if y is not None:
+                atom_bits[_atom_of(yaxis, y, den)] |= 1 << j
         # one row per distinct column; the atoms' bitsets are disjoint, so their sum is their union
         rows = {c: sum(bits for k, bits in enumerate(atom_bits) if c >> k & 1) for c in set(cols)}
         for x in xs:
-            yield 0 if x.is_infinity else rows[cols[_atom_of(xaxis, x.value)]]
+            yield 0 if x is None else rows[cols[_atom_of(xaxis, x, den)]]
 
     # -- grid machinery ----------------------------------------------------
 
@@ -264,6 +265,14 @@ class Region2(Frozen):
             "restrict_to_finite": self.restrict_to_finite,
             "rects": [[str(ix), str(iy)] for ix, iy in self.canonical().rects],
         }
+
+
+def point_axes(point) -> tuple[tuple[int | None], tuple[int | None], int]:
+    """The multislope ``point`` as a 1×1 grid of :meth:`Region2.row_masks`: each finite
+    coordinate a numerator over the lcm of their denominators, ``inf`` as ``None``."""
+    x, y = (Slope.of(s).value for s in point)
+    den = math.lcm(*[v.denominator for v in (x, y) if v is not None])
+    return *((None if v is None else v.numerator * (den // v.denominator),) for v in (x, y)), den
 
 
 def _own_axis(region: Region2, k: int) -> _Axis:

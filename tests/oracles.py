@@ -20,7 +20,7 @@ calculus on Schubert's presentation, without any continued fraction.
 
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from tbsl import LinkClass, LinkFamily, Region2, Slope, TwoBridgeLink, Verdict, even_expand
 
@@ -167,6 +167,16 @@ def member(region, point) -> bool:
     """Brute-force membership of a finite point: one rectangle holds both coordinates."""
     x, y = point
     return any(ix.contains(x) and iy.contains(y) for ix, iy in region.rects)
+
+
+def integer_axes(xs, ys, scale: int = 1):
+    """Two axes of slopes in the grid engine's form ``(xs, ys, den)``: integer numerators over
+    the lcm of every finite denominator times ``scale``, ``None`` for ``inf``; a ``scale``
+    above 1 leaves every numerator a multiple of it, unreduced."""
+    values = [[Slope.of(s).value for s in axis] for axis in (xs, ys)]
+    den = scale * lcm(*(v.denominator for axis in values for v in axis if v is not None))
+    return (*([None if v is None else v.numerator * (den // v.denominator) for v in axis]
+              for axis in values), den)
 
 
 def shifted_by_rectangles(region, dx, dy):

@@ -227,7 +227,22 @@ class TestSweep:
             s1, s2 = (Fraction(s) for s in entry["slope"])
             assert verdict(link, (s1, s2)).value == entry["verdict"]
 
-    @pytest.mark.parametrize("step", ["1", "1/2", "1/3", "2/3", "3/2", "5/7"])
+    def test_grid_slopes_are_no_slope_objects(self, capsys, monkeypatch):
+        # the axis is integers from the handler to the verdict engine and the writer, so a
+        # W = 100 sweep makes as many Slopes as a W = 10 one: none per grid slope
+        argv = ["--json", "sweep", "b(62,-3)", "--window"]
+        assert run(capsys, *argv, "10")[0] == 0  # builds the Ln(10) row and its kept grid
+        made = []
+        init = Slope.__init__
+        monkeypatch.setattr(Slope, "__init__", lambda self, *a: made.append(1) or init(self, *a))
+        counts = []
+        for window in ("10", "100"):
+            made.clear()
+            assert run(capsys, *argv, window)[0] == 0
+            counts.append(len(made))
+        assert counts[0] == counts[1]
+
+    @pytest.mark.parametrize("step", ["1", "1/2", "1/3", "2/3", "3/2", "5/7", "1/4", "5/6"])
     def test_axis_is_the_fraction_grid(self, step):
         window = 4
         body = handler_body("sweep", "b(14,-3)", "--window", str(window), "--step", step)

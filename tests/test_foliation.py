@@ -23,7 +23,7 @@ from tbsl import (
     lspace_region,
     verdict,
 )
-from oracles import verdict_by_rules
+from oracles import integer_axes, verdict_by_rules
 from tbsl.errors import OutOfScope
 from tbsl.foliation import (
     _FAMILY1_LINKING,
@@ -149,7 +149,7 @@ class TestFoliationRegion:
         axis = (Slope(-1), Slope(0), Slope(Fraction(1, 2)), Slope(3), INFINITY)
         for region in kept:
             region.complement(), region.negated(), region.shifted(2, -1), region.canonical()
-            list(region.row_masks(axis, axis))
+            list(region.row_masks(*integer_axes(axis, axis)))
             for other in others:
                 for a, b in ((region, other), (other, region)):
                     a.union(b), a.intersect(b), a.difference(b), a.equals(b), a.covers(b)
@@ -221,7 +221,7 @@ class TestVerdict:
             a = analyse(link)
             assert a.foliation.equals(a.lspace.complement()), link
             assert a.linking == sum(a.cls.chain[0::2]) // 2, link
-            assert len(list(a.verdict_rows(grid, grid))) == len(grid), link
+            assert len(list(a.verdict_rows(*integer_axes(grid, grid)))) == len(grid), link
 
     def test_region_views_classify_once_and_read_no_linking_number(self, monkeypatch):
         # a region view computes only what it reads: every alias of linking_number
@@ -651,12 +651,27 @@ def grid_axes_st(draw, a):
 def test_verdict_rows_match_the_rules_point_by_point(data):
     a = data.draw(fibered_analysis_st())
     xs, ys = data.draw(grid_axes_st(a))
-    rows = list(a.verdict_rows(xs, ys))
+    # over the lcm of the axes' denominators times a scale, so above 1 every numerator is
+    # unreduced: a Betti point and the quadrant corner are found by exact products only
+    rows = list(a.verdict_rows(*integer_axes(xs, ys, data.draw(st.integers(1, 12)))))
     assert len(rows) == len(xs)
     for x, row in zip(xs, rows):
         assert row == tuple(verdict_by_rules(a, x, y) for y in ys), x
     x, y = data.draw(st.sampled_from(xs)), data.draw(st.sampled_from(ys))
     assert verdict(a.link, (x, y)) is verdict_by_rules(a, x, y)
+
+
+def test_verdict_rows_read_unreduced_numerators():
+    # over 2: Ln(3) has lk = 2, so (4, 1) is a Betti point and the corner (3, 3) an L-space;
+    # b(80,33) has lk = 0, so its x = 0 row and its y = 0 column are Betti points
+    for spec, xs, ys in (("b(20,-3)", [8, 6, 4, None], [2, 6, 1, None]),
+                         ("b(80,33)", [0, 2, None, -6], [4, 0, None, -2, 0])):
+        a = analyse(parse_link(spec))
+        rows = list(a.verdict_rows(xs, ys, 2))
+        slopes = [[INFINITY if v is None else Slope(Fraction(v, 2)) for v in axis]
+                  for axis in (xs, ys)]
+        assert rows == [tuple(verdict_by_rules(a, x, y) for y in slopes[1]) for x in slopes[0]]
+        assert Verdict.NOT_QHS_TAUT_BY_BETTI in rows[0]  # x = 4 with y = 1; x = 0 with lk = 0
 
 
 @pytest.mark.parametrize("link, window, step", [
@@ -667,8 +682,8 @@ def test_verdict_rows_match_the_rules_point_by_point(data):
 def test_verdict_rows_share_one_tuple_per_mask(link, window, step):
     a = analyse(parse_link(link))
     axis = [Slope(k * step - window) for k in range(int(2 * window / step) + 1)]
-    rows = list(a.verdict_rows(axis, axis))
-    masks = list(a.lspace.row_masks(axis, axis))
+    rows = list(a.verdict_rows(*integer_axes(axis, axis)))
+    masks = list(a.lspace.row_masks(*integer_axes(axis, axis)))
     assert all(type(row) is tuple for row in rows)
     betti = [row for row in rows if Verdict.NOT_QHS_TAUT_BY_BETTI in row]
     assert betti

@@ -20,7 +20,7 @@ from tbsl import (
     ln_link,
     parse_interval,
 )
-from oracles import grid_probes, member, remapped_by_atoms, shifted_by_rectangles
+from oracles import grid_probes, integer_axes, member, remapped_by_atoms, shifted_by_rectangles
 from tbsl.errors import FramingMismatch
 from tbsl import regions
 from tbsl.regions import BUILTIN_WEIGHT_FAMILIES, _atom_starts, _own_axis
@@ -195,8 +195,8 @@ def test_kernel_matches_membership_oracle(a, b):
     _check_kernel_against_oracle(a, b)
 
 
-def _check_row_masks_against_oracle(region, xs, ys):
-    rows = list(region.row_masks(xs, ys))
+def _check_row_masks_against_oracle(region, xs, ys, scale=1):
+    rows = list(region.row_masks(*integer_axes(xs, ys, scale)))
     assert len(rows) == len(xs)
     for x, mask in zip(xs, rows):
         assert mask >> len(ys) == 0
@@ -224,13 +224,22 @@ def test_contains_matches_membership_oracle(a, b, extra):
 @settings(max_examples=100)
 @given(region_st(), st.data())
 def test_row_masks_match_membership_oracle(a, data):
-    # each axis: every probe coordinate, inf and a repeated value, in any order
+    # each axis: every probe coordinate, off-grid values of mixed denominators, inf and
+    # repeated values, in any order, over the lcm of the denominators times a scale, so a
+    # numerator may be unreduced and lands on an endpoint only by an exact product
     probes = grid_probes(a)
-    xs, ys = (
-        data.draw(st.permutations([*dict.fromkeys(p[k] for p in probes), INFINITY, probes[-1][k]]))
-        for k in (0, 1)
-    )
-    _check_row_masks_against_oracle(a, xs, ys)
+    axes = []
+    for k in (0, 1):
+        values = [*dict.fromkeys(p[k] for p in probes), *data.draw(st.lists(_OFF_GRID, max_size=4))]
+        repeats = data.draw(st.lists(st.sampled_from(values), min_size=1, max_size=3))
+        axes.append(data.draw(st.permutations([*values, INFINITY, *repeats])))
+    _check_row_masks_against_oracle(a, *axes, scale=data.draw(st.integers(1, 12)))
+
+
+def test_row_masks_read_unreduced_numerators():
+    # over 2, the numerator 4 is the endpoint 2 itself; 3 and 5 lie on either side of it
+    assert list(box("[2,3)", "(inf,inf)").row_masks([4, 3, 5, 6, None], [0], 2)) == [1, 0, 1, 0, 0]
+    assert list(box("(inf,inf)", "(1,2]").row_masks([0], [4, 2, 3, None, 4], 2)) == [0b10101]
 
 
 @settings(max_examples=60)
@@ -365,6 +374,7 @@ def test_kept_grids_agree_with_regions_built_from_rectangles(chain):
     assert all("_grid" in vars(r) for r in kept[2:])  # every result was handed its grid
     probes = grid_probes(*kept)
     xs, ys = ([*dict.fromkeys(p[k] for p in probes), INFINITY] for k in (0, 1))
+    grid = integer_axes(xs, ys)
     for i, (r, b) in enumerate(zip(kept, map(_without_grid, built))):
         bare = _without_grid(r)
         assert (r == bare, hash(r), repr(r)) == (True, hash(bare), repr(bare))
@@ -374,7 +384,7 @@ def test_kept_grids_agree_with_regions_built_from_rectangles(chain):
         assert r.canonical().rects == b.canonical().rects
         assert r.to_json_dict() == b.to_json_dict()
         assert r.is_empty() == b.is_empty()
-        assert list(r.row_masks(xs, ys)) == list(b.row_masks(xs, ys))
+        assert list(r.row_masks(*grid)) == list(b.row_masks(*grid))
         for r2, b2 in zip(kept, built):
             assert r.covers(r2) == b.covers(_without_grid(b2))
             assert r.equals(r2) == b.equals(_without_grid(b2))
@@ -630,7 +640,7 @@ def _kernel_outputs(boxes, xs, ys):
         "equals": (region.equals(a.union(b)), a.equals(b)),
         "canonical": region.canonical().rects,
         "to_json_dict": region.to_json_dict(),
-        "row_masks": list(region.row_masks(xs, ys)),
+        "row_masks": list(region.row_masks(*integer_axes(xs, ys))),
     }
 
 
