@@ -59,7 +59,7 @@ def _surgery(args, target: Framing) -> tuple[foliation.LinkAnalysis, surgery.Sur
     """``args.link`` analysed, and its surgery at slopes ``args.r1``, ``args.r2`` in
     ``args.framing`` converted to ``target``; a bad link is reported before a bad slope."""
     a = foliation.analyse(twobridge.parse_link(args.link))
-    s1, s2 = Slope.parse(args.r1), Slope.parse(args.r2)
+    s1, s2 = Slope.of(args.r1), Slope.of(args.r2)
     return a, surgery.framing_convert(a.diagram(s1, s2, Framing(args.framing)), target)
 
 

@@ -121,14 +121,8 @@ class Slope(Frozen):
         if isinstance(x, Slope):
             return x
         if isinstance(x, str):
-            return cls.parse(x)
+            return INFINITY if x.strip() == "inf" else cls(read_rational(x, "slope"))
         return cls(as_rat(x))
-
-    @classmethod
-    def parse(cls, text: str) -> "Slope":
-        if text.strip() == "inf":
-            return INFINITY
-        return cls(read_rational(text, "slope"))
 
     @property
     def is_infinity(self) -> bool:
@@ -236,7 +230,7 @@ def parse_interval(text: str) -> CircleInterval:
     if m is None:
         raise ValueError(f"not an interval: {text!r}")
     lb, lo, hi, rb = m.groups()
-    return CircleInterval(Slope.parse(lo), Slope.parse(hi), lb == "[", rb == "]")
+    return CircleInterval(Slope.of(lo), Slope.of(hi), lb == "[", rb == "]")
 
 
 class EvenExpansion(Frozen):

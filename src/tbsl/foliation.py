@@ -221,16 +221,16 @@ def verdict(link: TwoBridgeLink, slope: tuple) -> Verdict:
 
 
 def _route(linking, fills, boxes, filled: Region2 | None = None) -> Region2:
-    """Canonical-framing region of a companion's realised boxes, and their swap.
+    """Canonical-framing region of a companion's realised boxes, as one list of rectangles.
 
     The companion has linking matrix ``linking`` and is Seifert-framed with
     slope 0 on its first two components and ``fills`` on the others; each
     box lists one realised interval per component.  Every filling slope
     must lie in its interval.  Converting the framing and twisting the
     further components away, highest first, shifts the first two
-    coordinates; the same probe gives the filled link's linking number,
-    which carries the Seifert-framing region ``filled`` of the filled link
-    to the canonical framing.
+    coordinates; the same probe gives the filled link's linking number lk.
+    The list holds the moved boxes, each of them swapped, then the Seifert-framing
+    rectangles of ``filled`` moved by (-lk, -lk); no set operation runs.
     """
     companion = SurgeryDiagram(linking, (0, 0, *fills), Framing.SEIFERT)
     for box in boxes:
@@ -241,12 +241,12 @@ def _route(linking, fills, boxes, filled: Region2 | None = None) -> Region2:
     for component in range(companion.n_components - 1, 1, -1):
         probe = rolfsen_fill(probe, component)
     c1, c2 = probe.slopes[0].value, probe.slopes[1].value
-    routed = Region2(Framing.CANONICAL, tuple((b[0].shifted(c1), b[1].shifted(c2)) for b in boxes))
-    routed = routed.union(routed.swapped())
+    rects = [(b[0].shifted(c1), b[1].shifted(c2)) for b in boxes]
+    rects += [(iy, ix) for ix, iy in rects]
     if filled is not None:
         lk = probe.linking[0][1]
-        routed = routed.union(filled.shifted(-lk, -lk).with_framing(Framing.CANONICAL))
-    return routed
+        rects += [(ix.shifted(-lk), iy.shifted(-lk)) for ix, iy in filled.rects]
+    return Region2(Framing.CANONICAL, tuple(rects))
 
 
 #: Three-component companion of the smallest all-negative link; its third
@@ -339,8 +339,9 @@ def _table() -> dict[tuple, CoverWitness]:
     rivers = CoverWitness("mixed-rivers", lemma_regions(SignCensus(1, 1, 1, 0)))
     bridges = CoverWitness("positive-river-mixed-bridges", lemma_regions(SignCensus(1, 0, 1, 2)))
     census = lemma_regions(SignCensus(1, 0, 0, 2))
-    split = Region2(Framing.SEIFERT, (_realised("(inf,1)", "(0,inf)"),))
-    family1 = CoverWitness("family1-generic", census.union(split.union(split.swapped())))
+    split = _realised("(inf,1)", "(0,inf)")
+    family1 = CoverWitness("family1-generic",
+                           Region2(Framing.SEIFERT, (*census.rects, split, split[::-1])))
     small = CoverWitness("family1-small", _route(_FAMILY1_LINKING, (-1,), _FAMILY1_BOXES, census))
     family2 = CoverWitness("family2", _route(_FAMILY2_LINKING, (-1, -1), _FAMILY2_BOXES))
     return {
@@ -367,8 +368,8 @@ def _ln_row(family: LinkFamily, n: int) -> tuple[Region2, Region2, Region2, Regi
     if n > 2:
         d = 2 - n if mirror else n - 2
         witness = _ln_row(family, 2)[1].shifted(d, d)
-    elif mirror:
-        witness = _ln_row(LinkFamily.LN, n)[1].negated()
+    elif mirror:  # the normal form: the route list's inner endpoints would refine every set op
+        witness = _ln_row(LinkFamily.LN, n)[1].canonical().negated()
     else:
         witness = _route(_LN_LINKING, (Fraction(-1, 2),), _LN_SURFACE_BOXES) if n == 2 else _route(
             _LN_LINKING, (-1,), _LN_SURFACE_BOXES[1:2], lemma_regions(SignCensus(1, 0, 1, 1)))

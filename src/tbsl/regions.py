@@ -244,9 +244,6 @@ class Region2(Frozen):
     def negated(self) -> "Region2":
         return Region2(self.framing, tuple((ix.negated(), iy.negated()) for ix, iy in self.rects))
 
-    def swapped(self) -> "Region2":
-        return Region2(self.framing, tuple((iy, ix) for ix, iy in self.rects))
-
     def shifted(self, dx, dy) -> "Region2":
         """Translation by (dx, dy) on the region's own grid: the keys move, the columns stay."""
         xaxis, yaxis, cols = self._grid
@@ -300,6 +297,7 @@ def _remapped(grid, xaxis: _Axis, yaxis: _Axis) -> list[int]:
         ys, masks = _atom_starts(gy, yaxis), {}
         for c in set(cols):
             mask, rest = 0, c
+            # walked inline: through _bit_runs, as a generator or a shared list, measured slower
             while rest:  # the lowest run of set bits, a to b, is joint atoms ys[a] to ys[b + 1] - 1
                 low = rest & -rest
                 above = rest + low  # the run cleared and bit b + 1 set

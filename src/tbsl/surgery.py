@@ -180,6 +180,8 @@ def is_qhs(d: SurgeryDiagram) -> bool:
     Fails exactly when the slopes are {0, inf} or when r1·r2 equals lk²;
     agrees with a nonzero presentation determinant.
     """
+    if d.framing != Framing.CANONICAL:
+        raise FramingMismatch("is_qhs expects canonical framing")
     if d.n_components != 2 or not d.fully_filled():
         raise ValueError("is_qhs expects a fully filled two-component diagram")
     r1, r2 = d.slopes

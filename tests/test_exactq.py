@@ -45,13 +45,13 @@ class TestSlope:
 
     def test_parse_render_roundtrip(self):
         for text in ["inf", "8/5", "-30/11", "2", "0", "-1/3"]:
-            assert str(Slope.parse(text)) == text
+            assert str(Slope.of(text)) == text
 
     @pytest.mark.parametrize("text", ["1e3", "1E3", "0.5", "+3", "1_000", "١٢/٥", "１２"])
     def test_parse_reads_only_digits_over_digits(self, text):
         # Fraction reads each of these, and computes 1e10000000 in full
         with pytest.raises(ValueError, match=r"not of the form \[-\]digits\[/digits\]"):
-            Slope.parse(text)
+            Slope.of(text)
 
     @pytest.mark.parametrize(
         "build",
@@ -64,7 +64,7 @@ class TestSlope:
         ids=["exponent", "plus-underscore", "decimal", "shifted-exponent"],
     )
     def test_text_values_read_only_digits_over_digits(self, build):
-        # as_rat reads text by the rule Slope.parse keeps, not by Fraction's
+        # as_rat reads text by the rule Slope.of keeps, not by Fraction's
         with pytest.raises(ValueError, match=r"not of the form \[-\]digits\[/digits\]"):
             build()
 
@@ -76,7 +76,7 @@ class TestSlope:
     def test_zero_denominator_is_named(self):
         # the text is reported as given, padding included
         with pytest.raises(ZeroDivisionError, match=r"^slope ' 1/0 ' has a zero denominator$"):
-            Slope.parse(" 1/0 ")
+            Slope.of(" 1/0 ")
 
     def test_negation_and_shift(self):
         assert -Slope(Fraction(8, 5)) == Slope(Fraction(-8, 5))

@@ -437,6 +437,15 @@ class TestWitnessTable:
         mirror = analyse(ln_link(6).mirror())
         assert mirror.witness.equals(a.witness.negated()) and mirror.witness is not a.witness
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 7])
+    def test_a_mirror_witness_holds_only_its_normal_forms_endpoints(self, n):
+        # negating the route's own rectangle list would carry endpoints its normal form drops,
+        # and every set operation on the mirror's row would then refine over them
+        witness = analyse(ln_link(n).mirror()).witness
+        bare = Region2(witness.framing, witness.canonical().rects)
+        assert [(a.keys, a.den) for a in witness._grid[:2]] == [
+            (a.keys, a.den) for a in bare._grid[:2]]
+
     def test_a_built_row_builds_no_region_again(self, monkeypatch):
         import tbsl.regions
 
@@ -528,6 +537,22 @@ class TestRoute:
         lk = analyse(parse_link("L(-2,-2,-2)")).linking
         expected = census.shifted(-lk, -lk).with_framing(Framing.CANONICAL)
         assert _route(_FAMILY1_LINKING, (-1,), (), census).equals(expected)
+
+    def test_routes_and_the_table_run_no_set_operation(self, monkeypatch, fresh_witness_table):
+        import tbsl.regions
+
+        calls, combine = [], tbsl.regions._combine
+        monkeypatch.setattr(tbsl.regions, "_combine", lambda *a: calls.append(a) or combine(*a))
+        _table()
+        _route(_LN_LINKING, (Fraction(-1, 2),), _LN_SURFACE_BOXES)  # Ln(2)
+        _route(_LN_LINKING, (-1,), _LN_SURFACE_BOXES[1:2], lemma_regions(SignCensus(1, 0, 1, 1)))
+        assert len(calls) == 0
+
+    def test_the_strips_at_two_are_the_routes_list(self):
+        # the probe at -1/2 shifts the boxes by (0, 2); the last four are the first four swapped
+        rects = ln_taut_witness_strips(2).rects
+        assert rects[:4] == tuple((b[0], b[1].shifted(2)) for b in _LN_SURFACE_BOXES)
+        assert len(rects) == 8 and rects[4:] == tuple((iy, ix) for ix, iy in rects[:4])
 
 
 class TestFamily2Companion:

@@ -102,10 +102,6 @@ class TestSymmetries:
         r = box("[2,inf]", "(0,1)")
         assert r.negated().equals(box("[inf,-2]", "(-1,0)"))
 
-    def test_swap(self):
-        r = box("(0,1)", "(2,3)")
-        assert r.swapped().equals(box("(2,3)", "(0,1)"))
-
     def test_shift(self):
         r = box("(inf,1)", "(0,inf)")
         assert r.shifted(2, -1).equals(box("(inf,3)", "(-1,inf)"))

@@ -195,6 +195,13 @@ class TestQhs:
         with pytest.raises(ValueError, match="fully filled"):
             is_qhs(diagram(((0, 1), (1, 0)), (1, None)))
 
+    def test_seifert_framing_refused(self):
+        # Seifert (1, 1) with lk = 1 is canonical (0, 0): det -1, a rational homology sphere
+        d = diagram(((0, 1), (1, 0)), (1, 1), Framing.SEIFERT)
+        assert presentation_matrix(framing_convert(d, Framing.CANONICAL)).determinant == -1
+        with pytest.raises(FramingMismatch, match="canonical"):
+            is_qhs(d)
+
     def test_zero_infinity_pair(self):
         assert not is_qhs(diagram(((0, 2), (2, 0)), (0, "inf")))
         assert is_qhs(diagram(((0, 2), (2, 0)), (1, "inf")))
