@@ -53,7 +53,6 @@ from .twobridge import (
     linking_number,
     ln_link,
     parse_link,
-    render_link,
     schubert_oriented_equal,
     schubert_unoriented_equal,
 )

@@ -7,9 +7,9 @@ and one row of ``Verdict`` per x) and renders them as text or exactly as
 grid one row at a time; Python work there is per distinct row, not per point, as each
 distinct row's entry texts are built once.  A sweep's axis is integer numerators over the
 step's denominator, each printed with one ``gcd``: no grid slope is a ``Slope``.  ``TBSL_LOG``
-names a logging level; only then is :mod:`logging` imported, and a failure is logged to the
-``tbsl`` logger only where it is loaded, since a process that never imported it configured no
-handler.
+set to any non-empty value turns diagnostics on at ``DEBUG``, the level of the one record the
+CLI writes; only then is :mod:`logging` imported, and a failure is logged to the ``tbsl``
+logger only where it is loaded, since a process that never imported it configured no handler.
 """
 
 from __future__ import annotations
@@ -407,12 +407,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    name = os.environ.get("TBSL_LOG")
-    if name:
+    if os.environ.get("TBSL_LOG"):
         import logging
 
-        level = getattr(logging, name.upper(), None)  # BASIC_FORMAT is no level
-        logging.basicConfig(level=level if isinstance(level, int) else logging.DEBUG)
+        logging.basicConfig(level=logging.DEBUG)
     # parse into our own namespace: after a usage error it still says which
     # subcommand was chosen and whether --json came before it
     args = argparse.Namespace(json=False, command=None)

@@ -27,8 +27,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import KnotNotLink
-from .exactq import (DIGITS, EvenExpansion, Frozen, as_rat, cf_eval, even_entries, even_expand,
-                     read_rational)
+from .exactq import DIGITS, EvenExpansion, Frozen, as_rat, cf_eval, even_entries, read_rational
 
 
 class TwoBridgeLink(Frozen):
@@ -287,7 +286,3 @@ def parse_link(text: str) -> TwoBridgeLink:
         ) from exc
     return TwoBridgeLink.from_fraction(frac)
 
-
-def render_link(link: TwoBridgeLink, cls: LinkClass) -> str:
-    """Canonical rendering: both normal forms plus the tag of the link's class ``cls``."""
-    return f"{link} = L({even_expand(link.fraction())}) [{cls.tag()}]"

@@ -509,10 +509,11 @@ def test_closed_pipe_is_quiet(json_flag, window):
     assert b"Traceback" not in err and b"BrokenPipeError" not in err
 
 
-@pytest.mark.parametrize("level", [None, "debug", "verbose", "basic_format", "_styles"])
+@pytest.mark.parametrize("level", [None, "debug", "info", "warning", "verbose", "basic_format",
+                                   "_styles"])
 def test_tbsl_log_records_a_failed_command_with_its_traceback(level):
-    # off unless TBSL_LOG is set; a name that is no level of logging, such as "verbose"
-    # or "basic_format", means DEBUG
+    # off unless TBSL_LOG is set; any value, a level name above DEBUG such as "info" or
+    # "warning" too, turns on the one record, which is at DEBUG
     src = Path(__file__).resolve().parent.parent / "src"
     env = {k: v for k, v in os.environ.items() if k != "TBSL_LOG"}
     env["PYTHONPATH"] = str(src)

@@ -41,7 +41,8 @@ from tbsl.foliation import (
     witness_key,
 )
 from tbsl.surgery import SurgeryDiagram, framing_convert, presentation_matrix, rolfsen_fill
-from tbsl.twobridge import LinkFamily, TwoBridgeLink, classify, linking_number, parse_link
+from tbsl.twobridge import (LinkFamily, SchubertRelation, TwoBridgeLink, classify, linking_number,
+                            parse_link, schubert_oriented_equal, schubert_unoriented_equal)
 
 _SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 SEIFERT_PLANE = Region2.finite_plane(Framing.SEIFERT)
@@ -391,6 +392,20 @@ class TestWitnessTable:
         assert witness_key(analyse(parse_link("L(-2,-2,-2,-2,-2)"))) == (LinkFamily.FAMILY1, f, f)
         key = witness_key(analyse(parse_link("b(18,5)")))
         assert key[0] is LinkFamily.GENERIC_FIBERED and len(key[2]) == 4
+
+    def test_one_class_fibered_on_two_keys(self):
+        # b(30,-19) is b(30,11) with one component reversed: the two fibrations of one
+        # unoriented class read linking numbers +1 and -1 and land on different rows
+        t, f = True, False
+        link, lift = TwoBridgeLink(30, 11), TwoBridgeLink(30, -19)
+        assert schubert_unoriented_equal(link, lift)
+        assert schubert_oriented_equal(link, lift) is SchubertRelation.COMPONENT_REVERSAL
+        a, b = analyse(link), analyse(lift)
+        assert a.cls.chain == (2, 2, -2, 2, 2) and a.linking == 1
+        assert witness_key(a) == (LinkFamily.FAMILY2_INTERIOR, t, (t, t, f, t))
+        assert b.linking == -1
+        assert witness_key(b) == (LinkFamily.FAMILY2_INTERIOR, t, (f, t, f, t))
+        assert row_holds(a) and row_holds(b)
 
     @pytest.mark.parametrize("spec, reason", [("b(10,3)", "not fibered"), ("L(2)", "torus")])
     def test_out_of_scope_links_have_no_key_and_no_row(self, spec, reason):

@@ -30,6 +30,20 @@ def test_fibered_census(monkeypatch, capsys):
     assert "Ln(1)" in out and "partition verified" in out
 
 
+def test_unoriented_classes_lists_each_class_once_by_its_smaller_negative_lift():
+    # the congruence q <= 1/q (mod p) checked against the oracle's class keys, apart from
+    # the golden bytes
+    from oracles import all_links, unoriented_key
+
+    classes = list(runpy.run_path(str(SCRIPTS / "fibered_census.py"))["unoriented_classes"](200))
+    keys = [unoriented_key(link) for link in classes]
+    assert len(keys) == len(set(keys))
+    assert set(keys) == {unoriented_key(link) for link in all_links(200)}
+    for link in classes:
+        qm = link.q % link.p
+        assert link.q == min(qm, pow(qm, -1, link.p)) - link.p, link
+
+
 def _drop_family2_box(monkeypatch, foliation):
     monkeypatch.setattr(foliation, "_FAMILY2_BOXES", foliation._FAMILY2_BOXES[:1])
     return "FAIL  cover family2"

@@ -31,7 +31,6 @@ from tbsl import (
     linking_number,
     ln_link,
     parse_link,
-    render_link,
     schubert_oriented_equal,
     schubert_unoriented_equal,
 )
@@ -470,10 +469,6 @@ class TestParseRender:
 
     def test_parse_hopf(self):
         assert parse_link("L(2)") == TwoBridgeLink(2, 1)
-
-    def test_render(self):
-        link = TwoBridgeLink(8, 5)
-        assert render_link(link, classify(link)) == "b(8,5) = L(2,-2,-2) [Ln(1)]"
 
     def test_parse_errors(self):
         with pytest.raises(KnotNotLink):
