@@ -1,15 +1,15 @@
 """Command-line front end.
 
-All mathematics is delegated to the library modules; this module parses
-arguments, assembles reports (a ``verdicts`` grid is ``(xs, ys, rows)``: slope texts
-and one row of ``Verdict`` per x) and renders them as text or exactly as
-``json.dump(report, indent=2)`` would (see :mod:`tbsl.schema`), writing the JSON
-grid one row at a time; Python work there is per distinct row, not per point, as each
-distinct row's entry texts are built once.  A sweep's axis is integer numerators over the
-step's denominator, each printed with one ``gcd``: no grid slope is a ``Slope``.  ``TBSL_LOG``
-set to any non-empty value turns diagnostics on at ``DEBUG``, the level of the one record the
-CLI writes; only then is :mod:`logging` imported, and a failure is logged to the ``tbsl``
-logger only where it is loaded, since a process that never imported it configured no handler.
+All mathematics is delegated to the library modules; this module parses arguments, assembles
+reports (a ``verdicts`` grid is ``(xs, ys, rows)``: slope texts and one row of ``Verdict`` per
+x) and renders them as text or exactly as ``json.dump(report, indent=2)`` would (see
+:mod:`tbsl.schema`), writing the JSON in pieces of at most 64 KiB or one grid row, so a large
+report is never held whole; Python work there is per distinct row, not per point, as each
+distinct row's entry texts are built once.  A sweep's axis is integer numerators over the step's
+denominator, each printed with one ``gcd``: no grid slope is a ``Slope``.  ``TBSL_LOG`` set to
+any non-empty value turns diagnostics on at ``DEBUG``, the level of the one record the CLI
+writes; only then is :mod:`logging` imported, and a failure is logged to the ``tbsl`` logger
+only where it is loaded, since a process that never imported it configured no handler.
 """
 
 from __future__ import annotations
@@ -183,7 +183,7 @@ def _cmd_sweep(args) -> dict:
     if n * n > MAX_SWEEP_POINTS:
         raise ValueError(
             f"sweep of {n * n} points exceeds the limit of {MAX_SWEEP_POINTS}: "
-            "narrow --window or widen --step"
+            + ("widen --step" if args.window is None else "narrow --window or widen --step")
         )
     num, den = step.numerator, step.denominator
     axis = [k * num - window * den for k in range(n)]  # numerators over den
@@ -308,10 +308,11 @@ def _print_text(body: dict) -> None:
 
 
 def _write_json(report: dict, out) -> None:
-    """``json.dump(report, out, indent=2)`` and a newline, byte for byte; ``json`` encodes
-    in pure Python under ``indent``, so each grid row is one ``str.join`` and one write.  The
-    entry texts of a row are built once per call for each distinct row, keyed by its verdicts,
-    so a row that repeats (a shared ``verdict_rows`` tuple, or an equal list) costs one join."""
+    """``json.dump(report, out, indent=2)`` and a newline, byte for byte.  ``json`` encodes in
+    pure Python under ``indent``, so each grid row is one ``str.join`` of entry texts built once
+    per distinct row, keyed by its verdicts.  A text (the head, a row or the tail) that would take
+    the pending ones past 64 KiB first writes them with one join: no write exceeds
+    max(64 KiB, one row), and a W = 100 report is never held whole."""
     verdicts = report.get("verdicts")
     if not verdicts:
         out.write(json.dumps(report, indent=2) + "\n")
@@ -325,18 +326,24 @@ def _write_json(report: dict, out) -> None:
         rest = (f'\n      ],\n      "verdict": "{v.value}",\n'
                 f'      "witness_region": {json.dumps(_WITNESS.get(v))}\n    }}')
         after[v] = [',\n        ' + ey + rest for ey in eys]
-    # by a row's verdicts, its entries' texts after their x slope; the leading "" makes the
-    # join put an entry's head before the first entry too
-    entries = {}
-    out.write(head + '\n  "verdicts": [')
-    for i, (x, row) in enumerate(zip(xs, rows)):
-        key = tuple(row)
-        if key not in entries:
-            entries[key] = ["", *[after[v][j] for j, v in enumerate(row)]]
-        sep = ',\n    {\n      "slope": [\n        ' + enc(x)  # an entry up to its x slope
-        # the first entry has no comma before it
-        out.write(sep.join(entries[key])[i == 0:])
-    out.write("\n  ]" + tail + "\n")
+
+    def texts():
+        entries = {}  # by a row's verdicts, its entries' texts after their x slope
+        yield head + '\n  "verdicts": ['
+        for i, (x, row) in enumerate(zip(xs, rows)):
+            if (key := tuple(row)) not in entries:  # "" first: the join heads the first entry too
+                entries[key] = ["", *[after[v][j] for j, v in enumerate(row)]]
+            sep = ',\n    {\n      "slope": [\n        ' + enc(x)  # an entry up to its x slope
+            yield sep.join(entries[key])[i == 0:]  # the first entry has no comma before it
+        yield "\n  ]" + tail + "\n"
+
+    pending, size = [], 0  # texts not yet written, and their length
+    for text in texts():
+        if (size := size + len(text)) > 64 * 1024 and pending:
+            out.write("".join(pending))
+            pending, size = [], len(text)
+        pending.append(text)
+    out.write("".join(pending))
 
 
 class _Parser(argparse.ArgumentParser):

@@ -23,11 +23,11 @@ class MonodromyWord(Frozen):
 
     def __init__(self, letters: tuple[tuple[int, int], ...]):
         letters = tuple((operator.index(i), operator.index(e)) for i, e in letters)
-        idx = [i for i, _ in letters]
-        if sorted(idx) != list(range(1, len(idx) + 1)):
-            raise ValueError("word must contain each index 1..n exactly once")
-        if idx != sorted(idx, key=lambda i: (i % 2, i)):  # rivers before bridges, each ascending
-            raise ValueError("even indices must precede odd ones, each block ascending")
+        idx, n = [i for i, _ in letters], len(letters)
+        if idx != [*range(2, n + 1, 2), *range(1, n + 1, 2)]:  # rivers first, each block ascending
+            raise ValueError("word must contain each index 1..n exactly once"
+                             if sorted(idx) != [*range(1, n + 1)] else
+                             "even indices must precede odd ones, each block ascending")
         if any(e not in (1, -1) for _, e in letters):
             raise ValueError("exponents must be ±1")
         self.__dict__["letters"] = letters

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -431,6 +432,22 @@ def test_bad_input_is_reported(capsys, argv, message):
 
 
 @pytest.mark.parametrize(
+    "argv, hint",
+    [
+        (["sweep", "b(8,5)", "--window", "100", "--step", "1/1000000000"],
+         "narrow --window or widen --step"),
+        # without --window the default is already narrowed to 1: only --step is left to change
+        (["sweep", "b(8,5)", "--step", "1/1000"], "widen --step"),
+        (["sweep", "b(62,-3)", "--step", "1/1000"], "widen --step"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+)
+def test_sweep_over_the_limit_names_only_the_options_given(capsys, argv, hint):
+    code, report = run_json(capsys, *argv)
+    assert code == 1 and report["error"].endswith(f"exceeds the limit of 250000: {hint}")
+
+
+@pytest.mark.parametrize(
     "argv, flag",
     [
         (["sweep", "b(8,5)", "--window", "1_0", "--step", "5"], "--window"),
@@ -588,6 +605,34 @@ def writes_of(report: dict) -> list[str]:
     return out.writes
 
 
+#: Characters the JSON writer gathers into one write, unless one grid row is longer.
+PIECE = 64 * 1024
+
+
+def text_ends(out: str, n_ys: int) -> list[int]:
+    """Where the writer's texts end in ``out``: the head, each grid row, then the tail."""
+    firsts = [m.start() for m in re.finditer(r'\n    \{\n      "slope": \[', out)][::n_ys]
+    # a row after the first starts with the comma before its first entry
+    return [firsts[0], *[i - 1 for i in firsts[1:]], out.index("\n  ]", firsts[-1]), len(out)]
+
+
+def assert_written_in_pieces(report: dict, writes: list[str]) -> None:
+    """``writes`` spell ``json.dump``'s bytes; each ends where a text ends, none is empty or
+    longer than max(PIECE, the longest text), and each is too long to take the next write's
+    first text.  The texts are the head, each grid row and the tail."""
+    out = "".join(writes)
+    same = out == json.dumps(json_dump_form(report), indent=2) + "\n"
+    assert same  # a bool: pytest would diff two megabyte strings for minutes
+    ends = text_ends(out, len(report["verdicts"][1]))
+    longest = max(b - a for a, b in zip([0, *ends], ends))
+    assert all(writes) and max(map(len, writes)) <= max(PIECE, longest)
+    written = 0
+    for w in writes[:-1]:
+        written += len(w)
+        assert written in ends
+        assert len(w) + ends[ends.index(written) + 1] - written > PIECE
+
+
 V = foliation.Verdict
 
 
@@ -634,22 +679,55 @@ def test_json_writer_matches_json_dump_on_repeated_rows(grid):
     report = {"command": "sweep", "ok": True, "input": {"link": "b(8,5)"},
               "verdicts": grid, "timing_ms": 3}
     writes = writes_of(report)
-    assert "".join(writes) == json.dumps(json_dump_form(report), indent=2) + "\n"
-    assert len(writes) == len(grid[0]) + 2
+    assert_written_in_pieces(report, writes)
+    assert len(writes) == 1  # at most 60 entries: well within one piece
 
 
-def test_json_writer_streams_one_grid_row_per_write():
-    # a W = 100 report is megabytes: it is written a row at a time, never joined whole
+def test_json_writer_streams_a_w100_sweep_in_64_kib_pieces():
+    # a W = 100 report is megabytes: it is written in pieces of whole rows, never joined whole
     body = handler_body("sweep", "b(62,-3)", "--window", "100")
     report = {"command": "sweep", "ok": True, **body, "timing_ms": 0}
     xs, ys, _ = report["verdicts"]
     assert len(xs) == len(ys) == 201
     writes = writes_of(report)
-    same = "".join(writes) == json.dumps(json_dump_form(report), indent=2) + "\n"
-    assert same  # a bool: pytest would diff two 5.7 MB strings for minutes
-    # the head, then exactly one row of entries per write, then the tail
-    assert len(writes) == len(xs) + 2
-    assert [w.count('"slope": [') for w in writes] == [0, *[len(ys)] * len(xs), 0]
+    assert_written_in_pieces(report, writes)
+    # each row is about 28 KB, so two rows share a write: not one write per row
+    assert max(map(len, writes)) <= PIECE and 1 < len(writes) <= len(xs) // 2 + 2
+
+
+def _uniform_report(link: str, xs: list[str], n_ys: int) -> dict:
+    row = [V.NLS_WITH_TAUT_FOLIATION] * n_ys
+    return {"command": "sweep", "ok": True, "input": {"link": link},
+            "verdicts": (xs, ["1/2"] * n_ys, [row] * len(xs)), "timing_ms": 3}
+
+
+def test_json_writer_fills_a_piece_that_ends_exactly_at_a_row_end():
+    xs = [str(k) for k in range(40)]  # 40 rows of about 2.6 KB
+    out = "".join(writes_of(_uniform_report("", xs, 20)))
+    # the head grows by one character per character of the link text
+    pad = PIECE - max(e for e in text_ends(out, 20)[:-1] if e <= PIECE)
+    report = _uniform_report("x" * pad, xs, 20)
+    writes = writes_of(report)
+    assert_written_in_pieces(report, writes)
+    assert len(writes[0]) == PIECE and writes[0].endswith("\n    }")
+    assert writes[1].startswith(",\n    {")
+
+
+def test_json_writer_writes_a_head_longer_than_a_piece_alone():
+    # a head that alone passes PIECE is written as it is, after no empty write
+    report = _uniform_report("x" * PIECE, ["0", "1"], 3)
+    writes = writes_of(report)
+    assert_written_in_pieces(report, writes)
+    assert len(writes) == 2 and len(writes[0]) > PIECE and '"slope"' not in writes[0]
+
+
+def test_json_writer_writes_a_row_longer_than_a_piece_alone():
+    # 600 entries a row, about 80 KB, as a --window 124 --step 1/2 sweep's 499 are about 74 KB
+    report = _uniform_report("b(8,5)", ["-1", "0", "1"], 600)
+    writes = writes_of(report)
+    assert_written_in_pieces(report, writes)
+    assert [w.count('"slope": [') for w in writes] == [0, 600, 600, 600, 0]
+    assert min(map(len, writes[1:-1])) > PIECE
 
 
 _SWEEP_LINKS = ("b(8,5)", "b(20,-3)", "b(20,3)", "L(-2,-2,-2)", "b(30,-11)", "b(14,-3)", "b(62,-3)")
